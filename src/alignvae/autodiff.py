@@ -7,6 +7,17 @@ reverse and returns gradients for named trainable parameters. Outside an
 active tape the same operations simply compute values, which keeps
 evaluation-time code cheap.
 
+Gradients are dense arrays, except that the backward of :func:`rows`
+returns a :class:`RowGrad`: the unique gathered row ids and one value
+row per id, so a gather from a [V, d] table costs in proportion to the
+rows it touched, not to V. ``backward`` keeps these parts in a list per
+node and builds a node's dense gradient once: for a trainable leaf at
+the end of the pass, for any other node when its own backward runs, and
+before a dense gradient for the same node is added. It starts from
+zeros (or from the dense sum so far) and adds each part in the order
+the parts arrived, so the result is bit-identical to summing one dense
+``np.add.at`` table per gather from left to right.
+
 A tape is confined to one thread. Values produced under one tape are
 treated as constants when used under another.
 """
@@ -80,15 +91,37 @@ class ParameterStore:
     def copy_values(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self._slots.items()}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in values.items():
-            slot = self._slots[name]
-            if slot.data.shape != np.asarray(arr).shape:
-                raise ShapeError(
-                    f"parameter {name!r}: stored shape {np.asarray(arr).shape} "
-                    f"!= declared shape {slot.data.shape}"
-                )
-            slot.data = np.array(arr, dtype=np.float64)
+
+class RowGrad:
+    """Row-sparse gradient of a table: ``values[k]`` is the gradient of
+    row ``ids[k]``; every other row's gradient is zero. ``ids`` ascend strictly."""
+
+    __slots__ = ("ids", "values")
+
+    def __init__(self, ids: np.ndarray, values: np.ndarray):
+        self.ids = ids
+        self.values = values
+
+    @property
+    def nbytes(self) -> int:
+        return self.ids.nbytes + self.values.nbytes
+
+
+def _densify(base, parts: list[RowGrad], like: np.ndarray) -> np.ndarray:
+    """``base`` (or zeros) plus each part in turn, as a new dense array.
+
+    Equal bit for bit to ``base + z1 + z2 + ...`` where ``zk`` is part k
+    written into a zero table: ``base + 0.0`` turns -0.0 into 0.0 as
+    adding a zero row would, after which no entry is -0.0, so adding a
+    part's value rounds as adding the same value from ``zk`` does. For
+    the same reason ``backward`` may sum parts over one ids array into a
+    single part when they are the first to reach a node: a sum started
+    from its first term, then added to 0.0, equals one started from 0.0.
+    """
+    acc = np.zeros_like(like) if base is None else base + 0.0
+    for part in parts:
+        acc[part.ids] += part.values
+    return acc
 
 
 class _Node:
@@ -156,24 +189,42 @@ class Tape:
                 f"backward root must be a scalar, got shape {root.data.shape}"
             )
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
+        pending: dict[int, list[RowGrad]] = {}  # row-sparse parts not yet in grads
         grads[pos] = np.ones((), dtype=np.float64)
         for i in range(pos, -1, -1):
-            g = grads[i]
             node = self.nodes[i]
-            if g is None or node.bwd is None:
+            if node.bwd is None:
+                continue
+            if i in pending:
+                grads[i] = _densify(grads[i], pending.pop(i), node.tensor.data)
+            g = grads[i]
+            if g is None:
                 continue
             for parent_pos, pg in zip(node.parents, node.bwd(g)):
                 if pg is None:
                     continue
-                if grads[parent_pos] is None:
-                    grads[parent_pos] = pg
-                else:
-                    grads[parent_pos] = grads[parent_pos] + pg
+                if type(pg) is RowGrad:
+                    parts = pending.setdefault(parent_pos, [])
+                    # same intp ids <=> same bytes; exact because these
+                    # rows start from zero (see _densify)
+                    if (len(parts) == 1 and grads[parent_pos] is None
+                            and parts[0].ids.tobytes() == pg.ids.tobytes()):
+                        parts[0].values += pg.values
+                    else:
+                        parts.append(pg)
+                    continue
+                acc = grads[parent_pos]
+                if parent_pos in pending:
+                    acc = _densify(acc, pending.pop(parent_pos),
+                                   self.nodes[parent_pos].tensor.data)
+                grads[parent_pos] = pg if acc is None else acc + pg
         out: dict[str, np.ndarray] = {}
         for i, node in enumerate(self.nodes):
             t = node.tensor
             if t.trainable and t.name is not None:
                 g = grads[i]
+                if i in pending:
+                    g = _densify(g, pending[i], t.data)
                 out[t.name] = (
                     np.zeros_like(t.data) if g is None else np.asarray(g, dtype=np.float64)
                 )
@@ -304,7 +355,11 @@ def reshape(a, shape) -> Tensor:
 
 
 def rows(table, ids) -> Tensor:
-    """Gather rows ``table[ids]``; repeated ids accumulate gradient."""
+    """Gather rows ``table[ids]``; repeated ids accumulate gradient.
+
+    The gradient is a :class:`RowGrad` over the sorted unique ids; the
+    row of a repeated id sums its occurrences in the order they occur.
+    """
     table = _as_tensor(table)
     idx = np.asarray(ids, dtype=np.intp)
     if np.any(idx < 0) or np.any(idx >= table.data.shape[0]):
@@ -314,9 +369,17 @@ def rows(table, ids) -> Tensor:
     data = table.data[idx]
 
     def bwd(g):
-        z = np.zeros_like(table.data)
-        np.add.at(z, idx, g)
-        return (z,)
+        flat = idx.reshape(-1)
+        order = np.argsort(flat, kind="stable")  # equal ids keep occurrence order
+        ids = flat[order]
+        g = np.reshape(g, (flat.size,) + table.data.shape[1:])[order]
+        first = np.ones(ids.size, dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        if first.all():
+            return (RowGrad(ids, g),)
+        values = np.zeros((np.count_nonzero(first),) + g.shape[1:])
+        np.add.at(values, np.cumsum(first) - 1, g)
+        return (RowGrad(ids[first], values),)
 
     return _emit("rows", data, (table,), bwd)
 

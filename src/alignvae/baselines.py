@@ -157,26 +157,13 @@ class NIBMConfig:
 
 
 def build_nibm_params(cfg: NIBMConfig, v_x: int, v_y: int, seed: int) -> ParameterStore:
-    from .training import glorot_init
-
     cfg.validate()
-    store = ParameterStore()
-
-    def mat(name, shape):
-        store.add(name, glorot_init(shape, derive_seed(seed, f"init:{name}")))
-
-    mat("E", (v_x, cfg.d_x))
+    shapes = {"E": (v_x, cfg.d_x)}
     if cfg.encoder == "birnn":
-        for direction in ("fwd", "bwd"):
-            for gate in "ifoc":
-                mat(f"lstm_{direction}_W{gate}", (cfg.d_x, cfg.d_x))
-                mat(f"lstm_{direction}_U{gate}", (cfg.d_x, cfg.d_x))
-                store.add(f"lstm_{direction}_b{gate}", np.zeros(cfg.d_x))
-    mat("mlp_W", (cfg.d_x, cfg.d_x))
-    store.add("mlp_b", np.zeros(cfg.d_x))
-    mat("out_W", (v_y, cfg.d_x))
-    store.add("out_b", np.zeros(v_y))
-    return store
+        shapes.update(model_mod.lstm_param_shapes(cfg.d_x))
+    shapes.update({"mlp_W": (cfg.d_x, cfg.d_x), "mlp_b": (cfg.d_x,),
+                   "out_W": (v_y, cfg.d_x), "out_b": (v_y,)})
+    return model_mod.init_params(shapes, seed)
 
 
 def _nibm_repr(x_ids, params: ParameterStore, cfg: NIBMConfig) -> Tensor:

@@ -40,51 +40,54 @@ class ModelConfig:
             raise ContractError("model dimensions must be positive")
 
 
-def build_params(cfg: ModelConfig, v_x: int, v_y: int, seed: int) -> ParameterStore:
-    """Allocate and initialize every trainable tensor for a model config.
+def lstm_param_shapes(d_x: int) -> dict[str, tuple[int, ...]]:
+    """Shapes of both LSTM directions' gate weights and biases."""
+    shapes = {}
+    for direction in _LSTM_DIRS:
+        for gate in _LSTM_GATES:
+            shapes[f"lstm_{direction}_W{gate}"] = (d_x, d_x)
+            shapes[f"lstm_{direction}_U{gate}"] = (d_x, d_x)
+            shapes[f"lstm_{direction}_b{gate}"] = (d_x,)
+    return shapes
 
-    Matrices get Glorot draws seeded per parameter name; biases start at
-    zero.
-    """
+
+def param_shapes(cfg: ModelConfig, v_x: int, v_y: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every trainable tensor of a model, in store order."""
+    cfg.validate()
+    d, d_x, d_s = cfg.d, cfg.d_x, cfg.d_s
+    shapes = {"E": (v_x, d_x)}
+    if cfg.encoder == "birnn":
+        shapes.update(lstm_param_shapes(d_x))
+    shapes.update({
+        "M1": (d, d_x), "d1": (d,), "M2": (d, d_x), "d2": (d,),
+        "W1": (v_x, d), "b1": (v_x,), "W2": (v_y, d), "b2": (v_y,),
+    })
+    if cfg.hierarchical:
+        shapes.update({
+            "sent_Mu": (d_s, d_x), "sent_bu": (d_s,), "sent_Ms": (d_s, d_x), "sent_bs": (d_s,),
+            "prior_V1": (d_s, d_s), "prior_c1": (d_s,), "prior_V2": (d, d_s), "prior_c2": (d,),
+            "N1": (d, d_s), "N2": (d, d_s), "G1": (v_x, d_s),
+        })
+    return shapes
+
+
+def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParameterStore:
+    """A store holding every named shape: matrices get Glorot draws seeded
+    per parameter name, vectors start at zero."""
     from .training import glorot_init  # deferred: training imports this module
 
-    cfg.validate()
     store = ParameterStore()
-
-    def mat(name, shape):
-        store.add(name, glorot_init(shape, derive_seed(seed, f"init:{name}")))
-
-    def vec(name, size):
-        store.add(name, np.zeros(size))
-
-    mat("E", (v_x, cfg.d_x))
-    if cfg.encoder == "birnn":
-        for direction in _LSTM_DIRS:
-            for gate in _LSTM_GATES:
-                mat(f"lstm_{direction}_W{gate}", (cfg.d_x, cfg.d_x))
-                mat(f"lstm_{direction}_U{gate}", (cfg.d_x, cfg.d_x))
-                vec(f"lstm_{direction}_b{gate}", cfg.d_x)
-    mat("M1", (cfg.d, cfg.d_x))
-    vec("d1", cfg.d)
-    mat("M2", (cfg.d, cfg.d_x))
-    vec("d2", cfg.d)
-    mat("W1", (v_x, cfg.d))
-    vec("b1", v_x)
-    mat("W2", (v_y, cfg.d))
-    vec("b2", v_y)
-    if cfg.hierarchical:
-        mat("sent_Mu", (cfg.d_s, cfg.d_x))
-        vec("sent_bu", cfg.d_s)
-        mat("sent_Ms", (cfg.d_s, cfg.d_x))
-        vec("sent_bs", cfg.d_s)
-        mat("prior_V1", (cfg.d_s, cfg.d_s))
-        vec("prior_c1", cfg.d_s)
-        mat("prior_V2", (cfg.d, cfg.d_s))
-        vec("prior_c2", cfg.d)
-        mat("N1", (cfg.d, cfg.d_s))
-        mat("N2", (cfg.d, cfg.d_s))
-        mat("G1", (v_x, cfg.d_s))
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            store.add(name, glorot_init(shape, derive_seed(seed, f"init:{name}")))
+        else:
+            store.add(name, np.zeros(shape))
     return store
+
+
+def build_params(cfg: ModelConfig, v_x: int, v_y: int, seed: int) -> ParameterStore:
+    """Allocate and initialize every trainable tensor for a model config."""
+    return init_params(param_shapes(cfg, v_x, v_y), seed)
 
 
 # ---------------------------------------------------------------------------

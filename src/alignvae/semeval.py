@@ -42,6 +42,14 @@ class LexSubInstance:
             raise DataError("instance has no candidate with positive gold weight")
 
 
+def _parse_number(kind, text: str, path, lineno: int):
+    """``kind(text)``, or a ``DataError`` naming the file position."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: bad number {text!r}") from None
+
+
 def parse_lexsub(path) -> list[LexSubInstance]:
     instances = []
     with open(path, encoding="utf-8") as fh:
@@ -62,9 +70,9 @@ def parse_lexsub(path) -> list[LexSubInstance]:
                 tok, _, weight = chunk.rpartition(":")
                 if not tok:
                     raise DataError(f"{path}:{lineno}: bad candidate {chunk!r}")
-                candidates.append((tok, float(weight)))
+                candidates.append((tok, _parse_number(float, weight, path, lineno)))
             instances.append(
-                LexSubInstance(sentence.split(), int(pos), candidates)
+                LexSubInstance(sentence.split(), _parse_number(int, pos, path, lineno), candidates)
             )
     return instances
 
@@ -263,6 +271,6 @@ def parse_wordsim(path):
                 raise DataError(
                     f"{path}:{lineno}: expected 'token1 token2 gold [sys]', got {line!r}"
                 )
-            sys_score = float(parts[3]) if len(parts) == 4 else None
-            rows.append((parts[0], parts[1], float(parts[2]), sys_score))
+            scores = [_parse_number(float, text, path, lineno) for text in parts[2:]]
+            rows.append((parts[0], parts[1], scores[0], scores[1] if len(scores) == 2 else None))
     return rows

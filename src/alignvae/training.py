@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -63,20 +63,39 @@ class AdamState:
 
 
 def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter store."""
+    """One bias-corrected Adam update, in place on the parameter store.
+
+    Every gradient is checked first, so a non-finite one raises
+    ``TrainingError`` with the parameters and the state untouched. The
+    moments are updated in place through one temporary array, in the same
+    operation order as ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``
+    and ``w = w - lr * m_hat / (sqrt(v_hat) + eps)``.
+    """
+    for name in params.names():
+        if not np.all(np.isfinite(grads[name])):
+            raise TrainingError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
+    c1 = 1.0 - state.beta1**state.t
+    c2 = 1.0 - state.beta2**state.t
     for name, tensor in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[name] / (1.0 - state.beta1**state.t)
-        v_hat = state.v[name] / (1.0 - state.beta2**state.t)
-        tensor.data = tensor.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        buf = np.empty_like(tensor.data)
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=buf)
+        v *= state.beta2
+        np.multiply(g, g, out=buf)
+        v += np.multiply(buf, 1.0 - state.beta2, out=buf)
+        step = np.divide(m, c1)
+        step *= state.lr
+        np.divide(v, c2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += state.eps
+        step /= buf
+        tensor.data = tensor.data - step
     return state
 
 
@@ -103,10 +122,31 @@ class Checkpoint:
     best_epoch: int | None = None
 
     def build_store(self) -> ParameterStore:
-        store = model_mod.build_params(
-            self.model_cfg, len(self.vocab_l1), len(self.vocab_l2), seed=0
+        """The stored values as a parameter store.
+
+        The checkpoint must hold exactly the parameters its config
+        declares, each with the declared shape; otherwise
+        ``CheckpointError``.
+        """
+        shapes = model_mod.param_shapes(
+            self.model_cfg, len(self.vocab_l1), len(self.vocab_l2)
         )
-        store.load_values(self.params)
+        missing = [name for name in shapes if name not in self.params]
+        extra = [name for name in self.params if name not in shapes]
+        if missing or extra:
+            raise CheckpointError(
+                f"checkpoint parameters do not match the config: "
+                f"missing {missing}, unexpected {extra}"
+            )
+        store = ParameterStore()
+        for name, shape in shapes.items():
+            value = self.params[name]
+            if np.shape(value) != shape:
+                raise CheckpointError(
+                    f"parameter {name!r}: stored shape {np.shape(value)} "
+                    f"!= declared shape {shape}"
+                )
+            store.add(name, value)
         return store
 
     def vocabularies(self) -> tuple[Vocabulary, Vocabulary]:
@@ -276,6 +316,12 @@ def load_checkpoint(path, expect: dict | None = None) -> Checkpoint:
             f"checkpoint version {doc['version']} unsupported "
             f"(expected {CHECKPOINT_VERSION})"
         )
+    known = {f.name for f in fields(ModelConfig)}
+    if not isinstance(doc["config"], dict):
+        raise CheckpointError("checkpoint field 'config' is not a mapping")
+    unknown = sorted(set(doc["config"]) - known)
+    if unknown:
+        raise CheckpointError(f"unknown model config keys in checkpoint: {unknown}")
     cfg = ModelConfig(**doc["config"])
     if expect:
         for key, wanted in expect.items():
@@ -289,7 +335,7 @@ def load_checkpoint(path, expect: dict | None = None) -> Checkpoint:
     for name, entry in doc["params"].items():
         try:
             arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"malformed parameter {name!r}: {e}") from e
         params[name] = arr
     return Checkpoint(

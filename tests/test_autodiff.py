@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignvae import autodiff as ad
 from alignvae.autodiff import (
@@ -284,6 +286,8 @@ class TestStructuralOps:
             lambda p: ad.logsumexp(ad.mean_rows(p)),
             lambda p: ad.total(ad.softmax(ad.row(p, 1))),
             lambda p: ad.total(ad.neg(ad.sub(p, ad.constant(0.5)))),
+            lambda p: ad.total(ad.mul(ad.rows(p, np.array([2, 0, 2, 2])),
+                                      ad.tanh(ad.rows(p, np.array([1, 2, 3, 2]))))),
         ],
     )
     def test_structural_gradients(self, builder):
@@ -297,6 +301,113 @@ class TestStructuralOps:
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
         with pytest.raises(ShapeError):
             ad.matmul(ad.constant(1.0), ad.constant(np.ones(2)))
+
+
+def _dense_use_grad(use, table_shape):
+    """The dense gradient one use hands the table, as the reference
+    backward builds it: one zero table per gather, filled by ``np.add.at``."""
+    kind, arg, coef = use
+    if kind == "rows":
+        z = np.zeros(table_shape)
+        np.add.at(z, arg, coef)
+        return z
+    if kind == "matmul":
+        return arg.T @ coef
+    return coef  # elementwise
+
+
+def _sparse_case(table_shape, uses, via_nonleaf, seed):
+    """Backward of sum_k total(use_k(base) * coef_k) for one table, and the
+    reference: dense per-use gradients summed left to right in the order
+    backward visits them (last use first)."""
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    table = store.add("T", rng.standard_normal(table_shape))
+    scale = rng.standard_normal(table_shape)
+    filled = []
+    for kind, arg in uses:
+        if kind == "rows":
+            shape = (len(arg),) + table_shape[1:]
+        elif kind == "matmul":
+            arg = rng.standard_normal((3, table_shape[0]))
+            shape = (3,) + table_shape[1:]
+        else:
+            shape = table_shape
+        coef = rng.standard_normal(shape)
+        coef[rng.random(shape) < 0.2] = -0.0  # signed zeros must sum as in dense
+        filled.append((kind, arg, coef))
+    with Tape() as tape:
+        base = ad.mul(table, ad.constant(scale)) if via_nonleaf else table
+        loss = None
+        for kind, arg, coef in filled:
+            if kind == "rows":
+                out = ad.rows(base, arg)
+            elif kind == "matmul":
+                out = ad.matmul(ad.constant(arg), base)
+            else:
+                out = base
+            term = ad.total(ad.mul(out, ad.constant(coef)))
+            loss = term if loss is None else ad.add(loss, term)
+    got = tape.backward(loss, params=store)["T"]
+    ref = None
+    for use in reversed(filled):
+        z = _dense_use_grad(use, table_shape)
+        ref = z if ref is None else ref + z
+    if via_nonleaf:
+        ref = ref * scale
+    return got, ref
+
+
+class TestRowSparseGradients:
+    @pytest.mark.parametrize("table_shape,uses", [
+        ((5, 3), [("rows", [3, 1, 3, 3, 0])]),  # repeated ids in one op
+        ((5,), [("rows", [3, 1, 3, 3, 0])]),
+        ((5, 8), [("rows", [2, 4]), ("rows", [2, 0, 2]), ("rows", [1, 2])]),  # several gathers
+        ((5, 3), [("matmul", None), ("rows", [1, 1, 4])]),  # gather visited before the matmul
+        ((5, 3), [("rows", [1, 1, 4]), ("dense", None)]),  # dense gradient visited first
+        ((5, 8), [("dense", None), ("rows", [2, 4, 2]), ("rows", [4, 2])]),
+        ((5, 3), [("rows", [0, 4, 0]), ("dense", None), ("rows", [2, 4])]),
+        # gathers of one id set, first to arrive, after another set, after a dense use
+        ((5, 8), [("rows", [2]), ("rows", [4, 1]), ("rows", [1, 4, 4]), ("rows", [4, 1])]),
+        ((5, 8), [("rows", [1, 4]), ("rows", [4, 1]), ("rows", [1, 2])]),
+        ((5, 8), [("rows", [1, 4]), ("rows", [4, 1]), ("dense", None)]),
+    ])
+    @pytest.mark.parametrize("via_nonleaf", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_to_dense_reference(self, table_shape, uses, via_nonleaf, seed):
+        uses = [(k, np.array(a) if a is not None else None) for k, a in uses]
+        got, ref = _sparse_case(table_shape, uses, via_nonleaf, seed)
+        assert got.shape == table_shape
+        assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        uses=st.lists(
+            st.one_of(
+                st.tuples(st.just("rows"), st.lists(st.integers(0, 6), min_size=1, max_size=9)),
+                st.tuples(st.sampled_from(["dense", "matmul"]), st.none()),
+            ),
+            min_size=1, max_size=5,
+        ),
+        via_nonleaf=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_uses_match_dense_reference(self, uses, via_nonleaf, seed):
+        uses = [(k, np.array(a) if a is not None else None) for k, a in uses]
+        got, ref = _sparse_case((7, 2), uses, via_nonleaf, seed)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_rows_backward_is_row_sparse(self):
+        table = ad.constant(np.zeros((1000, 4)))
+        with Tape() as tape:
+            out = ad.rows(table, np.array([7, 3, 7]))
+        parts = tape.nodes[-1].bwd(np.arange(12.0).reshape(3, 4))
+        (part,) = parts
+        assert isinstance(part, ad.RowGrad)
+        np.testing.assert_array_equal(part.ids, [3, 7])
+        np.testing.assert_array_equal(part.values, [[4.0, 5.0, 6.0, 7.0], [8.0, 10.0, 12.0, 14.0]])
+        assert part.nbytes == part.ids.nbytes + part.values.nbytes
+        assert out.data.shape == (3, 4)
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,26 @@ class TestAlign:
         assert code == 2
 
 
+    @pytest.mark.parametrize("edit", ["missing_param", "unknown_config_key"])
+    def test_broken_checkpoint_exits_2(self, tmp_path, capsys, edit):
+        synth = synth_corpus(seed=2, v1=6, v2=6, n_pairs=10, len_range=(2, 5), shuffle_l2=False)
+        write_corpus(synth, tmp_path / "l1", tmp_path / "l2", tmp_path / "gold")
+        _, vocab1, vocab2 = load_parallel(tmp_path / "l1", tmp_path / "l2")
+        ckpt_path = perfect_checkpoint(tmp_path, synth, vocab1, vocab2)
+        doc = json.loads(ckpt_path.read_text())
+        if edit == "missing_param":
+            del doc["params"]["b2"]
+        else:
+            doc["config"]["layers"] = 2
+        ckpt_path.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "align", "--checkpoint", str(ckpt_path),
+            str(tmp_path / "l1"), str(tmp_path / "l2"), str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 class TestEval:
     def test_aer_identical_pred_gold(self, tmp_path, capsys):
         gold = tmp_path / "gold.txt"
@@ -297,6 +319,19 @@ class TestEval:
         lines = per.read_text().splitlines()
         assert lines[0].startswith("0\t")
         assert lines[-1].startswith("mean\t")
+
+    @pytest.mark.parametrize("kind,text", [
+        ("lexsub", "w\t0\tw x\ta:2;b:lots\n"),
+        ("lexsub", "w\tfirst\tw x\ta:2;b:0\n"),
+        ("wordsim", "a b 1\nc d high\n"),
+        ("wordsim", "a b 1 0.5\nc d 2 n/a\n"),
+    ])
+    def test_malformed_number_exits_2(self, tmp_path, capsys, kind, text):
+        data = tmp_path / "data.txt"
+        data.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "eval", kind, str(data))
+        assert code == 2
+        assert f"{data}:" in err and len(err.strip().splitlines()) == 1
 
     def test_wordsim_reversed_scores(self, tmp_path, capsys):
         data = tmp_path / "ws.txt"

@@ -298,6 +298,23 @@ class TestParsers:
         with pytest.raises(DataError):
             parse_lexsub(path)
 
+    @pytest.mark.parametrize("line", [
+        "w\t0\tw x\ta:two;b:0\n",
+        "w\tone\tw x\ta:2;b:0\n",
+    ])
+    def test_lexsub_bad_number_names_line(self, tmp_path, line):
+        path = tmp_path / "lst.tsv"
+        path.write_text("# header\n" + line, encoding="utf-8")
+        with pytest.raises(DataError, match=r"lst\.tsv:2: bad number"):
+            parse_lexsub(path)
+
+    @pytest.mark.parametrize("line", ["sun moon x\n", "sun moon 3.1 y\n"])
+    def test_wordsim_bad_number_names_line(self, tmp_path, line):
+        path = tmp_path / "ws.txt"
+        path.write_text("cat dog 8.5\n" + line, encoding="utf-8")
+        with pytest.raises(DataError, match=r"ws\.txt:2: bad number"):
+            parse_wordsim(path)
+
     def test_wordsim_parse(self, tmp_path):
         path = tmp_path / "ws.txt"
         path.write_text("cat dog 8.5\nsun moon 3.1 0.4\n", encoding="utf-8")

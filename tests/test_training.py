@@ -88,6 +88,43 @@ class TestAdamStep:
         with pytest.raises(TrainingError, match="bad"):
             adam_step(store, {"bad": np.array([np.nan, 0.0])}, AdamState())
 
+    def test_failed_step_changes_nothing(self):
+        store = ParameterStore()
+        store.add("a", np.array([1.0, -2.0]))
+        store.add("b", np.array([[0.5, 0.25]]))
+        state = AdamState()
+        adam_step(store, {"a": np.array([0.1, -0.2]), "b": np.array([[0.3, 0.0]])}, state)
+        values = store.copy_values()
+        m = {k: v.copy() for k, v in state.m.items()}
+        v = {k: x.copy() for k, x in state.v.items()}
+        with pytest.raises(TrainingError, match="'b'"):
+            adam_step(store, {"a": np.array([0.4, 0.5]), "b": np.array([[np.inf, 0.0]])}, state)
+        assert state.t == 1
+        for name in ("a", "b"):
+            np.testing.assert_array_equal(store[name].data, values[name])
+            np.testing.assert_array_equal(state.m[name], m[name])
+            np.testing.assert_array_equal(state.v[name], v[name])
+
+    def test_bit_identical_to_reference_formula(self):
+        rng = np.random.default_rng(4)
+        store = ParameterStore()
+        store.add("w", rng.standard_normal((5, 3)))
+        store.add("s", 0.7)
+        ref_w = {name: t.data.copy() for name, t in store.items()}
+        ref_m = {name: np.zeros_like(a) for name, a in ref_w.items()}
+        ref_v = {name: np.zeros_like(a) for name, a in ref_w.items()}
+        state = AdamState(lr=3e-3)
+        for t in range(1, 5):
+            grads = {"w": rng.standard_normal((5, 3)), "s": np.asarray(rng.standard_normal())}
+            adam_step(store, grads, state)
+            for name, g in grads.items():
+                ref_m[name] = state.beta1 * ref_m[name] + (1.0 - state.beta1) * g
+                ref_v[name] = state.beta2 * ref_v[name] + (1.0 - state.beta2) * (g * g)
+                m_hat = ref_m[name] / (1.0 - state.beta1**t)
+                v_hat = ref_v[name] / (1.0 - state.beta2**t)
+                ref_w[name] = ref_w[name] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+                assert store[name].data.tobytes() == np.asarray(ref_w[name]).tobytes()
+
 
 class TestAnnealAlpha:
     def test_schedule_points(self):
@@ -251,3 +288,56 @@ class TestCheckpointIO:
         assert loaded.model_cfg.encoder == "bow"
         with pytest.raises(CheckpointError, match="config mismatch"):
             load_checkpoint(path, expect={"encoder": "birnn"})
+
+    def rewrite(self, tiny_corpus, edit):
+        ckpt, _, tmp_path = self.build(tiny_corpus)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_missing_parameter_rejected(self, tiny_corpus):
+        path = self.rewrite(tiny_corpus, lambda doc: doc["params"].pop("W2"))
+        with pytest.raises(CheckpointError, match="missing \\['W2'\\]"):
+            load_checkpoint(path).build_store()
+
+    def test_extra_parameter_rejected(self, tiny_corpus):
+        def edit(doc):
+            doc["params"]["G1"] = {"shape": [2], "data": [0.0, 1.0]}
+
+        path = self.rewrite(tiny_corpus, edit)
+        with pytest.raises(CheckpointError, match="unexpected \\['G1'\\]"):
+            load_checkpoint(path).build_store()
+
+    def test_misshaped_parameter_rejected(self, tiny_corpus):
+        def edit(doc):
+            entry = doc["params"]["M1"]
+            entry["shape"] = entry["shape"][::-1]
+
+        path = self.rewrite(tiny_corpus, edit)
+        with pytest.raises(CheckpointError, match="'M1'"):
+            load_checkpoint(path).build_store()
+
+    def test_non_object_parameter_entry_rejected(self, tiny_corpus):
+        path = self.rewrite(tiny_corpus, lambda doc: doc["params"].update(E=5))
+        with pytest.raises(CheckpointError, match="malformed parameter 'E'"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_rejected(self, tiny_corpus):
+        path = self.rewrite(tiny_corpus, lambda doc: doc["config"].update(depth=3))
+        with pytest.raises(CheckpointError, match="depth"):
+            load_checkpoint(path)
+
+    def test_build_store_draws_no_initialisation(self, tiny_corpus, monkeypatch):
+        ckpt, _, _ = self.build(tiny_corpus)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("build_store drew an initialisation")
+
+        monkeypatch.setattr(training, "glorot_init", no_draw)
+        store = ckpt.build_store()
+        assert store.names() == list(ckpt.params)
+        for name, arr in ckpt.params.items():
+            np.testing.assert_array_equal(store[name].data, arr)

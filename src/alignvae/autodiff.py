@@ -16,7 +16,9 @@ the end of the pass, for any other node when its own backward runs, and
 before a dense gradient for the same node is added. It starts from
 zeros (or from the dense sum so far) and adds each part in the order
 the parts arrived, so the result is bit-identical to summing one dense
-``np.add.at`` table per gather from left to right.
+``np.add.at`` table per gather from left to right. A node's gradient is
+released as soon as its own backward has run, so a pass holds only the
+gradients still waiting to be consumed.
 
 A tape is confined to one thread. Values produced under one tape are
 treated as constants when used under another.
@@ -200,6 +202,7 @@ class Tape:
             g = grads[i]
             if g is None:
                 continue
+            grads[i] = None  # read by nothing after its own backward: free it now
             for parent_pos, pg in zip(node.parents, node.bwd(g)):
                 if pg is None:
                     continue
@@ -249,6 +252,13 @@ def _emit(kind, data, parents, bwd) -> Tensor:
     if tape is not None:
         tape.record(out, parents, bwd, kind)
     return out
+
+
+def _broadcasts_to(shape: tuple, target: tuple) -> bool:
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -321,24 +331,38 @@ def neg(a) -> Tensor:
 # linear algebra and structure
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """``a @ b``, plus ``bias`` (broadcast to the product's shape) if given.
+
+    The bias is added into the product in place, so ``matmul(a, b, bias)``
+    equals ``add(matmul(a, b), bias)`` bit for bit, gradients included,
+    with one array and one tape node fewer.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim == 0 or b.data.ndim == 0 or a.data.ndim > 2 or b.data.ndim > 2:
         raise ShapeError(f"matmul: operands must be 1-d or 2-d, got {a.shape} and {b.shape}")
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if not _broadcasts_to(bias.data.shape, data.shape):
+            raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to {data.shape}")
+        data = np.asarray(data)  # a dot product gives a read-only scalar
+        data += bias.data
 
     def bwd(g):
         if a.data.ndim == 2 and b.data.ndim == 2:
-            return g @ b.data.T, a.data.T @ g
-        if a.data.ndim == 2 and b.data.ndim == 1:
-            return np.outer(g, b.data), a.data.T @ g
-        if a.data.ndim == 1 and b.data.ndim == 2:
-            return b.data @ g, np.outer(a.data, g)
-        return g * b.data, g * a.data  # dot product
+            grads = g @ b.data.T, a.data.T @ g
+        elif a.data.ndim == 2 and b.data.ndim == 1:
+            grads = np.outer(g, b.data), a.data.T @ g
+        elif a.data.ndim == 1 and b.data.ndim == 2:
+            grads = b.data @ g, np.outer(a.data, g)
+        else:
+            grads = g * b.data, g * a.data  # dot product
+        return grads if bias is None else grads + (_unbroadcast(g, bias.data.shape),)
 
-    return _emit("matmul", data, (a, b), bwd)
+    return _emit("matmul", data, (a, b) if bias is None else (a, b, bias), bwd)
 
 
 def transpose(a) -> Tensor:
@@ -362,7 +386,7 @@ def rows(table, ids) -> Tensor:
     """
     table = _as_tensor(table)
     idx = np.asarray(ids, dtype=np.intp)
-    if np.any(idx < 0) or np.any(idx >= table.data.shape[0]):
+    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ShapeError(
             f"rows: index out of range for table with {table.data.shape[0]} rows"
         )
@@ -487,18 +511,33 @@ def logsumexp(v) -> Tensor:
     return _emit("logsumexp", data, (v,), bwd)
 
 
-def logsumexp_rows(a) -> Tensor:
-    """Stable per-row log-sum-exp: [m, k] -> [m]."""
+def logsumexp_rows(a, shift=None) -> Tensor:
+    """Stable per-row log-sum-exp: [m, k] -> [m].
+
+    ``shift`` is a constant array (broadcast to [m, k]) added to ``a``
+    inside the reduction: the result equals
+    ``logsumexp_rows(add(a, constant(shift)))`` bit for bit, gradients
+    included, without keeping the shifted matrix on the tape.
+    """
     a = _as_tensor(a)
     if a.data.ndim != 2 or a.data.shape[1] == 0:
         raise ShapeError(f"logsumexp_rows: expected a matrix with columns, got shape {a.shape}")
-    hi = a.data.max(axis=1, keepdims=True)
-    shifted = np.exp(a.data - hi)
+    vals = a.data
+    if shift is not None:
+        shift = np.asarray(shift, dtype=np.float64)
+        if not _broadcasts_to(shift.shape, vals.shape):
+            raise ShapeError(f"logsumexp_rows: shift {shift.shape} does not broadcast to {a.shape}")
+        vals = vals + shift
+    hi = vals.max(axis=1, keepdims=True)
+    shifted = vals - hi
+    np.exp(shifted, out=shifted)
     z = shifted.sum(axis=1, keepdims=True)
     data = (hi + np.log(z))[:, 0]
 
     def bwd(g):
-        return (g[:, None] * shifted / z,)
+        out = g[:, None] * shifted
+        out /= z
+        return (out,)
 
     return _emit("logsumexp_rows", data, (a,), bwd)
 
@@ -592,7 +631,7 @@ def affine(w, x, b) -> Tensor:
             f"affine: W{w.shape} needs x of length {i} and b of length {o}; "
             f"got x{x.shape}, b{b.shape}"
         )
-    return add(matmul(w, x), b)
+    return matmul(w, x, bias=b)
 
 
 # ---------------------------------------------------------------------------

@@ -167,22 +167,27 @@ def build_nibm_params(cfg: NIBMConfig, v_x: int, v_y: int, seed: int) -> Paramet
 
 
 def _nibm_repr(x_ids, params: ParameterStore, cfg: NIBMConfig) -> Tensor:
-    """Per-position representations [m, d_x]: MLP over embeddings or states."""
-    if cfg.encoder == "birnn":
-        base = model_mod.encode_birnn(x_ids, params)
-    else:
-        base = model_mod.encode_bow(x_ids, params)
-    return ad.tanh(ad.add(ad.matmul(base, ad.transpose(params["mlp_W"])), params["mlp_b"]))
+    """Per-token representations [T, d_x]: MLP over embeddings or states."""
+    base = model_mod.encode(x_ids, params, cfg)
+    return ad.tanh(ad.matmul(base, ad.transpose(params["mlp_W"]), bias=params["mlp_b"]))
+
+
+def nibm_batch_log_likelihood(pairs, params: ParameterStore, cfg: NIBMConfig,
+                              css: CSSupport | None = None) -> Tensor:
+    """Summed over the pairs' L2 tokens: logsumexp_i log P(y_j | repr(x_i)) - log m,
+    as one graph over the flat token layout of ``model.Ragged``."""
+    x = model_mod.Ragged([p.x for p in pairs])
+    y = model_mod.Ragged([p.y for p in pairs])
+    reps = _nibm_repr(x, params, cfg)
+    return ad.total(
+        model_mod._l2_log_marginals(reps, x, y, params["out_W"], params["out_b"], css)
+    )
 
 
 def nibm_log_likelihood(pair: SentencePair, params: ParameterStore,
                         cfg: NIBMConfig, css: CSSupport | None = None) -> Tensor:
     """sum_j [logsumexp_i log P(y_j | repr(x_i)) - log m], a scalar tensor."""
-    reps = _nibm_repr(pair.x, params, cfg)
-    per_j = model_mod._l2_log_marginals(
-        reps, pair.y, params["out_W"], params["out_b"], css
-    )
-    return ad.total(per_j)
+    return nibm_batch_log_likelihood([pair], params, cfg, css)
 
 
 def nibm_align(pair: SentencePair, params: ParameterStore, cfg: NIBMConfig) -> set:
@@ -216,11 +221,7 @@ def train_nibm(pairs, vocab1: Vocabulary, vocab2: Vocabulary, cfg: NIBMConfig,
                 else None
             )
             with Tape() as tape:
-                summed = None
-                for pair in batch:
-                    ll = nibm_log_likelihood(pair, params, cfg, support)
-                    summed = ll if summed is None else ad.add(summed, ll)
-                loss = ad.neg(summed)
+                loss = ad.neg(nibm_batch_log_likelihood(batch, params, cfg, support))
             grads = tape.backward(loss, params=params)
             adam_step(params, grads, adam)
             update += 1

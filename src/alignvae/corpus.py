@@ -133,13 +133,23 @@ class CSSupport:
     def N(self) -> frozenset:
         return frozenset(self.n_ids)
 
-    def position_of(self, token_id: int) -> int:
-        pos = self.positions.get(int(token_id))
-        if pos is None or pos >= len(self.c_ids):
+    def columns(self, token_ids) -> np.ndarray:
+        """Support positions of an array of ids, each of which must be in
+        the explicit class set C (``ContractError`` otherwise)."""
+        ids = np.asarray(token_ids, dtype=np.intp).reshape(-1)
+        c = np.asarray(self.c_ids, dtype=np.intp)
+        order = np.argsort(c, kind="stable")
+        k = np.searchsorted(c, ids, sorter=order)
+        in_c = k < len(c)
+        in_c[in_c] = c[order[k[in_c]]] == ids[in_c]
+        if not in_c.all():
             raise ContractError(
-                f"token id {token_id} is not in the explicit class set C ({self.side})"
+                f"token id {ids[~in_c][0]} is not in the explicit class set C ({self.side})"
             )
-        return pos
+        return order[k]
+
+    def position_of(self, token_id: int) -> int:
+        return int(self.columns([token_id])[0])
 
 
 def read_sentences(path) -> list[list[str]]:

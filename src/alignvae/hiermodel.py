@@ -17,28 +17,33 @@ from . import autodiff as ad
 from . import model as model_mod
 from .autodiff import ParameterStore, Tensor
 from .corpus import SentencePair
-from .errors import ContractError, DomainError
+from .errors import DomainError
 from .model import ModelConfig
 
 
 def infer_sentence_posterior(x_ids, params: ParameterStore):
     """Diagonal-Gaussian parameters of the sentence latent given x.
 
-    The sentence is summarized by the mean of its token embeddings (so
-    the result is order-invariant), then mapped by two affine heads.
-    Returns ([d_s] location, [d_s] scale).
+    Each sentence is summarized by the mean of its token embeddings (so
+    the result is order-invariant), taken as one constant averaging
+    matmul over the batch's tokens, then mapped by two affine heads.
+    Returns ([B, d_s] locations, [B, d_s] scales) for a Ragged batch, or
+    ([d_s], [d_s]) for one id sequence.
     """
-    table = ad.rows(params["E"], np.asarray(x_ids, dtype=np.intp))
-    pooled = ad.mean_rows(table)
-    u_k = ad.add(ad.matmul(params["sent_Mu"], pooled), params["sent_bu"])
-    s_k = ad.softplus(ad.add(ad.matmul(params["sent_Ms"], pooled), params["sent_bs"]))
-    return u_k, s_k
+    x = model_mod.as_ragged(x_ids)
+    pooled = ad.matmul(ad.constant(x.averaging()), ad.rows(params["E"], x.ids))
+    u_k = ad.matmul(pooled, ad.transpose(params["sent_Mu"]), bias=params["sent_bu"])
+    s_k = ad.softplus(ad.matmul(pooled, ad.transpose(params["sent_Ms"]), bias=params["sent_bs"]))
+    if x is x_ids:
+        return u_k, s_k
+    return ad.row(u_k, 0), ad.row(s_k, 0)
 
 
 def prior_mean(s: Tensor, params: ParameterStore) -> Tensor:
-    """Conditional prior mean for token embeddings: one tanh hidden layer."""
-    hidden = ad.tanh(ad.add(ad.matmul(params["prior_V1"], s), params["prior_c1"]))
-    return ad.add(ad.matmul(params["prior_V2"], hidden), params["prior_c2"])
+    """Conditional prior mean for token embeddings: one tanh hidden layer.
+    ``s`` is one sentence draw [d_s] or one per row [T, d_s]."""
+    hidden = ad.tanh(ad.matmul(s, ad.transpose(params["prior_V1"]), bias=params["prior_c1"]))
+    return ad.matmul(hidden, ad.transpose(params["prior_V2"]), bias=params["prior_c2"])
 
 
 def infer_word_posterior_conditioned(s: Tensor, h: Tensor, params: ParameterStore):
@@ -46,12 +51,13 @@ def infer_word_posterior_conditioned(s: Tensor, h: Tensor, params: ParameterStor
 
     The affine map over the concatenation [s ; h_i] is realized as the
     base head plus an additive sentence block, so zeroing the block
-    reduces exactly to the unconditioned posterior.
+    reduces exactly to the unconditioned posterior. ``s`` is one draw
+    [d_s] for every row of h, or one per row [T, d_s].
     """
-    base_u = ad.add(ad.matmul(h, ad.transpose(params["M1"])), params["d1"])
-    base_s_pre = ad.add(ad.matmul(h, ad.transpose(params["M2"])), params["d2"])
-    l = ad.add(base_u, ad.matmul(params["N1"], s))
-    r = ad.softplus(ad.add(base_s_pre, ad.matmul(params["N2"], s)))
+    base_u = ad.matmul(h, ad.transpose(params["M1"]), bias=params["d1"])
+    base_s_pre = ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"])
+    l = ad.add(base_u, ad.matmul(s, ad.transpose(params["N1"])))
+    r = ad.softplus(ad.add(base_s_pre, ad.matmul(s, ad.transpose(params["N2"]))))
     return l, r
 
 
@@ -77,45 +83,18 @@ def kl_diag_gaussian(q_mean, q_scale, p_mean, p_scale) -> float:
     return float(value.data[0])
 
 
-def _kl_vector(u: Tensor, s: Tensor, mu: Tensor | None = None,
-               sigma: Tensor | None = None) -> Tensor:
-    """Scalar KL for 1-d (u, s) through the shared matrix-shaped graph."""
-    d = u.data.shape[0]
-    return ad.row(
-        model_mod.gaussian_kl_rows(
-            ad.reshape(u, (1, d)), ad.reshape(s, (1, d)), mu, sigma
-        ),
-        0,
-    )
-
-
 def elbo_s(pair: SentencePair, params: ParameterStore, cfg: ModelConfig,
            alpha: float, eps_s: np.ndarray, eps_z: np.ndarray,
            css_pair=None) -> Tensor:
-    """Single-sample bound with the sentence latent.
+    """Single-sample bound with the sentence latent for one pair:
+    ``model.batch_elbo`` of a batch of one.
 
     Samples s from its posterior, conditions the token posteriors and the
     L1 head on it, and adds the sentence-level divergence on top of the
     (now prior-shifted) per-token divergences.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ContractError(f"alpha must be in [0, 1], got {alpha}")
-    css_l1, css_l2 = css_pair if css_pair is not None else (None, None)
-    u_k, s_k = infer_sentence_posterior(pair.x, params)
-    s = ad.add(u_k, ad.mul(s_k, ad.constant(np.asarray(eps_s, dtype=np.float64))))
-    h = model_mod.encode(pair.x, params, cfg)
-    l, r = infer_word_posterior_conditioned(s, h, params)
-    z = model_mod.reparam_sample(l, r, eps_z)
-    like = ad.add(
-        model_mod._l1_sum(z, pair.x, params, css_l1, s_vec=s),
-        ad.total(
-            model_mod._l2_log_marginals(z, pair.y, params["W2"], params["b2"], css_l2)
-        ),
-    )
-    kl_z = ad.total(model_mod.gaussian_kl_rows(l, r, prior_mean(s, params)))
-    base_shape = ad.sub(like, ad.mul(ad.constant(float(alpha)), kl_z))
-    kl_s = _kl_vector(u_k, s_k)
-    return ad.sub(base_shape, ad.mul(ad.constant(float(alpha)), kl_s))
+    eps_s = np.reshape(np.asarray(eps_s, dtype=np.float64), (1, -1))
+    return model_mod.batch_elbo([pair], params, cfg, alpha, eps_z, eps_s, css_pair)
 
 
 def _softplus_preimage(target: float = 1.0) -> float:

@@ -8,10 +8,25 @@ encoder feeds two affine heads producing per-token diagonal-Gaussian
 posteriors (softplus keeps scales positive). Training can swap the exact
 softmax normalizers for the sampled-support estimate carried by a
 CSSupport; evaluation always uses the full support.
+
+Batch layout: ``batch_elbo`` builds one graph for a whole batch. The L1
+tokens of all B pairs are concatenated into one flat [T] id array
+(``Ragged``: T = sum of the m_b, with a sentence id per token), and so
+are the L2 tokens ([N]). Every per-token tensor (encodings, posteriors,
+noise, latents, L1 logits) is [T, ...] in that order. The BiLSTM steps
+both directions over time for all B sentences at once, each sentence
+left-aligned (the backward one reversed within the sentence), and
+gathers the states back into flat order. The L2 marginal gathers
+log P(y_j | z_i) into an [N, m_max] grid with -inf past each L1
+sentence's end and takes a row-wise log-sum-exp. With a CSS support the
+heads are [T, |C| + |N|]; without one (``css = false``) a batch
+materialises [T, V] logits for each head. ``elbo`` and
+``hiermodel.elbo_s`` are batches of one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import CSSupport, SentencePair, derive_seed
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 
 _LSTM_GATES = "ifoc"
 _LSTM_DIRS = ("fwd", "bwd")
@@ -91,17 +106,71 @@ def build_params(cfg: ModelConfig, v_x: int, v_y: int, seed: int) -> ParameterSt
 
 
 # ---------------------------------------------------------------------------
+# batch layout
+
+
+class Ragged:
+    """Id sequences of B sentences laid end to end.
+
+    Sentence b occupies ``ids[starts[b]:starts[b] + lengths[b]]`` and
+    ``seg[t]`` is the sentence of token t. Every per-token tensor of a
+    batch ([T, ...]) uses this flat order.
+    """
+
+    __slots__ = ("ids", "lengths", "starts", "seg")
+
+    def __init__(self, seqs):
+        self.lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+        self.ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp,
+                               count=int(self.lengths.sum()))
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.seg = np.repeat(np.arange(len(self.lengths)), self.lengths)
+
+    @property
+    def size(self) -> int:
+        return len(self.lengths)
+
+    def positions(self) -> np.ndarray:
+        """Position of every token within its own sentence, [T]."""
+        return np.arange(len(self.ids)) - self.starts[self.seg]
+
+    def steps(self, reverse: bool) -> np.ndarray:
+        """[m_max, B] flat index of the token sentence b feeds at step t of a
+        scan over all sentences at once: position t, or position m_b - 1 - t
+        when ``reverse``. A sentence that has ended repeats its last
+        token; those steps come after all of its real ones."""
+        t = np.minimum(np.arange(self.lengths.max())[:, None], self.lengths - 1)
+        return self.starts + (self.lengths - 1 - t if reverse else t)
+
+    def averaging(self) -> np.ndarray:
+        """[B, T] weights whose product with per-token rows [T, k] gives
+        every sentence's mean row [B, k]."""
+        weights = np.zeros((self.size, len(self.ids)))
+        weights[self.seg, np.arange(len(self.ids))] = 1.0 / self.lengths[self.seg]
+        return weights
+
+
+def as_ragged(x) -> Ragged:
+    """``x`` itself if it is a Ragged batch, else a batch of the one id sequence ``x``."""
+    return x if isinstance(x, Ragged) else Ragged([x])
+
+
+# ---------------------------------------------------------------------------
 # encoders
 
 
 def encode_bow(x_ids, params: ParameterStore) -> Tensor:
     """Per-token table lookup; h_i depends only on x_i."""
-    return ad.rows(params["E"], np.asarray(x_ids, dtype=np.intp))
+    ids = x_ids.ids if isinstance(x_ids, Ragged) else np.asarray(x_ids, dtype=np.intp)
+    return ad.rows(params["E"], ids)
 
 
-def _lstm_states(inputs, params, direction: str):
-    """Hidden states of one LSTM direction over a list of input vectors.
+def _lstm_states(inputs: Tensor, steps: np.ndarray, params, direction: str) -> Tensor:
+    """Hidden states of one LSTM direction, scanned over all sentences at once.
 
+    ``inputs`` [T, d_x] are the token inputs in flat order and ``steps``
+    [m_max, B] the token each sentence feeds at each step (see
+    ``Ragged.steps``). Returns the states as [m_max * B, d_x], step-major.
     Standard gated cell: sigmoid input/forget/output gates, tanh
     candidate, zero initial states, no peepholes, forget bias 0.
     """
@@ -109,36 +178,50 @@ def _lstm_states(inputs, params, direction: str):
     def p(tag):
         return params[f"lstm_{direction}_{tag}"]
 
-    d_h = p("bi").data.shape[0]
-    h = ad.constant(np.zeros(d_h))
-    c = ad.constant(np.zeros(d_h))
-    states = []
-    for x_t in inputs:
-        def preact(g, h=h, x_t=x_t):
-            return ad.add(ad.add(ad.matmul(p(f"W{g}"), x_t), ad.matmul(p(f"U{g}"), h)), p(f"b{g}"))
+    # input projections of every token at once; the recurrent part per step
+    proj = {g: ad.matmul(inputs, ad.transpose(p(f"W{g}")), bias=p(f"b{g}"))
+            for g in _LSTM_GATES}
+    recur = {g: ad.transpose(p(f"U{g}")) for g in _LSTM_GATES}
 
-        gate_i = ad.sigmoid(preact("i"))
-        gate_f = ad.sigmoid(preact("f"))
-        gate_o = ad.sigmoid(preact("o"))
-        cand = ad.tanh(preact("c"))
-        c = ad.add(ad.mul(gate_f, c), ad.mul(gate_i, cand))
+    def pre(g, idx, h):
+        x_g = ad.rows(proj[g], idx)
+        return x_g if h is None else ad.matmul(h, recur[g], bias=x_g)
+
+    h = c = None  # zero initial states: the first step skips U h and f * c
+    states = []
+    for idx in steps:
+        gate_i = ad.sigmoid(pre("i", idx, h))
+        gate_o = ad.sigmoid(pre("o", idx, h))
+        new = ad.mul(gate_i, ad.tanh(pre("c", idx, h)))
+        c = new if c is None else ad.add(ad.mul(ad.sigmoid(pre("f", idx, h)), c), new)
         h = ad.mul(gate_o, ad.tanh(c))
         states.append(h)
-    return states
+    return ad.reshape(ad.stack(states), (len(states) * steps.shape[1], -1))
 
 
 def encode_birnn(x_ids, params: ParameterStore) -> Tensor:
-    """Elementwise sum of forward and backward LSTM states per position."""
-    idx = np.asarray(x_ids, dtype=np.intp)
-    table = ad.rows(params["E"], idx)
-    inputs = [ad.row(table, t) for t in range(len(idx))]
-    fwd = _lstm_states(inputs, params, "fwd")
-    bwd = _lstm_states(list(reversed(inputs)), params, "bwd")
-    bwd = list(reversed(bwd))
-    return ad.stack([ad.add(f, b) for f, b in zip(fwd, bwd)])
+    """Elementwise sum of forward and backward LSTM states per position.
+
+    Both directions run on left-aligned sentences, the backward one
+    reversed within each sentence, so padding steps only ever follow a
+    sentence's real steps and need no mask; the states are gathered back
+    into flat token order.
+    """
+    x = as_ragged(x_ids)
+    if x.lengths.min() < 1:
+        raise ShapeError("encode_birnn: empty sentence")
+    inputs = ad.rows(params["E"], x.ids)
+    pos = x.positions()
+    fwd = _lstm_states(inputs, x.steps(reverse=False), params, "fwd")
+    bwd = _lstm_states(inputs, x.steps(reverse=True), params, "bwd")
+    return ad.add(
+        ad.rows(fwd, pos * x.size + x.seg),
+        ad.rows(bwd, (x.lengths[x.seg] - 1 - pos) * x.size + x.seg),
+    )
 
 
 def encode(x_ids, params: ParameterStore, cfg: ModelConfig) -> Tensor:
+    """Token encodings [T, d_x] of one id sequence or of a Ragged batch."""
     return encode_birnn(x_ids, params) if cfg.encoder == "birnn" else encode_bow(x_ids, params)
 
 
@@ -148,14 +231,17 @@ def encode(x_ids, params: ParameterStore, cfg: ModelConfig) -> Tensor:
 
 def infer_posterior(h: Tensor, params: ParameterStore):
     """Location and scale heads over the shared encoding: [m, d] each."""
-    u = ad.add(ad.matmul(h, ad.transpose(params["M1"])), params["d1"])
-    s = ad.softplus(ad.add(ad.matmul(h, ad.transpose(params["M2"])), params["d2"]))
+    u = ad.matmul(h, ad.transpose(params["M1"]), bias=params["d1"])
+    s = ad.softplus(ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"]))
     return u, s
 
 
 def reparam_sample(u: Tensor, s: Tensor, eps: np.ndarray) -> Tensor:
-    """z = u + s * eps with externally supplied unit-normal noise."""
-    return ad.add(u, ad.mul(s, ad.constant(np.asarray(eps, dtype=np.float64))))
+    """z = u + s * eps with externally supplied unit-normal noise of u's shape."""
+    eps = np.asarray(eps, dtype=np.float64)
+    if eps.shape != u.data.shape:
+        raise ShapeError(f"reparam_sample: noise shape {eps.shape} != {u.data.shape}")
+    return ad.add(u, ad.mul(s, ad.constant(eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,23 +249,21 @@ def reparam_sample(u: Tensor, s: Tensor, eps: np.ndarray) -> Tensor:
 
 
 def _head_logits(z: Tensor, weights: Tensor, bias: Tensor, css: CSSupport | None,
-                 s_block=None, s_vec: Tensor | None = None) -> Tensor:
+                 s_block=None, s: Tensor | None = None) -> Tensor:
     """Unnormalized class scores [m, support] for latents z [m, d].
 
     With a CSSupport, scores cover only C followed by N (in support order);
-    otherwise the full vocabulary. ``s_block``/``s_vec`` add a per-class
-    contribution from a sentence latent.
+    otherwise the full vocabulary. ``s_block`` [V, d_s] adds a per-class
+    contribution from the sentence draw ``s``: one [d_s] vector for every
+    row, or one row per row of z.
     """
-    if css is None:
-        logits = ad.add(ad.matmul(z, ad.transpose(weights)), bias)
-        if s_vec is not None:
-            logits = ad.add(logits, ad.matmul(s_block, s_vec))
-        return logits
-    sub_w = ad.rows(weights, css.support_ids)
-    sub_b = ad.rows(bias, css.support_ids)
-    logits = ad.add(ad.matmul(z, ad.transpose(sub_w)), sub_b)
-    if s_vec is not None:
-        logits = ad.add(logits, ad.matmul(ad.rows(s_block, css.support_ids), s_vec))
+    if css is not None:
+        weights, bias = ad.rows(weights, css.support_ids), ad.rows(bias, css.support_ids)
+        if s is not None:
+            s_block = ad.rows(s_block, css.support_ids)
+    logits = ad.matmul(z, ad.transpose(weights), bias=bias)
+    if s is not None:
+        logits = ad.add(logits, ad.matmul(s, ad.transpose(s_block)))
     return logits
 
 
@@ -187,7 +271,13 @@ def _log_normalizers(logits: Tensor, css: CSSupport | None) -> Tensor:
     """Per-row log normalizer [m]; sampled supports add log-kappa offsets."""
     if css is None or not css.n_ids:
         return ad.logsumexp_rows(logits)
-    return ad.logsumexp_rows(ad.add(logits, ad.constant(css.log_weights)))
+    return ad.logsumexp_rows(logits, shift=css.log_weights)
+
+
+def _columns(ids, css: CSSupport | None) -> np.ndarray:
+    """Logit columns of class ids: the ids themselves, or support positions."""
+    ids = np.asarray(ids, dtype=np.intp)
+    return ids if css is None else css.columns(ids)
 
 
 def css_log_normalizer(z, css: CSSupport, weights, bias) -> Tensor:
@@ -206,57 +296,53 @@ def css_log_normalizer(z, css: CSSupport, weights, bias) -> Tensor:
 
 
 def l1_log_prob(z_i, x_i: int, params: ParameterStore, css: CSSupport | None = None,
-                s_vec: Tensor | None = None) -> Tensor:
+                s: Tensor | None = None) -> Tensor:
     """Log probability of one L1 token given its latent embedding."""
     z = z_i if isinstance(z_i, Tensor) else ad.constant(z_i)
     zmat = ad.reshape(z, (1, z.data.shape[0]))
-    s_block = params["G1"] if s_vec is not None else None
-    logits = _head_logits(zmat, params["W1"], params["b1"], css, s_block, s_vec)
-    norm = _log_normalizers(logits, css)
-    col = css.position_of(x_i) if css is not None else int(x_i)
-    picked = ad.gather_rc(logits, np.array([0]), np.array([col]))
-    return ad.row(ad.sub(picked, norm), 0)
+    return _l1_sum(zmat, [x_i], params, css, s)
 
 
 def _l1_sum(z: Tensor, x_ids, params: ParameterStore, css: CSSupport | None,
-            s_vec: Tensor | None = None) -> Tensor:
-    """Sum over tokens of log P(x_i | z_i) (and sentence latent, if any)."""
-    idx = np.asarray(x_ids, dtype=np.intp)
-    s_block = params["G1"] if s_vec is not None else None
-    logits = _head_logits(z, params["W1"], params["b1"], css, s_block, s_vec)
+            s: Tensor | None = None) -> Tensor:
+    """Sum over tokens of log P(x_t | z_t): ``x_ids`` [T] in the rows'
+    order; ``s`` is the sentence draw per row [T, d_s], if any."""
+    s_block = params["G1"] if s is not None else None
+    logits = _head_logits(z, params["W1"], params["b1"], css, s_block, s)
     norms = _log_normalizers(logits, css)
-    cols = (
-        np.array([css.position_of(i) for i in idx])
-        if css is not None
-        else idx
-    )
-    picked = ad.gather_rc(logits, np.arange(len(idx)), cols)
+    picked = ad.gather_rc(logits, np.arange(len(x_ids)), _columns(x_ids, css))
     return ad.total(ad.sub(picked, norms))
 
 
-def _l2_log_marginals(z: Tensor, y_ids, weights: Tensor, bias: Tensor,
+def _l2_log_marginals(z: Tensor, x: Ragged, y: Ragged, weights: Tensor, bias: Tensor,
                       css: CSSupport | None) -> Tensor:
-    """Vector [n] of log P(y_j | z_1..z_m) under the uniform alignment prior."""
-    idx = np.asarray(y_ids, dtype=np.intp)
-    m = z.data.shape[0]
+    """Vector [N] of log P(y_j | z of y_j's L1 sentence) under the uniform
+    alignment prior, for every L2 token of the batch in flat order.
+
+    ``z`` holds one row per L1 token in ``x``'s flat order. The log
+    probabilities log P(y_j | z_i) are gathered into an [N, m_max] grid,
+    row j holding the positions i of y_j's own L1 sentence; cells past
+    that sentence's end get -inf, so a row-wise log-sum-exp marginalizes
+    each token over exactly its m positions.
+    """
     logits = _head_logits(z, weights, bias, css)
     norms = _log_normalizers(logits, css)
-    cols = (
-        np.array([css.position_of(i) for i in idx])
-        if css is not None
-        else idx
-    )
-    sel = ad.take_cols(logits, cols)  # [m, n]
-    logp = ad.sub(sel, ad.reshape(norms, (m, 1)))  # log P(y_j | z_i)
-    per_j = ad.logsumexp_rows(ad.transpose(logp))  # [n]
-    return ad.sub(per_j, ad.constant(np.log(float(m))))
+    m = x.lengths[y.seg]  # [N]
+    cell = np.arange(x.lengths.max())
+    real = cell < m[:, None]
+    zrow = x.starts[y.seg][:, None] + np.where(real, cell, 0)  # [N, m_max]
+    cols = _columns(y.ids, css)[:, None]
+    logp = ad.sub(ad.gather_rc(logits, zrow, cols), ad.rows(norms, zrow))
+    per_j = ad.logsumexp_rows(logp, shift=np.where(real, 0.0, -np.inf))
+    return ad.sub(per_j, ad.constant(np.log(m.astype(np.float64))))
 
 
 def l2_log_marginal(z, y_j: int, params: ParameterStore, css: CSSupport | None = None) -> Tensor:
     """log sum_i (1/m) P(y_j | z_i) over all m positions including NULL."""
     zt = z if isinstance(z, Tensor) else ad.constant(np.asarray(z, dtype=np.float64))
+    x = Ragged([np.zeros(zt.data.shape[0], dtype=np.intp)])  # only its length matters
     return ad.row(
-        _l2_log_marginals(zt, np.array([y_j]), params["W2"], params["b2"], css), 0
+        _l2_log_marginals(zt, x, Ragged([[y_j]]), params["W2"], params["b2"], css), 0
     )
 
 
@@ -295,26 +381,54 @@ def kl_to_standard_normal(u: Tensor, s: Tensor) -> Tensor:
 # the training objective
 
 
-def elbo(pair: SentencePair, params: ParameterStore, cfg: ModelConfig,
-         alpha: float, eps: np.ndarray, css_pair=None) -> Tensor:
-    """Single-sample evidence lower bound for one sentence pair.
+def batch_elbo(pairs, params: ParameterStore, cfg: ModelConfig, alpha: float,
+               eps_z: np.ndarray, eps_s: np.ndarray | None = None,
+               css_pair=None) -> Tensor:
+    """Single-sample evidence lower bound summed over a batch of pairs, as
+    one graph over the flat token layout of ``Ragged``.
 
-    One reparameterized draw z (from ``eps``) is shared by the L1 and L2
-    likelihood terms; the KL sum is weighted by the annealing factor
-    ``alpha``.
+    ``eps_z`` [T, d] holds the noise of every L1 token in flat order (the
+    pairs' draws concatenated). With ``eps_s`` [B, d_s] the bound is the
+    sentence-latent one: s is drawn per pair from its posterior,
+    broadcast to the pair's tokens, and conditions the token posteriors,
+    their prior mean and the L1 head; its divergence is added on top.
+    One draw z is shared by the L1 and L2 likelihood terms; every KL sum
+    is weighted by the annealing factor ``alpha``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ContractError(f"alpha must be in [0, 1], got {alpha}")
     css_l1, css_l2 = css_pair if css_pair is not None else (None, None)
-    h = encode(pair.x, params, cfg)
-    u, s = infer_posterior(h, params)
-    z = reparam_sample(u, s, eps)
+    x = Ragged([p.x for p in pairs])
+    y = Ragged([p.y for p in pairs])
+    h = encode(x, params, cfg)
+    if eps_s is None:
+        s_tok = None
+        u, s = infer_posterior(h, params)
+        kl = kl_to_standard_normal(u, s)
+    else:
+        from . import hiermodel  # deferred: hiermodel imports this module
+
+        u_k, s_k = hiermodel.infer_sentence_posterior(x, params)
+        s_tok = ad.rows(reparam_sample(u_k, s_k, eps_s), x.seg)
+        u, s = hiermodel.infer_word_posterior_conditioned(s_tok, h, params)
+        kl = gaussian_kl_rows(u, s, hiermodel.prior_mean(s_tok, params))
+    z = reparam_sample(u, s, eps_z)
     like = ad.add(
-        _l1_sum(z, pair.x, params, css_l1),
-        ad.total(_l2_log_marginals(z, pair.y, params["W2"], params["b2"], css_l2)),
+        _l1_sum(z, x.ids, params, css_l1, s_tok),
+        ad.total(_l2_log_marginals(z, x, y, params["W2"], params["b2"], css_l2)),
     )
-    kl = ad.total(kl_to_standard_normal(u, s))
-    return ad.sub(like, ad.mul(ad.constant(float(alpha)), kl))
+    weight = ad.constant(float(alpha))
+    bound = ad.sub(like, ad.mul(weight, ad.total(kl)))
+    if eps_s is None:
+        return bound
+    return ad.sub(bound, ad.mul(weight, ad.total(gaussian_kl_rows(u_k, s_k))))
+
+
+def elbo(pair: SentencePair, params: ParameterStore, cfg: ModelConfig,
+         alpha: float, eps: np.ndarray, css_pair=None) -> Tensor:
+    """Single-sample bound for one sentence pair, without the sentence
+    latent: ``batch_elbo`` of a batch of one, with noise ``eps`` [m, d]."""
+    return batch_elbo([pair], params, cfg, alpha, eps, None, css_pair)
 
 
 # ---------------------------------------------------------------------------

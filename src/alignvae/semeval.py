@@ -71,9 +71,11 @@ def parse_lexsub(path) -> list[LexSubInstance]:
                 if not tok:
                     raise DataError(f"{path}:{lineno}: bad candidate {chunk!r}")
                 candidates.append((tok, _parse_number(float, weight, path, lineno)))
-            instances.append(
-                LexSubInstance(sentence.split(), _parse_number(int, pos, path, lineno), candidates)
-            )
+            position = _parse_number(int, pos, path, lineno)
+            try:
+                instances.append(LexSubInstance(sentence.split(), position, candidates))
+            except DataError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
     return instances
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import alignment, autodiff as ad, hiermodel, model as model_mod
+from . import alignment, autodiff as ad, model as model_mod
 from .autodiff import ParameterStore, Tape
 from .corpus import (
     Batch,
@@ -236,8 +237,7 @@ def train(
             train_cfg.epochs - 1 if train_cfg.epochs > 0 else None,
         )
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        _write_atomic(log_path, ["\n".join(lines) + ("\n" if lines else "")])
     return best
 
 
@@ -254,18 +254,17 @@ def _batch_update(batch: Batch, params, model_cfg, train_cfg, vocab1, vocab2,
     else:
         css_pair = (None, None)
     noise = np.random.default_rng(derive_seed(batch_seed, "noise"))
+    # per pair, in batch order: eps_z, then eps_s for the sentence latent
+    eps_z, eps_s = [], []
+    for pair in batch:
+        eps_z.append(noise.standard_normal((pair.m, model_cfg.d)))
+        if model_cfg.hierarchical:
+            eps_s.append(noise.standard_normal(model_cfg.d_s))
     with Tape() as tape:
-        summed = None
-        for pair in batch:
-            eps_z = noise.standard_normal((pair.m, model_cfg.d))
-            if model_cfg.hierarchical:
-                eps_s = noise.standard_normal(model_cfg.d_s)
-                value = hiermodel.elbo_s(
-                    pair, params, model_cfg, alpha, eps_s, eps_z, css_pair
-                )
-            else:
-                value = model_mod.elbo(pair, params, model_cfg, alpha, eps_z, css_pair)
-            summed = value if summed is None else ad.add(summed, value)
+        summed = model_mod.batch_elbo(
+            batch.pairs, params, model_cfg, alpha, np.concatenate(eps_z),
+            np.stack(eps_s) if eps_s else None, css_pair,
+        )
         loss = ad.neg(summed)
     if not np.isfinite(loss.data):
         raise TrainingError(f"non-finite batch loss: {float(loss.data)}")
@@ -278,9 +277,33 @@ def _batch_update(batch: Batch, params, model_cfg, train_cfg, vocab1, vocab2,
 # checkpoint document
 
 
+def _write_atomic(path, pieces) -> None:
+    """Write the strings ``pieces`` to ``path`` through a temporary file in
+    the same directory that replaces ``path`` only once all are written, so
+    a failure midway leaves any old file as it was and no temporary file."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for piece in pieces:
+                fh.write(piece)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Single structured text document; floats round-trip exactly."""
-    doc = {
+    """Single structured text document; floats round-trip exactly.
+
+    The bytes are those of ``json.dump(doc)`` plus a newline, but each
+    parameter is encoded on its own by the C encoder behind ``json.dumps``
+    (``json.dump`` runs the pure-Python one), so neither the whole
+    document nor every parameter's list of floats is held at once. The
+    file is replaced atomically.
+    """
+    head = json.dumps({
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(ckpt.model_cfg),
@@ -289,14 +312,16 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "update_count": ckpt.update_count,
         "best_val_aer": ckpt.best_val_aer,
         "best_epoch": ckpt.best_epoch,
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-            for name, arr in ckpt.params.items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    })
+
+    def pieces():
+        yield head[:-1] + ', "params": {'
+        for k, (name, arr) in enumerate(ckpt.params.items()):
+            entry = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+            yield (", " if k else "") + json.dumps(name) + ": " + json.dumps(entry)
+        yield "}}\n"
+
+    _write_atomic(path, pieces())
 
 
 def load_checkpoint(path, expect: dict | None = None) -> Checkpoint:

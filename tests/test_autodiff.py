@@ -217,6 +217,30 @@ class TestBackward:
         grads = tape.backward(y)
         np.testing.assert_allclose(grads["x"], 2 * x.data + 1.0, atol=1e-12)
 
+    def test_consumed_gradients_are_released(self):
+        # a chain of 30 elementwise ops: holding every node's gradient to the
+        # end of the pass would need 30 arrays at once, releasing each once
+        # its own backward has run needs a few
+        import tracemalloc
+
+        store = ParameterStore()
+        x = store.add("x", np.random.default_rng(0).uniform(-1, 1, size=(200, 250)))
+        with Tape() as tape:
+            h = x
+            for _ in range(30):
+                h = ad.tanh(h)
+            y = ad.total(h)
+        one = x.data.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = tape.backward(y)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grads["x"].shape == x.data.shape
+        assert peak <= 6 * one, f"backward peak {peak / one:.1f} arrays"
+
 
 class TestGradientCheck:
     def test_linear_regression_tight(self):
@@ -408,6 +432,83 @@ class TestRowSparseGradients:
         np.testing.assert_array_equal(part.values, [[4.0, 5.0, 6.0, 7.0], [8.0, 10.0, 12.0, 14.0]])
         assert part.nbytes == part.ids.nbytes + part.values.nbytes
         assert out.data.shape == (3, 4)
+
+
+def _value_and_grads(build, arrays):
+    store = ParameterStore()
+    params = [store.add(f"p{k}", a) for k, a in enumerate(arrays)]
+    with Tape() as tape:
+        out = build(*params)
+    return out.data, tape.backward(out, params=store)
+
+
+class TestFusedForms:
+    """``matmul(a, b, bias)`` and ``logsumexp_rows(a, shift)`` equal the
+    unfused graphs bit for bit, values and gradients."""
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [((5, 3), (3, 4), (4,)), ((5, 3), (3, 4), (5, 4)), ((3,), (3, 4), (4,)),
+         ((5, 3), (3,), (5,)), ((3,), (3,), ())],
+    )
+    def test_matmul_bias_equals_add(self, shapes):
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal(s) for s in shapes]
+        weight = rng.standard_normal((arrays[0] @ arrays[1]).shape)
+
+        def fused(a, b, c):
+            return ad.total(ad.mul(ad.matmul(a, b, bias=c), ad.constant(weight)))
+
+        def unfused(a, b, c):
+            return ad.total(ad.mul(ad.add(ad.matmul(a, b), c), ad.constant(weight)))
+
+        got, got_grads = _value_and_grads(fused, arrays)
+        want, want_grads = _value_and_grads(unfused, arrays)
+        assert got.tobytes() == want.tobytes()
+        for name in want_grads:
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+
+    def test_matmul_bias_gradients(self):
+        rng = np.random.default_rng(4)
+        store = ParameterStore()
+        a = store.add("a", rng.standard_normal((4, 3)))
+        w = store.add("w", rng.standard_normal((5, 3)))
+        b = store.add("b", rng.standard_normal(5))
+        report = gradient_check(
+            lambda: ad.total(ad.tanh(ad.matmul(a, ad.transpose(w), bias=b))), store
+        )
+        assert report.max_rel_err <= 1e-6
+
+    def test_matmul_bias_shape_error(self):
+        with pytest.raises(ShapeError, match="bias"):
+            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4))),
+                      bias=ad.constant(np.ones(3)))
+
+    @pytest.mark.parametrize("shift_shape", [(6,), (4, 6), (1, 6)])
+    def test_logsumexp_shift_equals_add(self, shift_shape):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4, 6)) * 20
+        shift = rng.standard_normal(shift_shape)
+        if len(shift_shape) == 2 and shift_shape[0] == 4:
+            shift[rng.random(shift_shape) < 0.3] = -np.inf  # masked cells
+            shift[:, 0] = 0.0
+        weight = rng.standard_normal(4)
+
+        def fused(p):
+            return ad.total(ad.mul(ad.logsumexp_rows(p, shift=shift), ad.constant(weight)))
+
+        def unfused(p):
+            masked = ad.add(p, ad.constant(shift))
+            return ad.total(ad.mul(ad.logsumexp_rows(masked), ad.constant(weight)))
+
+        got, got_grads = _value_and_grads(fused, [a])
+        want, want_grads = _value_and_grads(unfused, [a])
+        assert got.tobytes() == want.tobytes()
+        assert got_grads["p0"].tobytes() == want_grads["p0"].tobytes()
+
+    def test_logsumexp_shift_shape_error(self):
+        with pytest.raises(ShapeError, match="shift"):
+            ad.logsumexp_rows(ad.constant(np.ones((2, 3))), shift=np.ones((4, 3)))
 
 
 class TestDeterminism:

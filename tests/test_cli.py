@@ -333,6 +333,18 @@ class TestEval:
         assert code == 2
         assert f"{data}:" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("text,reason", [
+        ("w\t0\tw x\ta:1\nw\t5\tw x\ta:1\n", "target position 5 outside sentence"),
+        ("w\t0\tw x\ta:1\nw\t1\tw x\ta:0;b:0\n", "no candidate with positive gold weight"),
+    ])
+    def test_invalid_lexsub_instance_exits_2_with_position(self, tmp_path, capsys, text, reason):
+        data = tmp_path / "data.txt"
+        data.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "eval", "lexsub", str(data))
+        assert code == 2
+        assert f"{data}:2: " in err and reason in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_wordsim_reversed_scores(self, tmp_path, capsys):
         data = tmp_path / "ws.txt"
         data.write_text("a b 1 4\nc d 2 3\ne f 3 2\ng h 4 1\n")

@@ -5,6 +5,7 @@ from alignvae.corpus import (
     NULL_ID,
     UNK_ID,
     Batch,
+    CSSupport,
     SentencePair,
     Vocabulary,
     build_css_support,
@@ -190,6 +191,36 @@ class TestCssSupport:
         a = build_css_support(batch, vocab, "l2", n_neg=10, seed=9)
         b = build_css_support(batch, vocab, "l2", n_neg=10, seed=9)
         assert a.n_ids == b.n_ids
+
+
+class TestCssColumns:
+    css = CSSupport(side="l2", c_ids=(7, 2, 5), n_ids=(3, 9), kappa=2.0)
+
+    def test_array_in_array_out(self):
+        cols = self.css.columns(np.array([5, 7, 7, 2]))
+        assert isinstance(cols, np.ndarray)
+        np.testing.assert_array_equal(cols, [2, 0, 0, 1])
+        for tid, col in zip((5, 7, 2), (2, 0, 1)):
+            assert self.css.support_ids[col] == tid
+            assert self.css.position_of(tid) == col
+
+    def test_empty_ids(self):
+        assert self.css.columns([]).shape == (0,)
+
+    def test_id_in_negatives_only_rejected(self):
+        with pytest.raises(ContractError, match="token id 3 "):
+            self.css.columns([7, 3])
+
+    def test_id_outside_support_rejected(self):
+        for bad in (4, 0, 100):
+            with pytest.raises(ContractError, match=f"token id {bad} "):
+                self.css.columns([2, bad])
+
+    def test_empty_c_rejects_any_id(self):
+        css = CSSupport(side="l2", c_ids=(), n_ids=(3,), kappa=1.0)
+        assert css.columns([]).shape == (0,)
+        with pytest.raises(ContractError):
+            css.columns([3])
 
 
 class TestSynthCorpus:

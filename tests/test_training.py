@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -341,3 +342,83 @@ class TestCheckpointIO:
         assert store.names() == list(ckpt.params)
         for name, arr in ckpt.params.items():
             np.testing.assert_array_equal(store[name].data, arr)
+
+
+class TestCheckpointWrite:
+    def test_bytes_equal_single_json_dump(self, tiny_corpus):
+        pairs, v1, v2, gold, tmp_path = tiny_corpus
+        mcfg = ModelConfig(d=3, d_x=4, hierarchical=True, d_s=2)
+        ckpt = train(pairs[:20], v1, v2, mcfg, TrainConfig(epochs=1, batch_size=10, seed=4),
+                     val_pairs=pairs[:5], val_gold={k: gold[k] for k in range(1, 6)})
+        ckpt.vocab_l1 = ckpt.vocab_l1 + ["caf\u00e9", 'q"uote']
+        ckpt.params["W1"] = ckpt.params["W1"].copy()
+        ckpt.params["W1"][0, :3] = [-0.0, 1e-300, 123456789.125]
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        doc = {
+            "format": training.CHECKPOINT_FORMAT,
+            "version": training.CHECKPOINT_VERSION,
+            "config": asdict(ckpt.model_cfg),
+            "vocab_l1": ckpt.vocab_l1,
+            "vocab_l2": ckpt.vocab_l2,
+            "update_count": ckpt.update_count,
+            "best_val_aer": ckpt.best_val_aer,
+            "best_epoch": ckpt.best_epoch,
+            "params": {
+                name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+                for name, arr in ckpt.params.items()
+            },
+        }
+        ref = tmp_path / "ref.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_failed_write_keeps_old_file(self, tiny_corpus, monkeypatch):
+        pairs, v1, v2, _, tmp_path = tiny_corpus
+        ckpt = train(pairs[:20], v1, v2, ModelConfig(d=3, d_x=4),
+                     TrainConfig(epochs=1, batch_size=10, seed=9))
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "ckpt.json"
+        path.write_text("old contents\n", encoding="utf-8")
+        calls = []
+        real_dumps = json.dumps
+
+        def failing_dumps(obj, *args, **kwargs):
+            calls.append(obj)
+            if len(calls) == 4:  # the header, then a few parameters
+                raise OSError("disk full")
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(ckpt, path)
+        assert path.read_text(encoding="utf-8") == "old contents\n"
+        assert [p.name for p in out.iterdir()] == ["ckpt.json"]
+
+    def test_failed_metrics_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "metrics.tsv"
+        path.write_text("0\t-1.0\t0.0\t0.5\n", encoding="utf-8")
+
+        def pieces():
+            yield "0\t-2.0\t0.0\t0.4\n"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            training._write_atomic(path, pieces())
+        assert path.read_text(encoding="utf-8") == "0\t-1.0\t0.0\t0.5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.tsv"]
+
+    def test_train_writes_metrics_through_atomic_write(self, tiny_corpus, monkeypatch):
+        pairs, v1, v2, _, tmp_path = tiny_corpus
+        written = []
+        real = training._write_atomic
+        monkeypatch.setattr(training, "_write_atomic",
+                            lambda path, pieces: written.append(path) or real(path, pieces))
+        log = tmp_path / "metrics.tsv"
+        train(pairs[:20], v1, v2, ModelConfig(d=3, d_x=4),
+              TrainConfig(epochs=2, batch_size=10, seed=9), log_path=log)
+        assert written == [log]
+        assert len(log.read_text(encoding="utf-8").splitlines()) == 2

@@ -61,22 +61,14 @@ def viterbi_align(pair: SentencePair, params, cfg: ModelConfig) -> set:
     token, so the argmax is prior-free); ties and NULL per
     ``best_position``.
     """
-    if cfg.hierarchical:
-        u = _hier_posterior_means(pair, params, cfg)
-    else:
-        u = model_mod.posterior_means(pair.x, params, cfg)
+    u = model_mod.posterior_means(pair.x, params, cfg)
     log_probs = model_mod.l2_head_log_probs(u, params)  # [m, v_y]
     return argmax_links(log_probs[:, np.asarray(pair.y, dtype=np.intp)])
 
 
-def _hier_posterior_means(pair, params, cfg) -> np.ndarray:
-    """Posterior locations conditioned on the sentence posterior mean."""
-    from . import hiermodel
-
-    u_k, _ = hiermodel.infer_sentence_posterior(pair.x, params)
-    h = model_mod.encode(pair.x, params, cfg)
-    l, _ = hiermodel.infer_word_posterior_conditioned(u_k, h, params)
-    return l.data
+# bench/tracer.py looks this name up to time ``alignment.posterior``
+# (ROADMAP item 7); nothing in the package calls it
+_hier_posterior_means = model_mod.posterior_means
 
 
 def aer(pred_links, gold: GoldAlignment) -> float:

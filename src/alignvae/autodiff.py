@@ -578,11 +578,16 @@ def sigmoid(x) -> Tensor:
     return _emit("sigmoid", y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
+def _softplus_values(x: np.ndarray) -> np.ndarray:
+    """ln(1 + e^x), returning x itself above the overflow cutoff."""
+    clipped = np.minimum(x, _SOFTPLUS_CUTOFF)
+    return np.where(x > _SOFTPLUS_CUTOFF, x, np.log1p(np.exp(clipped)))
+
+
 def softplus(x) -> Tensor:
     """ln(1 + e^x), returning x itself above the overflow cutoff."""
     x = _as_tensor(x)
-    clipped = np.minimum(x.data, _SOFTPLUS_CUTOFF)
-    y = np.where(x.data > _SOFTPLUS_CUTOFF, x.data, np.log1p(np.exp(clipped)))
+    y = _softplus_values(x.data)
     s = _sigmoid_values(x.data)
     return _emit("softplus", y, (x,), lambda g: (g * s,))
 

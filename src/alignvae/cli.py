@@ -39,7 +39,7 @@ import numpy as np
 
 from . import alignment, baselines, corpus, semeval, training
 from .corpus import NULL_ID, NULL_TOKEN
-from .errors import AlignvaeError, TrainingError
+from .errors import AlignvaeError, DataError, TrainingError
 from .model import ModelConfig
 
 _CONFIG_SCHEMA = {
@@ -247,11 +247,15 @@ def _eval_wordsim(args) -> int:
             raise AlignvaeError("wordsim with a checkpoint needs --corpus (L1 text)")
         sentences = corpus.read_sentences(args.corpus)
         ids = [(NULL_ID, *vocab1.encode(toks)) for toks in sentences]
-        sys_scores = []
-        for t1, t2, _, _ in rows:
-            e1 = semeval.type_embedding(t1, vocab1, ids, params, ckpt.model_cfg)
-            e2 = semeval.type_embedding(t2, vocab1, ids, params, ckpt.model_cfg)
-            sys_scores.append(semeval.cosine(e1, e2))
+        table = semeval.type_embeddings_for_corpus(ids, params, ckpt.model_cfg)
+
+        def embedding(token):
+            vec = table.get(semeval._context_ids([token], vocab1)[1])  # warns for OOV
+            if vec is None:
+                raise DataError(f"{args.corpus}: {token!r} never occurs in the corpus")
+            return vec
+
+        sys_scores = [semeval.cosine(embedding(t1), embedding(t2)) for t1, t2, _, _ in rows]
     else:
         if any(row[3] is None for row in rows):
             raise AlignvaeError(
@@ -276,23 +280,21 @@ def cmd_embed(args) -> int:
     vocab1, _ = ckpt.vocabularies()
     sentences = corpus.read_sentences(args.corpus)
     ids = [(NULL_ID, *vocab1.encode(toks)) for toks in sentences]
+    if args.mode == "type":
+        table = semeval.type_embeddings_for_corpus(ids, params, ckpt.model_cfg)
+        seen = dict.fromkeys(tok for toks in sentences for tok in toks)
+        rows = [(tok, table[vocab1.id(tok)]) for tok in seen]
+    else:
+        rows = []
+        for sid, row in enumerate(ids, start=1):
+            if row == (NULL_ID,):
+                raise DataError(f"{args.corpus}:{sid}: empty sentence")
+            rows.append((str(sid), semeval.sentence_embedding(row, params, ckpt.model_cfg)))
+    # opened after every row is computed, so a failed run leaves the file alone
     with open(args.out, "w", encoding="utf-8") as fh:
-        if args.mode == "type":
-            table = semeval.type_embeddings_for_corpus(ids, params, ckpt.model_cfg)
-            seen = []
-            for toks in sentences:
-                for tok in toks:
-                    if tok not in seen:
-                        seen.append(tok)
-            for tok in seen:
-                vec = table[vocab1.id(tok)]
-                fh.write(tok + " " + " ".join(repr(float(v)) for v in vec) + "\n")
-            print(f"wrote {len(seen)} type embeddings to {args.out}")
-        else:
-            for sid, row in enumerate(ids, start=1):
-                vec = semeval.sentence_embedding(row, params, ckpt.model_cfg)
-                fh.write(str(sid) + " " + " ".join(repr(float(v)) for v in vec) + "\n")
-            print(f"wrote {len(ids)} sentence embeddings to {args.out}")
+        for key, vec in rows:
+            fh.write(key + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+    print(f"wrote {len(rows)} {args.mode} embeddings to {args.out}")
     return 0
 
 

@@ -61,6 +61,15 @@ def infer_word_posterior_conditioned(s: Tensor, h: Tensor, params: ParameterStor
     return l, r
 
 
+def _sentence_blocks_np(x, params: ParameterStore):
+    """Tape-free sentence blocks of ``infer_word_posterior_conditioned`` at
+    the sentence posterior mean: additive location and pre-softplus [T, d]."""
+    u_k = x.averaging() @ params["E"].data[x.ids] @ params["sent_Mu"].data.T
+    u_k += params["sent_bu"].data
+    s_tok = u_k[x.seg]
+    return s_tok @ params["N1"].data.T, s_tok @ params["N2"].data.T
+
+
 def kl_diag_gaussian(q_mean, q_scale, p_mean, p_scale) -> float:
     """KL[N(q_mean, q_scale^2) || N(p_mean, p_scale^2)] for diagonal Gaussians.
 

@@ -435,18 +435,30 @@ def elbo(pair: SentencePair, params: ParameterStore, cfg: ModelConfig,
 # evaluation-time helpers (no tape)
 
 
-def posterior_means(x_ids, params: ParameterStore, cfg: ModelConfig) -> np.ndarray:
-    """Posterior location vectors [m, d] computed without recording."""
-    h = encode(x_ids, params, cfg)
-    u, _ = infer_posterior(h, params)
-    return u.data
-
-
 def posterior_params_np(x_ids, params: ParameterStore, cfg: ModelConfig):
-    """(locations, scales) as plain arrays, for evaluation code."""
-    h = encode(x_ids, params, cfg)
-    u, s = infer_posterior(h, params)
-    return u.data, s.data
+    """(locations, scales) [T, d] of the token posteriors of one id sequence
+    or a Ragged batch: the one posterior that every evaluation command reads.
+    The numpy heads follow ``infer_posterior``'s operation order, so they
+    equal it bit for bit; a hierarchical model conditions each token on its
+    sentence's posterior mean (``hiermodel._sentence_blocks_np``)."""
+    x = as_ragged(x_ids)
+    h = encode(x, params, cfg).data
+    u = h @ params["M1"].data.T
+    u += params["d1"].data
+    s_pre = h @ params["M2"].data.T
+    s_pre += params["d2"].data
+    if cfg.hierarchical:
+        from . import hiermodel  # deferred: hiermodel imports this module
+        block_u, block_s = hiermodel._sentence_blocks_np(x, params)
+        u += block_u
+        s_pre += block_s
+    return u, ad._softplus_values(s_pre)
+
+
+def posterior_means(x_ids, params: ParameterStore, cfg: ModelConfig) -> np.ndarray:
+    """The locations of ``posterior_params_np``, for alignment; its own
+    name lets ``bench/tracer.py`` time the align posterior."""
+    return posterior_params_np(x_ids, params, cfg)[0]
 
 
 def l2_head_log_probs(u: np.ndarray, params: ParameterStore) -> np.ndarray:

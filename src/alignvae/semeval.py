@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import model as model_mod
 from .corpus import NULL_ID, Vocabulary
 from .errors import ContractError, DataError, DomainError, MetricError
 from .hiermodel import kl_diag_gaussian
 from .model import ModelConfig
 
-# one implementation of the diagonal-Gaussian divergence serves the
-# substitution metric, the hierarchical objective, and the tests
+# one implementation of the diagonal-Gaussian divergence
+# (``model.gaussian_kl_rows``) serves the substitution metric, the
+# hierarchical objective, and the tests
 kl_diag = kl_diag_gaussian
 
 
@@ -76,17 +78,18 @@ def parse_lexsub(path) -> list[LexSubInstance]:
                 instances.append(LexSubInstance(sentence.split(), position, candidates))
             except DataError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
+    if not instances:
+        raise DataError(f"{path}: no lexical-substitution instances")
     return instances
 
 
-def _posterior_at(sentence_tokens, position, vocab, params, cfg):
-    """(location, scale) of the token posterior at one sentence position."""
+def _context_ids(sentence_tokens, vocab) -> tuple:
+    """NULL-padded ids of a sentence; warns for every token outside the
+    vocabulary (it maps to UNK)."""
     for tok in sentence_tokens:
         if tok not in vocab:
             warnings.warn(f"token {tok!r} not in vocabulary; using UNK")
-    ids = (NULL_ID, *vocab.encode(sentence_tokens))
-    u, s = model_mod.posterior_params_np(ids, params, cfg)
-    return u[position + 1], s[position + 1]  # +1 skips the NULL pad
+    return (NULL_ID, *vocab.encode(sentence_tokens))
 
 
 def rank_candidates(instance: LexSubInstance, vocab: Vocabulary, params,
@@ -94,32 +97,35 @@ def rank_candidates(instance: LexSubInstance, vocab: Vocabulary, params,
                     reverse_kl: bool = False):
     """Candidates ordered best-first by overlap with the target in context.
 
-    Each candidate is substituted into the target's slot and re-encoded;
-    the ranking is ascending KL(candidate || target) (flip with
+    Each candidate is substituted into the target's slot; the target
+    sentence and every substituted copy are encoded as one batch. The
+    ranking is ascending KL(candidate || target) (flip with
     ``reverse_kl``) or descending cosine of the posterior locations. The
     sort is stable, so exact ties keep the original candidate order.
     Returns (token, gold_weight, score) triples.
     """
     if metric not in ("kl", "cosine"):
         raise ContractError(f"metric must be 'kl' or 'cosine', got {metric!r}")
-    tgt_u, tgt_s = _posterior_at(
-        instance.sentence, instance.target_position, vocab, params, cfg
-    )
-    scored = []
-    for tok, weight in instance.candidates:
+    pos = instance.target_position
+    seqs = [_context_ids(instance.sentence, vocab)]
+    for tok, _ in instance.candidates:
         swapped = list(instance.sentence)
-        swapped[instance.target_position] = tok
-        cand_u, cand_s = _posterior_at(
-            swapped, instance.target_position, vocab, params, cfg
-        )
-        if metric == "kl":
-            if reverse_kl:
-                score = kl_diag(tgt_u, tgt_s, cand_u, cand_s)
-            else:
-                score = kl_diag(cand_u, cand_s, tgt_u, tgt_s)
-        else:
-            score = -cosine(cand_u, tgt_u)  # ascending sort, best first
-        scored.append((tok, weight, score))
+        swapped[pos] = tok
+        seqs.append(_context_ids(swapped, vocab))
+    x = model_mod.Ragged(seqs)
+    u, s = model_mod.posterior_params_np(x, params, cfg)
+    at = x.starts + pos + 1  # +1 skips the NULL pad
+    u, s = u[at], s[at]  # row 0 is the target, row k + 1 candidate k
+    if metric == "kl":
+        # one call for all candidates; the target's [1, d] row broadcasts
+        target, cands = (u[:1], s[:1]), (u[1:], s[1:])
+        (q_u, q_s), (p_u, p_s) = (target, cands) if reverse_kl else (cands, target)
+        scores = model_mod.gaussian_kl_rows(ad.constant(q_u), ad.constant(q_s),
+                                            ad.constant(p_u), ad.constant(p_s)).data
+    else:
+        scores = [-cosine(cand_u, u[0]) for cand_u in u[1:]]  # ascending sort, best first
+    scored = [(tok, weight, float(score))
+              for (tok, weight), score in zip(instance.candidates, scores)]
     ranked = sorted(scored, key=lambda item: item[2])
     if metric == "cosine":
         ranked = [(tok, w, -s) for tok, w, s in ranked]
@@ -172,46 +178,19 @@ def type_embeddings_for_corpus(sentences_ids, params, cfg: ModelConfig) -> dict[
     counts: dict[int, int] = {}
     for ids in sentences_ids:
         u, _ = model_mod.posterior_params_np(ids, params, cfg)
-        for pos, tid in enumerate(ids):
-            if pos == 0:
-                continue
+        for tid, row in zip(ids[1:], u[1:]):
             if tid in sums:
-                sums[tid] = sums[tid] + u[pos]
+                sums[tid] += row
                 counts[tid] += 1
             else:
-                sums[tid] = u[pos].copy()
-                counts[tid] = 1
+                sums[tid], counts[tid] = row.copy(), 1
     return {tid: sums[tid] / counts[tid] for tid in sums}
-
-
-def type_embedding(token: str, vocab: Vocabulary, sentences_ids, params,
-                   cfg: ModelConfig) -> np.ndarray:
-    """Mean posterior location over every in-context occurrence of a type.
-
-    A token outside the vocabulary falls back to UNK occurrences, with a
-    warning.
-    """
-    if token not in vocab:
-        warnings.warn(f"token {token!r} not in vocabulary; using UNK")
-    target = vocab.id(token)
-    occurrences = []
-    for ids in sentences_ids:
-        if target not in ids[1:]:
-            continue
-        u, _ = model_mod.posterior_params_np(ids, params, cfg)
-        for pos, tid in enumerate(ids):
-            if pos > 0 and tid == target:
-                occurrences.append(u[pos])
-    if not occurrences:
-        raise ContractError(f"type_embedding: {token!r} never occurs in the corpus")
-    return np.mean(occurrences, axis=0)
 
 
 def sentence_embedding(ids, params, cfg: ModelConfig) -> np.ndarray:
     """Mean of in-context posterior locations over tokens (NULL excluded)."""
     ids = tuple(ids)
-    content = [tid for pos, tid in enumerate(ids) if pos > 0]
-    if not content:
+    if len(ids) < 2:
         raise ContractError("sentence_embedding: empty sentence")
     u, _ = model_mod.posterior_params_np(ids, params, cfg)
     return u[1:].mean(axis=0)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,37 @@ def synth_dir(tmp_path, capsys):
     )
     assert code == 0
     return out
+
+
+def make_checkpoint(tmp_path, capsys, corpus_lines):
+    """Train one epoch on ``corpus_lines`` as both sides; returns the
+    checkpoint path and the L1 file."""
+    l1 = tmp_path / "c1.txt"
+    l2 = tmp_path / "c2.txt"
+    l1.write_text("\n".join(corpus_lines) + "\n")
+    l2.write_text("\n".join(corpus_lines) + "\n")
+    cfg_path = tmp_path / "cfg.ini"
+    write_config(
+        cfg_path,
+        paths={
+            "train_l1": l1, "train_l2": l2,
+            "checkpoint": tmp_path / "ckpt.json",
+            "metrics": tmp_path / "m.tsv",
+        },
+        model={"d": 3, "d_x": 4},
+        training={"epochs": 1, "batch": 10, "seed": 3},
+    )
+    assert run(capsys, "train", "--config", str(cfg_path))[0] == 0
+    return tmp_path / "ckpt.json", l1
+
+
+def type_table(ckpt_path, sentences):
+    """The type embedding table of ``sentences`` under a saved checkpoint."""
+    ckpt = training.load_checkpoint(ckpt_path)
+    vocab1, _ = ckpt.vocabularies()
+    ids = [(corpus.NULL_ID, *vocab1.encode(toks)) for toks in sentences]
+    table = semeval.type_embeddings_for_corpus(ids, ckpt.build_store(), ckpt.model_cfg)
+    return table, vocab1
 
 
 class TestSynth:
@@ -345,6 +377,18 @@ class TestEval:
         assert f"{data}:2: " in err and reason in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_lexsub_without_instances_exits_2(self, tmp_path, capsys, with_model):
+        data = tmp_path / "lst.tsv"
+        data.write_text("# no instances\n\n", encoding="utf-8")
+        argv = ["eval", "lexsub", str(data)]
+        if with_model:
+            ckpt, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+            argv += ["--checkpoint", str(ckpt)]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert err == f"error: {data}: no lexical-substitution instances\n"
+
     def test_wordsim_reversed_scores(self, tmp_path, capsys):
         data = tmp_path / "ws.txt"
         data.write_text("a b 1 4\nc d 2 3\ne f 3 2\ng h 4 1\n")
@@ -379,29 +423,46 @@ class TestEval:
         value = float(stdout.strip())
         assert -1.0 <= value <= 1.0
 
+    def test_wordsim_scores_type_table_cosines(self, tmp_path, capsys):
+        ckpt, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc", "cc aa dd"])
+        text = tmp_path / "text.txt"
+        text.write_text("aa bb zz\ncc yy aa\ndd bb\n")  # zz, yy map to UNK
+        data = tmp_path / "ws.txt"
+        data.write_text("aa qq 1\nbb cc 3\naa dd 2\n")
+        with pytest.warns(UserWarning, match="'qq' not in vocabulary"):
+            code, stdout, _ = run(capsys, "eval", "wordsim", str(data),
+                                  "--checkpoint", str(ckpt), "--corpus", str(text))
+        assert code == 0
+        table, vocab1 = type_table(ckpt, [line.split() for line in text.read_text().splitlines()])
+
+        def vec(tok):
+            return table[vocab1.id(tok)]
+
+        pairs = (("aa", "qq"), ("bb", "cc"), ("aa", "dd"))
+        cosines = [semeval.cosine(vec(a), vec(b)) for a, b in pairs]
+        assert stdout == f"{semeval.spearman(cosines, [1.0, 3.0, 2.0]):.6f}\n"
+
+    @pytest.mark.parametrize("token,oov", [("cc", False), ("zebra", True)])
+    def test_wordsim_type_not_in_corpus_exits_2(self, tmp_path, capsys, token, oov):
+        ckpt, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        text = tmp_path / "text.txt"
+        text.write_text("aa bb\nbb aa\n")
+        data = tmp_path / "ws.txt"
+        data.write_text(f"aa bb 1\naa {token} 2\n")
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "eval", "wordsim", str(data),
+                               "--checkpoint", str(ckpt), "--corpus", str(text))
+        assert [str(w.message) for w in warned] == (
+            [f"token {token!r} not in vocabulary; using UNK"] if oov else []
+        )
+        assert code == 2
+        assert err == f"error: {text}: {token!r} never occurs in the corpus\n"
+
 
 class TestEmbed:
-    def make_checkpoint(self, tmp_path, capsys, corpus_lines):
-        l1 = tmp_path / "c1.txt"
-        l2 = tmp_path / "c2.txt"
-        l1.write_text("\n".join(corpus_lines) + "\n")
-        l2.write_text("\n".join(corpus_lines) + "\n")
-        cfg_path = tmp_path / "cfg.ini"
-        write_config(
-            cfg_path,
-            paths={
-                "train_l1": l1, "train_l2": l2,
-                "checkpoint": tmp_path / "ckpt.json",
-                "metrics": tmp_path / "m.tsv",
-            },
-            model={"d": 3, "d_x": 4},
-            training={"epochs": 1, "batch": 10, "seed": 3},
-        )
-        assert run(capsys, "train", "--config", str(cfg_path))[0] == 0
-        return tmp_path / "ckpt.json", l1
-
     def test_type_mode_counts_types(self, tmp_path, capsys):
-        ckpt, l1 = self.make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc", "cc aa"])
+        ckpt, l1 = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc", "cc aa"])
         out = tmp_path / "emb.txt"
         code, stdout, _ = run(
             capsys, "embed", "--checkpoint", str(ckpt), "--mode", "type", str(l1), str(out)
@@ -413,7 +474,7 @@ class TestEmbed:
         assert all(len(line.split()) == 4 for line in lines)  # key + d values
 
     def test_sentence_mode_counts_sentences(self, tmp_path, capsys):
-        ckpt, l1 = self.make_checkpoint(
+        ckpt, l1 = make_checkpoint(
             tmp_path, capsys, ["aa bb", "bb", "cc aa", "aa", "bb cc"]
         )
         out = tmp_path / "emb.txt"
@@ -426,7 +487,7 @@ class TestEmbed:
         assert all(len(line.split()) == 4 for line in lines)
 
     def test_round_trip_cosine(self, tmp_path, capsys):
-        ckpt, l1 = self.make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        ckpt, l1 = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
         out = tmp_path / "emb.txt"
         assert run(
             capsys, "embed", "--checkpoint", str(ckpt), "--mode", "type", str(l1), str(out)
@@ -434,3 +495,32 @@ class TestEmbed:
         first = out.read_text().splitlines()[0].split()
         vec = np.array([float(v) for v in first[1:]])
         assert semeval.cosine(vec, vec) == 1.0
+
+    def test_type_mode_first_occurrence_order(self, tmp_path, capsys):
+        lines = ["bb aa bb", "cc aa", "dd bb cc"]
+        ckpt, l1 = make_checkpoint(tmp_path, capsys, lines)
+        out = tmp_path / "emb.txt"
+        code, stdout, _ = run(
+            capsys, "embed", "--checkpoint", str(ckpt), "--mode", "type", str(l1), str(out)
+        )
+        assert code == 0
+        assert "wrote 4 type embeddings" in stdout
+        table, vocab1 = type_table(ckpt, [line.split() for line in lines])
+        expected = "".join(
+            tok + " " + " ".join(repr(float(v)) for v in table[vocab1.id(tok)]) + "\n"
+            for tok in ("bb", "aa", "cc", "dd")
+        )
+        assert out.read_text() == expected
+
+    def test_sentence_mode_empty_line_exits_2_with_position(self, tmp_path, capsys):
+        ckpt, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        text = tmp_path / "text.txt"
+        text.write_text("aa bb\n\ncc\n")
+        out = tmp_path / "emb.txt"
+        out.write_text("earlier output\n")
+        code, _, err = run(
+            capsys, "embed", "--checkpoint", str(ckpt), "--mode", "sentence", str(text), str(out)
+        )
+        assert code == 2
+        assert err == f"error: {text}:2: empty sentence\n"
+        assert out.read_text() == "earlier output\n"  # a failed run writes nothing

@@ -18,7 +18,7 @@ from alignvae.semeval import (
     rank_candidates,
     sentence_embedding,
     spearman,
-    type_embedding,
+    type_embeddings_for_corpus,
 )
 
 
@@ -160,24 +160,25 @@ class TestGap:
 
 
 class TestEmbeddings:
-    def test_type_embedding_single_occurrence(self, small_model):
+    def test_type_table_single_occurrence(self, small_model):
         cfg, vocab, params = small_model
         ids = [encode_sentence(vocab, ["cat", "sat"])]
-        emb = type_embedding("cat", vocab, ids, params, cfg)
+        table = type_embeddings_for_corpus(ids, params, cfg)
         u, _ = posterior_params_np(ids[0], params, cfg)
-        np.testing.assert_array_equal(emb, u[1])
+        assert set(table) == {vocab.id("cat"), vocab.id("sat")}
+        np.testing.assert_array_equal(table[vocab.id("cat")], u[1])
 
-    def test_type_embedding_bow_context_independent(self, small_model):
+    def test_type_table_bow_context_independent(self, small_model):
         cfg, vocab, params = small_model
         ids = [
             encode_sentence(vocab, ["cat", "sat"]),
             encode_sentence(vocab, ["dog", "cat", "ran"]),
         ]
-        emb = type_embedding("cat", vocab, ids, params, cfg)
-        single = type_embedding("cat", vocab, ids[:1], params, cfg)
-        np.testing.assert_allclose(emb, single, atol=1e-15)
+        both = type_embeddings_for_corpus(ids, params, cfg)[vocab.id("cat")]
+        single = type_embeddings_for_corpus(ids[:1], params, cfg)[vocab.id("cat")]
+        np.testing.assert_allclose(both, single, atol=1e-15)
 
-    def test_type_embedding_birnn_two_contexts(self):
+    def test_type_table_birnn_two_contexts(self):
         cfg = ModelConfig(encoder="birnn", d=3, d_x=4)
         vocab = Vocabulary(["cat", "dog", "sat"])
         params = build_params(cfg, len(vocab), len(vocab), seed=3)
@@ -185,17 +186,10 @@ class TestEmbeddings:
             encode_sentence(vocab, ["cat", "sat"]),
             encode_sentence(vocab, ["dog", "cat"]),
         ]
-        emb = type_embedding("cat", vocab, ids, params, cfg)
+        emb = type_embeddings_for_corpus(ids, params, cfg)[vocab.id("cat")]
         u0, _ = posterior_params_np(ids[0], params, cfg)
         u1, _ = posterior_params_np(ids[1], params, cfg)
         np.testing.assert_allclose(emb, (u0[1] + u1[2]) / 2.0, atol=1e-15)
-
-    def test_type_embedding_oov_warns(self, small_model):
-        cfg, vocab, params = small_model
-        ids = [encode_sentence(vocab, ["cat"])]
-        with pytest.raises(ContractError):
-            with pytest.warns(UserWarning):
-                type_embedding("zebra", vocab, ids, params, cfg)
 
     def test_sentence_embedding_singleton(self, small_model):
         cfg, vocab, params = small_model

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .corpus import SentencePair
+from .corpus import SentencePair, read_text
 from .errors import GoldFormatError
 from .model import ModelConfig
 
@@ -109,28 +109,31 @@ def parse_gold(path) -> dict:
     """Read ``sid j i [S|P]`` lines into GoldAlignment per sentence id."""
     sure: dict[int, set] = {}
     poss: dict[int, set] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (3, 4):
-                raise GoldFormatError(
-                    f"{path}:{lineno}: expected 'sid j i [S|P]', got {line!r}"
-                )
-            try:
-                sid, j, i = (int(p) for p in parts[:3])
-            except ValueError:
-                raise GoldFormatError(
-                    f"{path}:{lineno}: non-integer position in {line!r}"
-                ) from None
-            flag = parts[3].upper() if len(parts) == 4 else "S"
-            if flag not in ("S", "P"):
-                raise GoldFormatError(f"{path}:{lineno}: unknown flag {flag!r}")
-            poss.setdefault(sid, set()).add((j, i))
-            if flag == "S":
-                sure.setdefault(sid, set()).add((j, i))
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (3, 4):
+            raise GoldFormatError(
+                f"{path}:{lineno}: expected 'sid j i [S|P]', got {line!r}"
+            )
+        try:
+            sid, j, i = (int(p) for p in parts[:3])
+        except ValueError:
+            raise GoldFormatError(
+                f"{path}:{lineno}: non-integer position in {line!r}"
+            ) from None
+        if j < 1 or i < 1:
+            raise GoldFormatError(
+                f"{path}:{lineno}: positions are 1-based, got {line!r}"
+            )
+        flag = parts[3].upper() if len(parts) == 4 else "S"
+        if flag not in ("S", "P"):
+            raise GoldFormatError(f"{path}:{lineno}: unknown flag {flag!r}")
+        poss.setdefault(sid, set()).add((j, i))
+        if flag == "S":
+            sure.setdefault(sid, set()).add((j, i))
     return {
         sid: GoldAlignment(frozenset(sure.get(sid, ())), frozenset(poss[sid]))
         for sid in poss

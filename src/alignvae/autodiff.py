@@ -87,9 +87,6 @@ class ParameterStore:
     def items(self):
         return self._slots.items()
 
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._slots.values())
-
     def copy_values(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self._slots.items()}
 
@@ -434,21 +431,6 @@ def gather_rc(a, row_idx, col_idx) -> Tensor:
     return _emit("gather_rc", data, (a,), bwd)
 
 
-def take_cols(a, col_idx) -> Tensor:
-    """Column subset ``a[:, col_idx]``; repeated columns accumulate gradient."""
-    a = _as_tensor(a)
-    ci = np.asarray(col_idx, dtype=np.intp)
-    m = a.data.shape[0]
-    data = a.data[:, ci]
-
-    def bwd(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, (np.arange(m)[:, None], ci[None, :]), g)
-        return (z,)
-
-    return _emit("take_cols", data, (a,), bwd)
-
-
 def stack(tensors) -> Tensor:
     """Stack same-shaped tensors along a new leading axis."""
     ts = [_as_tensor(t) for t in tensors]
@@ -477,38 +459,8 @@ def sum_rows(a) -> Tensor:
     return _emit("sum_rows", a.data.sum(axis=1), (a,), lambda g: (np.repeat(g[:, None], a.data.shape[1], axis=1),))
 
 
-def mean_rows(a) -> Tensor:
-    """Column-wise mean of a matrix: [m, k] -> [k]."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_rows: expected a matrix, got shape {a.shape}")
-    m = a.data.shape[0]
-    return _emit(
-        "mean_rows",
-        a.data.mean(axis=0),
-        (a,),
-        lambda g: (np.tile(g / m, (m, 1)),),
-    )
-
-
 # ---------------------------------------------------------------------------
 # reductions in log space
-
-
-def logsumexp(v) -> Tensor:
-    """Stable log-sum-exp of a vector, as a scalar."""
-    v = _as_tensor(v)
-    if v.data.ndim != 1 or v.data.size == 0:
-        raise ShapeError(f"logsumexp: expected a nonempty vector, got shape {v.shape}")
-    hi = v.data.max()
-    shifted = np.exp(v.data - hi)
-    z = shifted.sum()
-    data = hi + np.log(z)
-
-    def bwd(g):
-        return (g * shifted / z,)
-
-    return _emit("logsumexp", data, (v,), bwd)
 
 
 def logsumexp_rows(a, shift=None) -> Tensor:
@@ -540,20 +492,6 @@ def logsumexp_rows(a, shift=None) -> Tensor:
         return (out,)
 
     return _emit("logsumexp_rows", data, (a,), bwd)
-
-
-def softmax(v) -> Tensor:
-    """Normalized exponentials of a vector, via max subtraction."""
-    v = _as_tensor(v)
-    if v.data.ndim != 1 or v.data.size == 0:
-        raise ShapeError(f"softmax: expected a nonempty vector, got shape {v.shape}")
-    shifted = np.exp(v.data - v.data.max())
-    y = shifted / shifted.sum()
-
-    def bwd(g):
-        return (y * (g - np.dot(g, y)),)
-
-    return _emit("softmax", y, (v,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -592,51 +530,11 @@ def softplus(x) -> Tensor:
     return _emit("softplus", y, (x,), lambda g: (g * s,))
 
 
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    y = np.exp(x.data)
-    return _emit("exp", y, (x,), lambda g: (g * y,))
-
-
 def log(x) -> Tensor:
     x = _as_tensor(x)
     if np.any(x.data <= 0.0):
         raise DomainError("log: input has non-positive entries")
     return _emit("log", np.log(x.data), (x,), lambda g: (g / x.data,))
-
-
-_NONLINEARITIES = {
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "softplus": softplus,
-    "exp": exp,
-    "log": log,
-}
-
-
-def nonlinearity(kind: str, x) -> Tensor:
-    """Elementwise nonlinearity by name: tanh, sigmoid, softplus, exp, log."""
-    try:
-        fn = _NONLINEARITIES[kind]
-    except KeyError:
-        raise ContractError(f"unknown nonlinearity {kind!r}") from None
-    return fn(x)
-
-
-def affine(w, x, b) -> Tensor:
-    """w @ x + b for a matrix w [o, i], vector x [i] and bias b [o]."""
-    w, x, b = _as_tensor(w), _as_tensor(x), _as_tensor(b)
-    if w.data.ndim != 2 or x.data.ndim != 1 or b.data.ndim != 1:
-        raise ShapeError(
-            f"affine: expected matrix W, vector x, vector b; got W{w.shape}, x{x.shape}, b{b.shape}"
-        )
-    o, i = w.data.shape
-    if x.data.shape[0] != i or b.data.shape[0] != o:
-        raise ShapeError(
-            f"affine: W{w.shape} needs x of length {i} and b of length {o}; "
-            f"got x{x.shape}, b{b.shape}"
-        )
-    return matmul(w, x, bias=b)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,19 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
+from .alignment import argmax_links
 from .autodiff import ParameterStore, Tape, Tensor
-from .corpus import CSSupport, SentencePair, Vocabulary, derive_seed, make_batches
+from .corpus import (
+    CSSupport,
+    SentencePair,
+    Vocabulary,
+    build_css_support,
+    derive_seed,
+    make_batches,
+    read_text,
+)
 from .errors import ContractError, DataError
+from .training import AdamState, _write_atomic, adam_step
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +37,11 @@ from .errors import ContractError, DataError
 def ibm1_uniform(v_x: int, v_y: int) -> np.ndarray:
     """Uniform translation table t(y|x) = 1/v_y."""
     return np.full((v_x, v_y), 1.0 / v_y)
+
+
+def _pair_scores(pair: SentencePair, t: np.ndarray) -> np.ndarray:
+    """t(y_j | x_i) as an [m, n] array; n is 0 for an empty L2 side."""
+    return t[np.ix_(np.asarray(pair.x, dtype=np.intp), np.asarray(pair.y, dtype=np.intp))]
 
 
 def ibm1_em_step(pairs, t: np.ndarray) -> np.ndarray:
@@ -40,8 +55,8 @@ def ibm1_em_step(pairs, t: np.ndarray) -> np.ndarray:
     v_x, v_y = t.shape
     counts = np.zeros_like(t)
     for pair in pairs:
-        x = np.asarray(pair.x)
-        y = np.asarray(pair.y)
+        x = np.asarray(pair.x, dtype=np.intp)
+        y = np.asarray(pair.y, dtype=np.intp)
         probs = t[np.ix_(x, y)]  # [m, n]
         denom = probs.sum(axis=0, keepdims=True)
         gamma = probs / denom
@@ -55,7 +70,7 @@ def ibm1_log_likelihood(pairs, t: np.ndarray) -> float:
     """Corpus log-likelihood sum_j log sum_i (1/m) t(y_j | x_i)."""
     total = 0.0
     for pair in pairs:
-        probs = t[np.ix_(np.asarray(pair.x), np.asarray(pair.y))]
+        probs = _pair_scores(pair, t)
         total += float(np.log(probs.mean(axis=0)).sum())
     return total
 
@@ -73,73 +88,53 @@ def ibm1_train(pairs, v_x: int, v_y: int, iterations: int = 10):
 def ibm1_align(pair: SentencePair, t: np.ndarray) -> set:
     """argmax_i t(y_j | x_i); word ties to the lowest position, NULL only
     on a strict win (dropped from the link set)."""
-    from .alignment import argmax_links
-
-    scores = t[np.ix_(np.asarray(pair.x), np.asarray(pair.y))]
-    return argmax_links(scores)
+    return argmax_links(_pair_scores(pair, t))
 
 
 def save_ibm1_table(t: np.ndarray, vocab_x: Vocabulary, vocab_y: Vocabulary,
                     path, min_prob: float = 1e-6) -> None:
-    """Text export: one ``x_token y_token prob`` line per entry >= min_prob."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for xi in range(t.shape[0]):
-            for yi in range(t.shape[1]):
-                p = float(t[xi, yi])
-                if p >= min_prob:
-                    fh.write(f"{vocab_x.token(xi)} {vocab_y.token(yi)} {p!r}\n")
+    """Text export: one ``x_token y_token prob`` line per entry >= min_prob,
+    in row-major order. The file is replaced atomically."""
+    xs, ys = np.nonzero(t >= min_prob)
+    _write_atomic(path, (
+        f"{vocab_x.token(xi)} {vocab_y.token(yi)} {p!r}\n"
+        for xi, yi, p in zip(xs.tolist(), ys.tolist(), t[xs, ys].tolist())
+    ))
 
 
-def load_ibm1_table(path) -> dict:
-    """Read a table export into a {(x_token, y_token): prob} dict."""
-    table: dict[tuple[str, str], float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'x y prob', got {line!r}")
-            try:
-                table[(parts[0], parts[1])] = float(parts[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad probability {parts[2]!r}") from None
-    return table
+def load_ibm1_table(path):
+    """Read a table export into ``(t, rows, cols)``: a dense array and maps
+    from L1 token to row and from L2 token to column of ``t``.
 
-
-def ibm1_align_tokens(l1_tokens, l2_tokens, table: dict, null_token: str) -> set:
-    """Align raw token sequences with a table dict (for the CLI path)."""
-    from .alignment import argmax_links
-
-    padded = [null_token, *l1_tokens]
-    scores = np.array(
-        [[table.get((x, y), 0.0) for y in l2_tokens] for x in padded]
-    ).reshape(len(padded), len(l2_tokens))
-    if not l2_tokens:
-        return set()
-    return argmax_links(scores)
-
-
-def marginal_argmax_accuracy(pairs, log_prob_matrix_fn) -> float:
-    """Token-level prediction accuracy of the L2 marginal.
-
-    For each pair, ``log_prob_matrix_fn(pair)`` must return [m, v_y] log
-    probabilities per L1 position; the prediction for every L2 slot is
-    the class maximizing the position-marginal, scored against the
-    observed token. This is the natural accuracy reading for models that
-    marginalize alignments.
+    Row 0 and column 0 are all zero and stand for every token the file
+    does not list, so such a token scores 0 against everything.
+    Probabilities must be finite and non-negative.
     """
-    hit = n = 0
-    for pair in pairs:
-        logp = log_prob_matrix_fn(pair)  # [m, v_y]
-        hi = logp.max(axis=0)
-        marginal = hi + np.log(np.exp(logp - hi).sum(axis=0))
-        pred = int(np.argmax(marginal))
-        for y in pair.y:
-            hit += int(pred == y)
-            n += 1
-    return hit / n if n else 0.0
+    rows: dict[str, int] = {}
+    cols: dict[str, int] = {}
+    entries: dict[tuple[int, int], float] = {}
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 'x y prob', got {line!r}")
+        try:
+            p = float(parts[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad probability {parts[2]!r}") from None
+        if not 0.0 <= p < np.inf:
+            raise DataError(
+                f"{path}:{lineno}: probability {parts[2]!r} is not finite and non-negative"
+            )
+        xi = rows.setdefault(parts[0], len(rows) + 1)
+        yi = cols.setdefault(parts[1], len(cols) + 1)
+        entries[xi, yi] = p
+    t = np.zeros((len(rows) + 1, len(cols) + 1))
+    if entries:
+        t[tuple(zip(*entries))] = list(entries.values())
+    return t, rows, cols
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +187,6 @@ def nibm_log_likelihood(pair: SentencePair, params: ParameterStore,
 
 def nibm_align(pair: SentencePair, params: ParameterStore, cfg: NIBMConfig) -> set:
     """Viterbi links under the exact NIBM head."""
-    from .alignment import argmax_links
-
     reps = _nibm_repr(pair.x, params, cfg)
     logits = reps.data @ params["out_W"].data.T + params["out_b"].data
     hi = logits.max(axis=1, keepdims=True)
@@ -206,9 +199,6 @@ def train_nibm(pairs, vocab1: Vocabulary, vocab2: Vocabulary, cfg: NIBMConfig,
                n_neg: int = 1000, seed: int = 1, css: bool = True) -> ParameterStore:
     """Adam on the negative conditional log-likelihood, mirroring the
     main training loop but with no latent variable and no KL."""
-    from .corpus import build_css_support
-    from .training import AdamState, adam_step
-
     params = build_nibm_params(cfg, len(vocab1), len(vocab2), seed)
     adam = AdamState(lr=lr)
     update = 0

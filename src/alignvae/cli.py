@@ -62,9 +62,10 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 
 def _parse_config(path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise AlignvaeError(f"config file not found: {path}")
+    try:
+        parser.read_string(corpus.read_text(path), source=str(path))
+    except configparser.Error as e:
+        raise AlignvaeError(f"malformed config file {path}: {' '.join(str(e).split())}") from None
     values: dict[str, dict] = {section: {} for section in _CONFIG_SCHEMA}
     for section in parser.sections():
         if section not in _CONFIG_SCHEMA:
@@ -106,29 +107,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _model_config(cfg: dict) -> ModelConfig:
-    section = cfg.get("model", {})
-    return ModelConfig(
-        encoder=section.get("encoder", "bow"),
-        d=section.get("d", 100),
-        d_x=section.get("d_x", 128),
-        hierarchical=section.get("hierarchical", False),
-        d_s=section.get("d_s", 16),
-    )
-
-
-def _train_config(cfg: dict) -> training.TrainConfig:
-    section = cfg.get("training", {})
-    return training.TrainConfig(
-        epochs=section.get("epochs", 30),
-        batch_size=section.get("batch", 100),
-        lr=section.get("lr", 1e-3),
-        n_neg=section.get("n_neg", 1000),
-        seed=section.get("seed", 1),
-        css=section.get("css", True),
-    )
-
-
 def cmd_train(args) -> int:
     cfg = _parse_config(args.config)
     paths = cfg["paths"]
@@ -136,12 +114,17 @@ def cmd_train(args) -> int:
         if key not in paths:
             raise AlignvaeError(f"config missing required key {key!r} in [paths]")
     if args.hierarchical is not None:
-        cfg.setdefault("model", {})["hierarchical"] = args.hierarchical
-    model_cfg = _model_config(cfg)
-    train_cfg = _train_config(cfg)
+        cfg["model"]["hierarchical"] = args.hierarchical
+    model_cfg = ModelConfig(**cfg["model"])
+    section = cfg["training"]
+    em_iters = {"iterations": section.pop("em_iters")} if "em_iters" in section else {}
+    max_vocab = section.pop("max_vocab", None)
+    # every other [training] key is a TrainConfig field; batch is its batch_size
+    if "batch" in section:
+        section["batch_size"] = section.pop("batch")
+    train_cfg = training.TrainConfig(**section)
     pairs, vocab1, vocab2 = corpus.load_parallel(
-        paths["train_l1"], paths["train_l2"],
-        max_vocab=cfg["training"].get("max_vocab"),
+        paths["train_l1"], paths["train_l2"], max_vocab=max_vocab
     )
 
     val_pairs = val_gold = None
@@ -156,12 +139,9 @@ def cmd_train(args) -> int:
     metrics_path = paths.get("metrics", "metrics.tsv")
 
     if args.baseline == "ibm1":
-        iters = cfg["training"].get("em_iters", 10)
-        table, trace = baselines.ibm1_train(pairs, len(vocab1), len(vocab2), iters)
+        table, trace = baselines.ibm1_train(pairs, len(vocab1), len(vocab2), **em_iters)
         baselines.save_ibm1_table(table, vocab1, vocab2, ckpt_path)
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            for it, ll in enumerate(trace):
-                fh.write(f"{it}\t{ll!r}\n")
+        training._write_atomic(metrics_path, [f"{it}\t{ll!r}\n" for it, ll in enumerate(trace)])
         print(f"ibm1 table written to {ckpt_path}")
         return 0
 
@@ -182,9 +162,13 @@ def cmd_align(args) -> int:
         raise AlignvaeError("parallel files differ in length")
     links_by_sid = {}
     if args.baseline == "ibm1":
-        table = baselines.load_ibm1_table(args.checkpoint)
+        table, rows, cols = baselines.load_ibm1_table(args.checkpoint)
         for sid, (a, b) in enumerate(zip(l1, l2), start=1):
-            links_by_sid[sid] = baselines.ibm1_align_tokens(a, b, table, NULL_TOKEN)
+            pair = corpus.SentencePair(
+                x=tuple(rows.get(tok, 0) for tok in (NULL_TOKEN, *a)),
+                y=tuple(cols.get(tok, 0) for tok in b),
+            )
+            links_by_sid[sid] = baselines.ibm1_align(pair, table)
     else:
         ckpt = training.load_checkpoint(args.checkpoint)
         params = ckpt.build_store()

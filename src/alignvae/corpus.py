@@ -148,13 +148,18 @@ class CSSupport:
             )
         return order[k]
 
-    def position_of(self, token_id: int) -> int:
-        return int(self.columns([token_id])[0])
+
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file, newlines translated to ``\\n``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def read_sentences(path) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.split() for line in fh.read().splitlines()]
+    return [line.split() for line in read_text(path).splitlines()]
 
 
 def load_parallel(l1_path, l2_path, max_len: int | None = MAX_SENTENCE_LEN,

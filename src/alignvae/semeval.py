@@ -10,6 +10,7 @@ column with a precomputed system score).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .corpus import NULL_ID, Vocabulary
+from .corpus import NULL_ID, Vocabulary, read_text
 from .errors import ContractError, DataError, DomainError, MetricError
 from .hiermodel import kl_diag_gaussian
 from .model import ModelConfig
@@ -45,39 +46,40 @@ class LexSubInstance:
 
 
 def _parse_number(kind, text: str, path, lineno: int):
-    """``kind(text)``, or a ``DataError`` naming the file position."""
+    """``kind(text)`` if it is finite, or a ``DataError`` naming the file position."""
     try:
-        return kind(text)
+        value = kind(text)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise DataError(f"{path}:{lineno}: bad number {text!r}") from None
+        pass
+    raise DataError(f"{path}:{lineno}: bad number {text!r}")
 
 
 def parse_lexsub(path) -> list[LexSubInstance]:
     instances = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise DataError(
+                f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
+            )
+        target, pos, sentence, cand_field = fields
+        candidates = []
+        for chunk in cand_field.split(";"):
+            if not chunk:
                 continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise DataError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
-                )
-            target, pos, sentence, cand_field = fields
-            candidates = []
-            for chunk in cand_field.split(";"):
-                if not chunk:
-                    continue
-                tok, _, weight = chunk.rpartition(":")
-                if not tok:
-                    raise DataError(f"{path}:{lineno}: bad candidate {chunk!r}")
-                candidates.append((tok, _parse_number(float, weight, path, lineno)))
-            position = _parse_number(int, pos, path, lineno)
-            try:
-                instances.append(LexSubInstance(sentence.split(), position, candidates))
-            except DataError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
+            tok, _, weight = chunk.rpartition(":")
+            if not tok:
+                raise DataError(f"{path}:{lineno}: bad candidate {chunk!r}")
+            candidates.append((tok, _parse_number(float, weight, path, lineno)))
+        position = _parse_number(int, pos, path, lineno)
+        try:
+            instances.append(LexSubInstance(sentence.split(), position, candidates))
+        except DataError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
     if not instances:
         raise DataError(f"{path}: no lexical-substitution instances")
     return instances
@@ -242,16 +244,15 @@ def spearman(sys_scores, gold_scores) -> float:
 def parse_wordsim(path):
     """Lines ``token1 token2 gold [sys]`` -> (t1, t2, gold, sys-or-None)."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (3, 4):
-                raise DataError(
-                    f"{path}:{lineno}: expected 'token1 token2 gold [sys]', got {line!r}"
-                )
-            scores = [_parse_number(float, text, path, lineno) for text in parts[2:]]
-            rows.append((parts[0], parts[1], scores[0], scores[1] if len(scores) == 2 else None))
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (3, 4):
+            raise DataError(
+                f"{path}:{lineno}: expected 'token1 token2 gold [sys]', got {line!r}"
+            )
+        scores = [_parse_number(float, text, path, lineno) for text in parts[2:]]
+        rows.append((parts[0], parts[1], scores[0], scores[1] if len(scores) == 2 else None))
     return rows

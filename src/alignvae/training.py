@@ -24,6 +24,7 @@ from .corpus import (
     build_css_support,
     derive_seed,
     make_batches,
+    read_text,
 )
 from .errors import CheckpointError, ContractError, TrainingError
 from .model import ModelConfig
@@ -327,10 +328,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path, expect: dict | None = None) -> Checkpoint:
     """Read a checkpoint; ``expect`` pins config keys that must match."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as e:
         raise CheckpointError(f"malformed checkpoint file {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint file {path} does not hold a JSON object")
     for key in ("format", "version", "config", "vocab_l1", "vocab_l2", "params"):
         if key not in doc:
             raise CheckpointError(f"checkpoint missing field {key!r}")
@@ -356,6 +358,12 @@ def load_checkpoint(path, expect: dict | None = None) -> Checkpoint:
                     f"config mismatch for {key!r}: checkpoint has {actual!r}, "
                     f"invocation expects {wanted!r}"
                 )
+    for key in ("vocab_l1", "vocab_l2"):
+        vocab = doc[key]
+        if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
+            raise CheckpointError(f"checkpoint field {key!r} is not a list of strings")
+    if not isinstance(doc["params"], dict):
+        raise CheckpointError("checkpoint field 'params' is not a mapping")
     params = {}
     for name, entry in doc["params"].items():
         try:

@@ -10,13 +10,11 @@ from alignvae.baselines import (
     NIBMConfig,
     build_nibm_params,
     ibm1_align,
-    ibm1_align_tokens,
     ibm1_em_step,
     ibm1_log_likelihood,
     ibm1_train,
     ibm1_uniform,
     load_ibm1_table,
-    marginal_argmax_accuracy,
     nibm_align,
     nibm_log_likelihood,
     save_ibm1_table,
@@ -31,6 +29,7 @@ from alignvae.corpus import (
     write_corpus,
 )
 from alignvae import alignment
+from alignvae.errors import DataError
 
 
 def dict_em_oracle(pairs, v_x, v_y, iterations):
@@ -167,22 +166,49 @@ class TestIbm1TableExport:
         t[2] = [0.0, 0.0, 1.0 - 1e-8, 1e-8]
         path = tmp_path / "table.txt"
         save_ibm1_table(t, vocab1, vocab2, path)
-        table = load_ibm1_table(path)
-        assert table[("a", "x")] == pytest.approx(1.0 - 1e-8)
-        assert ("a", "y") not in table  # below the export threshold
-        assert table[("b", "x")] == 0.25
+        table, rows, cols = load_ibm1_table(path)
+        assert table[rows["a"], cols["x"]] == 1.0 - 1e-8
+        assert table[rows["a"], cols["y"]] == 0.0  # below the export threshold
+        assert table[rows["b"], cols["x"]] == 0.25
 
-    def test_token_alignment_matches_id_alignment(self, tmp_path):
+    def test_writes_entries_in_row_major_order(self, tmp_path):
+        t = np.array([[0.5, 0.0, 1e-7], [0.0, 0.25, 0.75]])
+        path = tmp_path / "table.txt"
+        save_ibm1_table(t, Vocabulary([]), Vocabulary(["y"]), path)
+        assert path.read_text(encoding="utf-8") == (
+            "<null> <null> 0.5\n<unk> <unk> 0.25\n<unk> y 0.75\n"
+        )
+
+    def test_loaded_table_aligns_tokens_like_ids(self, tmp_path):
         synth = synth_corpus(seed=5, v1=6, v2=6, n_pairs=80, len_range=(2, 5), shuffle_l2=True)
         write_corpus(synth, tmp_path / "l1", tmp_path / "l2", tmp_path / "gold")
         pairs, v1, v2 = load_parallel(tmp_path / "l1", tmp_path / "l2")
         t, _ = ibm1_train(pairs, len(v1), len(v2), iterations=5)
         path = tmp_path / "table.txt"
         save_ibm1_table(t, v1, v2, path, min_prob=1e-12)
-        table = load_ibm1_table(path)
+        table, rows, cols = load_ibm1_table(path)
         for raw1, raw2, pair in zip(synth.l1_lines, synth.l2_lines, pairs):
-            from_tokens = ibm1_align_tokens(raw1, raw2, table, "<null>")
-            assert from_tokens == ibm1_align(pair, t)
+            tokens = SentencePair(tuple(rows[tok] for tok in ("<null>", *raw1)),
+                                  tuple(cols[tok] for tok in raw2))
+            assert ibm1_align(tokens, table) == ibm1_align(pair, t)
+
+    def test_unlisted_tokens_score_zero(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("<null> x 0.5\na x 0.25\na y 0.75\n", encoding="utf-8")
+        table, rows, cols = load_ibm1_table(path)
+        assert "oov" not in rows and "oov" not in cols
+        assert not table[0].any() and not table[:, 0].any()
+        # the unlisted L1 word at position 1 loses to "a"; the unlisted L2
+        # word scores 0 everywhere, a tie that goes to position 1
+        pair = SentencePair((rows["<null>"], 0, rows["a"]), (cols["x"], 0, cols["y"]))
+        assert ibm1_align(pair, table) == {(2, 1), (3, 2)}
+
+    @pytest.mark.parametrize("prob", ["nan", "-0.5", "inf"])
+    def test_unscorable_probability_rejected(self, tmp_path, prob):
+        path = tmp_path / "table.txt"
+        path.write_text(f"a x 0.5\na y {prob}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"table.txt:2: probability"):
+            load_ibm1_table(path)
 
 
 class TestNibm:
@@ -201,7 +227,7 @@ class TestNibm:
         pair = SentencePair((0,), (3,))
         reps = np.tanh(params["mlp_W"].data @ params["E"].data[0] + params["mlp_b"].data)
         logits = params["out_W"].data @ reps + params["out_b"].data
-        expected = logits[3] - ad.logsumexp(ad.constant(logits)).item()
+        expected = logits[3] - np.logaddexp.reduce(logits)
         assert nibm_log_likelihood(pair, params, cfg).item() == pytest.approx(expected, rel=1e-12)
 
     def test_gradient(self):
@@ -243,16 +269,3 @@ class TestNibm:
         score, _ = alignment.corpus_aer(preds, gold)
         assert score <= 0.5  # far below the ~0.83 random baseline
 
-
-class TestMarginalArgmaxAccuracy:
-    def test_hand_case(self):
-        # position-marginal scores peak on class 2, so accuracy counts
-        # how many observed tokens are class 2
-        pairs = [SentencePair((0, 2), (2, 3)), SentencePair((0, 2), (2,))]
-
-        def log_probs(pair):
-            out = np.full((pair.m, 4), -5.0)
-            out[:, 2] = -0.5
-            return out
-
-        assert marginal_argmax_accuracy(pairs, log_probs) == pytest.approx(2 / 3)

@@ -180,6 +180,25 @@ class TestTrain:
         assert code == 2
         assert "learning_rate" in stderr
 
+    @pytest.mark.parametrize("text", [
+        "train_l1 = a.txt\n",  # no section header
+        "[paths]\ntrain_l1 = a.txt\ntrain_l1 = b.txt\n",  # duplicate key
+        "[paths]\ntrain_l1 = a\n  b = c\n  [x\n= y\n",  # continuation and parse errors
+    ], ids=["no_header", "duplicate_key", "parse_error"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(text, encoding="utf-8")
+        code, _, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 2
+        assert stderr.startswith("error: malformed config") and len(stderr.splitlines()) == 1
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_bytes(b"[paths]\ntrain_l1 = caf\xe9.txt\n")
+        code, _, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 2
+        assert stderr == f"error: {cfg_path}: not UTF-8 text\n"
+
     def test_ibm1_baseline_route(self, synth_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
         write_config(
@@ -265,6 +284,19 @@ class TestAlign:
         pred = alignment.parse_gold(out)
         assert 2 not in pred  # sentence id 2 has no links at all
 
+    def test_ibm1_empty_l2_line_gets_no_links(self, tmp_path, capsys):
+        table = tmp_path / "table.txt"
+        table.write_text("<null> x 0.25\na x 0.5\nb y 0.5\n", encoding="utf-8")
+        (tmp_path / "l1").write_text("a b\na\nb a\n")
+        (tmp_path / "l2").write_text("y x\n\nx\n")
+        out = tmp_path / "pred.txt"
+        code, _, _ = run(
+            capsys, "align", "--baseline", "ibm1", "--checkpoint", str(table),
+            str(tmp_path / "l1"), str(tmp_path / "l2"), str(out),
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == ["1 1 2 S", "1 2 1 S", "3 1 2 S"]
+
     def test_ibm1_baseline_pipeline(self, tmp_path, capsys):
         out_dir = tmp_path / "data"
         assert run(
@@ -295,6 +327,19 @@ class TestAlign:
         assert code == 0
         assert float(stdout.splitlines()[0]) <= 0.05
 
+    @pytest.mark.parametrize("prob", ["nan", "-0.25"])
+    def test_ibm1_unscorable_table_exits_2(self, tmp_path, capsys, prob):
+        table = tmp_path / "table.txt"
+        table.write_text(f"<null> x 0.5\na x {prob}\n", encoding="utf-8")
+        (tmp_path / "l1").write_text("a\n")
+        (tmp_path / "l2").write_text("x\n")
+        code, _, err = run(
+            capsys, "align", "--baseline", "ibm1", "--checkpoint", str(table),
+            str(tmp_path / "l1"), str(tmp_path / "l2"), str(tmp_path / "out"),
+        )
+        assert code == 2 and not (tmp_path / "out").exists()
+        assert err.startswith(f"error: {table}:2: ") and len(err.splitlines()) == 1
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         (tmp_path / "l1").write_text("a\n")
         (tmp_path / "l2").write_text("x\n")
@@ -304,8 +349,22 @@ class TestAlign:
         )
         assert code == 2
 
+    def test_non_utf8_checkpoint_exits_2(self, tmp_path, capsys):
+        ckpt_path = tmp_path / "ckpt.json"
+        ckpt_path.write_bytes(b'{"format": "caf\xe9"}')
+        (tmp_path / "l1").write_text("a\n")
+        (tmp_path / "l2").write_text("x\n")
+        code, _, err = run(
+            capsys, "align", "--checkpoint", str(ckpt_path),
+            str(tmp_path / "l1"), str(tmp_path / "l2"), str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert err == f"error: {ckpt_path}: not UTF-8 text\n"
 
-    @pytest.mark.parametrize("edit", ["missing_param", "unknown_config_key"])
+    @pytest.mark.parametrize("edit", [
+        "missing_param", "unknown_config_key", "top_level_number", "params_list",
+        "vocab_number",
+    ])
     def test_broken_checkpoint_exits_2(self, tmp_path, capsys, edit):
         synth = synth_corpus(seed=2, v1=6, v2=6, n_pairs=10, len_range=(2, 5), shuffle_l2=False)
         write_corpus(synth, tmp_path / "l1", tmp_path / "l2", tmp_path / "gold")
@@ -314,8 +373,14 @@ class TestAlign:
         doc = json.loads(ckpt_path.read_text())
         if edit == "missing_param":
             del doc["params"]["b2"]
-        else:
+        elif edit == "unknown_config_key":
             doc["config"]["layers"] = 2
+        elif edit == "top_level_number":
+            doc = 5
+        elif edit == "params_list":
+            doc["params"] = []
+        else:
+            doc["vocab_l1"] = 5
         ckpt_path.write_text(json.dumps(doc))
         code, _, err = run(
             capsys, "align", "--checkpoint", str(ckpt_path),
@@ -334,6 +399,23 @@ class TestEval:
         lines = stdout.splitlines()
         assert lines[0] == "0.000000"
         assert "|A|=2" in lines[1] and "|S|=2" in lines[1] and "|P|=2" in lines[1]
+
+    def test_aer_position_zero_exits_2(self, tmp_path, capsys):
+        gold = tmp_path / "gold.txt"
+        gold.write_text("1 1 1 S\n1 0 1\n")
+        code, stdout, err = run(capsys, "eval", "aer", str(gold), str(gold))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {gold}:2: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("bad", ["pred", "gold"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, bad):
+        files = {name: tmp_path / f"{name}.txt" for name in ("pred", "gold")}
+        for path in files.values():
+            path.write_text("1 1 1 S\n", encoding="utf-8")
+        files[bad].write_bytes(b"\xff\xfe1 1 1 S\n")
+        code, stdout, err = run(capsys, "eval", "aer", str(files["pred"]), str(files["gold"]))
+        assert code == 2 and stdout == ""
+        assert err == f"error: {files[bad]}: not UTF-8 text\n"
 
     def test_lexsub_hand_fixture(self, tmp_path, capsys):
         data = tmp_path / "lst.tsv"
@@ -357,6 +439,9 @@ class TestEval:
         ("lexsub", "w\tfirst\tw x\ta:2;b:0\n"),
         ("wordsim", "a b 1\nc d high\n"),
         ("wordsim", "a b 1 0.5\nc d 2 n/a\n"),
+        ("wordsim", "a b 1 4\nc d nan 3\ne f 3 2\n"),
+        ("wordsim", "a b 1 4\nc d 2 inf\ne f 3 2\n"),
+        ("lexsub", "w\t0\tw x\ta:2;b:nan\n"),
     ])
     def test_malformed_number_exits_2(self, tmp_path, capsys, kind, text):
         data = tmp_path / "data.txt"

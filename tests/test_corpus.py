@@ -202,7 +202,6 @@ class TestCssColumns:
         np.testing.assert_array_equal(cols, [2, 0, 0, 1])
         for tid, col in zip((5, 7, 2), (2, 0, 1)):
             assert self.css.support_ids[col] == tid
-            assert self.css.position_of(tid) == col
 
     def test_empty_ids(self):
         assert self.css.columns([]).shape == (0,)

@@ -203,7 +203,7 @@ class TestCssLogNormalizer:
         b = store.add("b", rng.uniform(-1, 1, size=4))
         css = CSSupport(side="l2", c_ids=(0, 1, 2, 3), n_ids=(), kappa=1.0)
         z = rng.uniform(-1, 1, size=2)
-        expected = ad.logsumexp(ad.constant(w.data @ z + b.data)).item()
+        expected = np.logaddexp.reduce(w.data @ z + b.data)
         assert css_log_normalizer(z, css, w, b).item() == pytest.approx(expected, rel=1e-12)
 
     def test_empty_c_rejected(self):
@@ -252,7 +252,7 @@ class TestL2LogMarginal:
         params = build_params(cfg, 4, 5, seed=1)
         z = np.random.default_rng(2).uniform(-1, 1, size=(1, 2))
         logits = params["W2"].data @ z[0] + params["b2"].data
-        expected = logits[3] - ad.logsumexp(ad.constant(logits)).item()
+        expected = logits[3] - np.logaddexp.reduce(logits)
         assert l2_log_marginal(z, 3, params).item() == pytest.approx(expected, rel=1e-12)
 
     def test_brute_force_probability_space(self):

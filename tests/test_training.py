@@ -326,6 +326,20 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="malformed parameter 'E'"):
             load_checkpoint(path)
 
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text("5\n")
+        with pytest.raises(CheckpointError, match="JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("params", []), ("vocab_l1", 5), ("vocab_l2", ["<null>", 3]),
+    ])
+    def test_mistyped_field_rejected(self, tiny_corpus, key, value):
+        path = self.rewrite(tiny_corpus, lambda doc: doc.update({key: value}))
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
     def test_unknown_config_key_rejected(self, tiny_corpus):
         path = self.rewrite(tiny_corpus, lambda doc: doc["config"].update(depth=3))
         with pytest.raises(CheckpointError, match="depth"):

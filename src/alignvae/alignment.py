@@ -4,7 +4,8 @@ Link convention: a link is a pair (j, i) of 1-based positions, j on the
 L2 side and i on the L1 side with NULL excluded (the padded L1 index of
 the first real word is 1, which matches the gold numbering). Gold files
 hold lines ``sid j i flag`` with flag S (sure, the default) or P
-(possible); sure links are implicitly possible.
+(possible); sure links are implicitly possible. ``parse_gold`` reads
+them; ``corpus.write_links`` writes predicted links in that format.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def viterbi_align(pair: SentencePair, params, cfg: ModelConfig) -> set:
     ``best_position``.
     """
     u = model_mod.posterior_means(pair.x, params, cfg)
-    log_probs = model_mod.l2_head_log_probs(u, params)  # [m, v_y]
+    log_probs = model_mod.l2_head_log_probs(u, params["W2"], params["b2"])  # [m, v_y]
     return argmax_links(log_probs[:, np.asarray(pair.y, dtype=np.intp)])
 
 
@@ -139,11 +140,3 @@ def parse_gold(path) -> dict:
         for sid in poss
     }
 
-
-def write_links(links_by_sid: dict, path) -> None:
-    """Write predicted links in the gold format, flag S, sorted blocks."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# sid l2_pos l1_pos flag (1-based, flag S=sure P=possible)\n")
-        for sid in sorted(links_by_sid):
-            for j, i in sorted(links_by_sid[sid]):
-                fh.write(f"{sid} {j} {i} S\n")

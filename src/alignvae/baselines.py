@@ -25,9 +25,10 @@ from .corpus import (
     derive_seed,
     make_batches,
     read_text,
+    write_text,
 )
 from .errors import ContractError, DataError
-from .training import AdamState, _write_atomic, adam_step
+from .training import AdamState, adam_step
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +95,9 @@ def ibm1_align(pair: SentencePair, t: np.ndarray) -> set:
 def save_ibm1_table(t: np.ndarray, vocab_x: Vocabulary, vocab_y: Vocabulary,
                     path, min_prob: float = 1e-6) -> None:
     """Text export: one ``x_token y_token prob`` line per entry >= min_prob,
-    in row-major order. The file is replaced atomically."""
+    in row-major order, written through ``corpus.write_text``."""
     xs, ys = np.nonzero(t >= min_prob)
-    _write_atomic(path, (
+    write_text(path, (
         f"{vocab_x.token(xi)} {vocab_y.token(yi)} {p!r}\n"
         for xi, yi, p in zip(xs.tolist(), ys.tolist(), t[xs, ys].tolist())
     ))
@@ -188,9 +189,7 @@ def nibm_log_likelihood(pair: SentencePair, params: ParameterStore,
 def nibm_align(pair: SentencePair, params: ParameterStore, cfg: NIBMConfig) -> set:
     """Viterbi links under the exact NIBM head."""
     reps = _nibm_repr(pair.x, params, cfg)
-    logits = reps.data @ params["out_W"].data.T + params["out_b"].data
-    hi = logits.max(axis=1, keepdims=True)
-    log_probs = logits - (hi + np.log(np.exp(logits - hi).sum(axis=1, keepdims=True)))
+    log_probs = model_mod.l2_head_log_probs(reps.data, params["out_W"], params["out_b"])
     return argmax_links(log_probs[:, np.asarray(pair.y, dtype=np.intp)])
 
 

@@ -86,6 +86,12 @@ def _parse_config(path) -> dict:
     return values
 
 
+def _load_model(path):
+    """A checkpoint, its parameter store and its two vocabularies."""
+    ckpt = training.load_checkpoint(path)
+    return (ckpt, ckpt.build_store(), *ckpt.vocabularies())
+
+
 def cmd_synth(args) -> int:
     synth = corpus.synth_corpus(
         seed=args.seed, v1=args.v1, v2=args.v2, n_pairs=args.pairs,
@@ -141,7 +147,7 @@ def cmd_train(args) -> int:
     if args.baseline == "ibm1":
         table, trace = baselines.ibm1_train(pairs, len(vocab1), len(vocab2), **em_iters)
         baselines.save_ibm1_table(table, vocab1, vocab2, ckpt_path)
-        training._write_atomic(metrics_path, [f"{it}\t{ll!r}\n" for it, ll in enumerate(trace)])
+        corpus.write_text(metrics_path, [f"{it}\t{ll!r}\n" for it, ll in enumerate(trace)])
         print(f"ibm1 table written to {ckpt_path}")
         return 0
 
@@ -156,10 +162,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_align(args) -> int:
-    l1 = corpus.read_sentences(args.l1)
-    l2 = corpus.read_sentences(args.l2)
-    if len(l1) != len(l2):
-        raise AlignvaeError("parallel files differ in length")
+    l1, l2 = corpus.read_parallel(args.l1, args.l2)
     links_by_sid = {}
     if args.baseline == "ibm1":
         table, rows, cols = baselines.load_ibm1_table(args.checkpoint)
@@ -170,9 +173,7 @@ def cmd_align(args) -> int:
             )
             links_by_sid[sid] = baselines.ibm1_align(pair, table)
     else:
-        ckpt = training.load_checkpoint(args.checkpoint)
-        params = ckpt.build_store()
-        vocab1, vocab2 = ckpt.vocabularies()
+        ckpt, params, vocab1, vocab2 = _load_model(args.checkpoint)
         for sid, (a, b) in enumerate(zip(l1, l2), start=1):
             pair = corpus.SentencePair(
                 x=(NULL_ID,) + vocab1.encode(a), y=vocab2.encode(b)
@@ -180,7 +181,7 @@ def cmd_align(args) -> int:
             links_by_sid[sid] = (
                 alignment.viterbi_align(pair, params, ckpt.model_cfg) if b else set()
             )
-    alignment.write_links(links_by_sid, args.out)
+    corpus.write_links(links_by_sid, args.out)
     print(f"wrote alignments for {len(links_by_sid)} sentences to {args.out}")
     return 0
 
@@ -198,9 +199,7 @@ def _eval_aer(args) -> int:
 def _eval_lexsub(args) -> int:
     instances = semeval.parse_lexsub(args.data)
     if args.checkpoint:
-        ckpt = training.load_checkpoint(args.checkpoint)
-        params = ckpt.build_store()
-        vocab1, _ = ckpt.vocabularies()
+        ckpt, params, vocab1, _ = _load_model(args.checkpoint)
         score, per_instance = semeval.mean_gap(
             instances, vocab1, params, ckpt.model_cfg,
             metric=args.metric, reverse_kl=args.reverse_kl,
@@ -212,10 +211,8 @@ def _eval_lexsub(args) -> int:
         ]
         score = float(np.mean(per_instance))
     if args.per_instance:
-        with open(args.per_instance, "w", encoding="utf-8") as fh:
-            for k, value in enumerate(per_instance):
-                fh.write(f"{k}\t{value!r}\n")
-            fh.write(f"mean\t{score!r}\n")
+        lines = [f"{k}\t{value!r}\n" for k, value in enumerate(per_instance)]
+        corpus.write_text(args.per_instance, lines + [f"mean\t{score!r}\n"])
     print(f"{score:.6f}")
     return 0
 
@@ -224,9 +221,7 @@ def _eval_wordsim(args) -> int:
     rows = semeval.parse_wordsim(args.data)
     gold = [row[2] for row in rows]
     if args.checkpoint:
-        ckpt = training.load_checkpoint(args.checkpoint)
-        params = ckpt.build_store()
-        vocab1, _ = ckpt.vocabularies()
+        ckpt, params, vocab1, _ = _load_model(args.checkpoint)
         if not args.corpus:
             raise AlignvaeError("wordsim with a checkpoint needs --corpus (L1 text)")
         sentences = corpus.read_sentences(args.corpus)
@@ -250,18 +245,8 @@ def _eval_wordsim(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    if args.kind == "aer":
-        return _eval_aer(args)
-    if args.kind == "lexsub":
-        return _eval_lexsub(args)
-    return _eval_wordsim(args)
-
-
 def cmd_embed(args) -> int:
-    ckpt = training.load_checkpoint(args.checkpoint)
-    params = ckpt.build_store()
-    vocab1, _ = ckpt.vocabularies()
+    ckpt, params, vocab1, _ = _load_model(args.checkpoint)
     sentences = corpus.read_sentences(args.corpus)
     ids = [(NULL_ID, *vocab1.encode(toks)) for toks in sentences]
     if args.mode == "type":
@@ -274,10 +259,8 @@ def cmd_embed(args) -> int:
             if row == (NULL_ID,):
                 raise DataError(f"{args.corpus}:{sid}: empty sentence")
             rows.append((str(sid), semeval.sentence_embedding(row, params, ckpt.model_cfg)))
-    # opened after every row is computed, so a failed run leaves the file alone
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for key, vec in rows:
-            fh.write(key + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+    lines = (key + " " + " ".join(repr(float(v)) for v in vec) + "\n" for key, vec in rows)
+    corpus.write_text(args.out, lines)
     print(f"wrote {len(rows)} {args.mode} embeddings to {args.out}")
     return 0
 
@@ -321,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = kinds.add_parser("aer")
     q.add_argument("pred")
     q.add_argument("gold")
+    q.set_defaults(fn=_eval_aer)
     q = kinds.add_parser("lexsub")
     q.add_argument("data")
     q.add_argument("--checkpoint", default=None)
@@ -328,11 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--reverse-kl", action="store_true",
                    help="rank by divergence from target to candidate")
     q.add_argument("--per-instance", default=None, help="write per-instance GAP here")
+    q.set_defaults(fn=_eval_lexsub)
     q = kinds.add_parser("wordsim")
     q.add_argument("data")
     q.add_argument("--checkpoint", default=None)
     q.add_argument("--corpus", default=None, help="L1 text for type embeddings")
-    p.set_defaults(fn=cmd_eval)
+    q.set_defaults(fn=_eval_wordsim)
 
     p = sub.add_parser("embed", help="extract type or sentence embeddings")
     p.add_argument("--checkpoint", required=True)

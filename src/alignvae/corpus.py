@@ -1,14 +1,19 @@
-"""Parallel-corpus ingestion, batching, support-set sampling, synthetic data.
+"""Text file I/O, parallel-corpus ingestion, batching, support-set
+sampling, synthetic data.
 
 File conventions: parallel text is two UTF-8 files, one pre-tokenized
 sentence per line, tokens separated by single spaces, line i of one file
 parallel to line i of the other. The L1 side of every encoded pair is
 prefixed with the NULL token (id 0); unseen tokens map to UNK (id 1).
+The package reads every file through ``read_text`` and writes every file
+through ``write_text``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,8 +163,45 @@ def read_text(path) -> str:
             raise DataError(f"{path}: not UTF-8 text") from None
 
 
+def write_text(path, pieces) -> None:
+    """Write the strings ``pieces`` to ``path`` as UTF-8.
+
+    A new path or a regular file is replaced by a temporary file in the
+    same directory once every piece is written, so a failure midway keeps
+    the old file and leaves no temporary one. A symlink, FIFO or device
+    is opened and written in place, as by a plain ``open``.
+    """
+    path = os.fspath(path)
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    target = f"{path}.{os.getpid()}.tmp" if regular else path
+    try:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        if regular:
+            os.replace(target, path)
+    except BaseException:
+        if regular and os.path.exists(target):
+            os.unlink(target)
+        raise
+
+
 def read_sentences(path) -> list[list[str]]:
     return [line.split() for line in read_text(path).splitlines()]
+
+
+def read_parallel(l1_path, l2_path) -> tuple[list[list[str]], list[list[str]]]:
+    """The sentences of two parallel files, which must have as many lines."""
+    l1 = read_sentences(l1_path)
+    l2 = read_sentences(l2_path)
+    if len(l1) != len(l2):
+        raise DataError(
+            f"parallel files differ in length: {l1_path} has {len(l1)} lines, "
+            f"{l2_path} has {len(l2)}"
+        )
+    return l1, l2
 
 
 def load_parallel(l1_path, l2_path, max_len: int | None = MAX_SENTENCE_LEN,
@@ -173,13 +215,7 @@ def load_parallel(l1_path, l2_path, max_len: int | None = MAX_SENTENCE_LEN,
     from the surviving lines in first-occurrence order, optionally
     frequency-truncated to ``max_vocab`` types per side.
     """
-    l1 = read_sentences(l1_path)
-    l2 = read_sentences(l2_path)
-    if len(l1) != len(l2):
-        raise DataError(
-            f"parallel files differ in length: {l1_path} has {len(l1)} lines, "
-            f"{l2_path} has {len(l2)}"
-        )
+    l1, l2 = read_parallel(l1_path, l2_path)
     kept = [
         (a, b)
         for a, b in zip(l1, l2)
@@ -304,14 +340,17 @@ def synth_corpus(
     return SynthCorpus(l1_lines, l2_lines, gold, mapping)
 
 
+def write_links(links_by_sid: dict, path) -> None:
+    """Write links ``{sid: {(j, i)}}`` in the gold format, flag S, sorted."""
+    header = "# sid l2_pos l1_pos flag (1-based, flag S=sure P=possible)\n"
+    write_text(path, [header] + [
+        f"{sid} {j} {i} S\n"
+        for sid in sorted(links_by_sid) for j, i in sorted(links_by_sid[sid])
+    ])
+
+
 def write_corpus(synth: SynthCorpus, l1_path, l2_path, gold_path) -> None:
     """Write the synthetic corpus in the parallel-text and gold formats."""
-    with open(l1_path, "w", encoding="utf-8") as fh:
-        fh.writelines(" ".join(toks) + "\n" for toks in synth.l1_lines)
-    with open(l2_path, "w", encoding="utf-8") as fh:
-        fh.writelines(" ".join(toks) + "\n" for toks in synth.l2_lines)
-    with open(gold_path, "w", encoding="utf-8") as fh:
-        fh.write("# sid l2_pos l1_pos flag (1-based, flag S=sure P=possible)\n")
-        for sid in sorted(synth.gold):
-            for j, i in sorted(synth.gold[sid]):
-                fh.write(f"{sid} {j} {i} S\n")
+    write_text(l1_path, (" ".join(toks) + "\n" for toks in synth.l1_lines))
+    write_text(l2_path, (" ".join(toks) + "\n" for toks in synth.l2_lines))
+    write_links(synth.gold, gold_path)

@@ -27,6 +27,7 @@ materialises [T, V] logits for each head. ``elbo`` and
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,11 +87,19 @@ def param_shapes(cfg: ModelConfig, v_x: int, v_y: int) -> dict[str, tuple[int, .
     return shapes
 
 
+def glorot_init(shape, seed: int) -> np.ndarray:
+    """Uniform draw on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
+    if len(shape) != 2:
+        raise ContractError(f"glorot_init expects a 2-d shape, got {shape}")
+    fan_out, fan_in = shape
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-limit, limit, size=shape)
+
+
 def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParameterStore:
     """A store holding every named shape: matrices get Glorot draws seeded
     per parameter name, vectors start at zero."""
-    from .training import glorot_init  # deferred: training imports this module
-
     store = ParameterStore()
     for name, shape in shapes.items():
         if len(shape) == 2:
@@ -461,11 +470,12 @@ def posterior_means(x_ids, params: ParameterStore, cfg: ModelConfig) -> np.ndarr
     return posterior_params_np(x_ids, params, cfg)[0]
 
 
-def l2_head_log_probs(u: np.ndarray, params: ParameterStore) -> np.ndarray:
-    """Exact log P(y | z = u_i) for every class: [m, v_y], numpy only."""
-    logits = u @ params["W2"].data.T + params["b2"].data
-    hi = logits.max(axis=1, keepdims=True)
-    norm = hi + np.log(np.exp(logits - hi).sum(axis=1, keepdims=True))
+def l2_head_log_probs(u: np.ndarray, weights: Tensor, bias: Tensor) -> np.ndarray:
+    """Exact log-softmax over all classes of the head ``u @ weights.T + bias``,
+    numpy only: [..., V] for latents [..., d]."""
+    logits = u @ weights.data.T + bias.data
+    hi = logits.max(axis=-1, keepdims=True)
+    norm = hi + np.log(np.exp(logits - hi).sum(axis=-1, keepdims=True))
     return logits - norm
 
 
@@ -485,21 +495,12 @@ def exact_log_marginal(pair: SentencePair, params: ParameterStore, cfg: ModelCon
     rng = np.random.default_rng(seed)
     m, n = pair.m, pair.n
     d = cfg.d
-    w1, b1 = params["W1"].data, params["b1"].data
-    w2, b2 = params["W2"].data, params["b2"].data
     x = np.asarray(pair.x)
     y = np.asarray(pair.y)
 
     z = rng.standard_normal((n_draws, m, d))
-    logits1 = z @ w1.T + b1  # [T, m, v_x]
-    hi1 = logits1.max(axis=2, keepdims=True)
-    norm1 = (hi1 + np.log(np.exp(logits1 - hi1).sum(axis=2, keepdims=True)))[:, :, 0]
-    log_px = logits1[:, np.arange(m), x] - norm1  # [T, m]
-
-    logits2 = z @ w2.T + b2  # [T, m, v_y]
-    hi2 = logits2.max(axis=2, keepdims=True)
-    norm2 = (hi2 + np.log(np.exp(logits2 - hi2).sum(axis=2, keepdims=True)))[:, :, 0]
-    log_py = logits2[:, :, y] - norm2[:, :, None]  # [T, m, n]
+    log_px = l2_head_log_probs(z, params["W1"], params["b1"])[:, np.arange(m), x]  # [T, m]
+    log_py = l2_head_log_probs(z, params["W2"], params["b2"])[:, :, y]  # [T, m, n]
     hi_j = log_py.max(axis=1, keepdims=True)
     log_marg_j = (
         hi_j[:, 0, :] + np.log(np.exp(log_py - hi_j).sum(axis=1)) - np.log(m)

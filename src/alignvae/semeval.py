@@ -20,13 +20,7 @@ from . import autodiff as ad
 from . import model as model_mod
 from .corpus import NULL_ID, Vocabulary, read_text
 from .errors import ContractError, DataError, DomainError, MetricError
-from .hiermodel import kl_diag_gaussian
 from .model import ModelConfig
-
-# one implementation of the diagonal-Gaussian divergence
-# (``model.gaussian_kl_rows``) serves the substitution metric, the
-# hierarchical objective, and the tests
-kl_diag = kl_diag_gaussian
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Optimization loop: Glorot init, Adam, KL annealing, model selection.
+"""Optimization loop: Adam, KL annealing, model selection, checkpoints.
 
 One update = one mini-batch. The batch loss is the summed negative ELBO
 over its pairs, supports for the sampled softmax are rebuilt per batch
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -19,12 +18,15 @@ import numpy as np
 from . import alignment, autodiff as ad, model as model_mod
 from .autodiff import ParameterStore, Tape
 from .corpus import (
+    NULL_TOKEN,
+    UNK_TOKEN,
     Batch,
     Vocabulary,
     build_css_support,
     derive_seed,
     make_batches,
     read_text,
+    write_text,
 )
 from .errors import CheckpointError, ContractError, TrainingError
 from .model import ModelConfig
@@ -34,16 +36,6 @@ ANNEAL_INTERVAL = 500
 
 CHECKPOINT_FORMAT = "alignvae-checkpoint"
 CHECKPOINT_VERSION = 1
-
-
-def glorot_init(shape, seed: int) -> np.ndarray:
-    """Uniform draw on [-L, L] with L = sqrt(6 / (fan_in + fan_out))."""
-    if len(shape) != 2:
-        raise ContractError(f"glorot_init expects a 2-d shape, got {shape}")
-    fan_out, fan_in = shape
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def anneal_alpha(update_count: int) -> float:
@@ -238,7 +230,7 @@ def train(
             train_cfg.epochs - 1 if train_cfg.epochs > 0 else None,
         )
     if log_path is not None:
-        _write_atomic(log_path, ["\n".join(lines) + ("\n" if lines else "")])
+        write_text(log_path, ["\n".join(lines) + ("\n" if lines else "")])
     return best
 
 
@@ -278,31 +270,14 @@ def _batch_update(batch: Batch, params, model_cfg, train_cfg, vocab1, vocab2,
 # checkpoint document
 
 
-def _write_atomic(path, pieces) -> None:
-    """Write the strings ``pieces`` to ``path`` through a temporary file in
-    the same directory that replaces ``path`` only once all are written, so
-    a failure midway leaves any old file as it was and no temporary file."""
-    path = os.fspath(path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for piece in pieces:
-                fh.write(piece)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Single structured text document; floats round-trip exactly.
 
     The bytes are those of ``json.dump(doc)`` plus a newline, but each
     parameter is encoded on its own by the C encoder behind ``json.dumps``
     (``json.dump`` runs the pure-Python one), so neither the whole
-    document nor every parameter's list of floats is held at once. The
-    file is replaced atomically.
+    document nor every parameter's list of floats is held at once. It is
+    written through ``corpus.write_text``.
     """
     head = json.dumps({
         "format": CHECKPOINT_FORMAT,
@@ -322,11 +297,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             yield (", " if k else "") + json.dumps(name) + ": " + json.dumps(entry)
         yield "}}\n"
 
-    _write_atomic(path, pieces())
+    write_text(path, pieces())
 
 
-def load_checkpoint(path, expect: dict | None = None) -> Checkpoint:
-    """Read a checkpoint; ``expect`` pins config keys that must match."""
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint document written by ``save_checkpoint``."""
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as e:
@@ -350,18 +325,16 @@ def load_checkpoint(path, expect: dict | None = None) -> Checkpoint:
     if unknown:
         raise CheckpointError(f"unknown model config keys in checkpoint: {unknown}")
     cfg = ModelConfig(**doc["config"])
-    if expect:
-        for key, wanted in expect.items():
-            actual = getattr(cfg, key)
-            if actual != wanted:
-                raise CheckpointError(
-                    f"config mismatch for {key!r}: checkpoint has {actual!r}, "
-                    f"invocation expects {wanted!r}"
-                )
     for key in ("vocab_l1", "vocab_l2"):
         vocab = doc[key]
-        if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
-            raise CheckpointError(f"checkpoint field {key!r} is not a list of strings")
+        # ``Checkpoint.vocabularies`` must rebuild it exactly, so that every
+        # token keeps the id its parameter rows were trained at
+        if (not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab)
+                or vocab[:2] != [NULL_TOKEN, UNK_TOKEN] or len(set(vocab)) != len(vocab)):
+            raise CheckpointError(
+                f"checkpoint field {key!r} is not a list of distinct strings "
+                f"starting {NULL_TOKEN!r}, {UNK_TOKEN!r}"
+            )
     if not isinstance(doc["params"], dict):
         raise CheckpointError("checkpoint field 'params' is not a mapping")
     params = {}

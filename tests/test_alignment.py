@@ -9,9 +9,8 @@ from alignvae.alignment import (
     corpus_aer,
     parse_gold,
     viterbi_align,
-    write_links,
 )
-from alignvae.corpus import SentencePair
+from alignvae.corpus import SentencePair, write_links
 from alignvae.errors import GoldFormatError
 from alignvae.model import ModelConfig, build_params
 

@@ -199,6 +199,40 @@ class TestTrain:
         assert code == 2
         assert stderr == f"error: {cfg_path}: not UTF-8 text\n"
 
+    def test_outputs_write_through_symlinks(self, synth_dir, tmp_path, capsys):
+        real = tmp_path / "real"
+        real.mkdir()
+        names = ("ckpt.json", "metrics.tsv", "pred.txt")
+        for name in names:
+            (real / name).write_text("old\n", encoding="utf-8")
+            (tmp_path / name).symlink_to(real / name)
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={
+                "train_l1": synth_dir / "l1.txt",
+                "train_l2": synth_dir / "l2.txt",
+                "val_l1": synth_dir / "l1.txt",
+                "val_l2": synth_dir / "l2.txt",
+                "gold": synth_dir / "gold.txt",
+                "checkpoint": tmp_path / "ckpt.json",
+                "metrics": tmp_path / "metrics.tsv",
+            },
+            model={"d": 3, "d_x": 4},
+            training={"epochs": 1, "batch": 20, "seed": 1},
+        )
+        assert run(capsys, "train", "--config", str(cfg_path))[0] == 0
+        code, _, _ = run(
+            capsys, "align", "--checkpoint", str(tmp_path / "ckpt.json"),
+            str(synth_dir / "l1.txt"), str(synth_dir / "l2.txt"), str(tmp_path / "pred.txt"),
+        )
+        assert code == 0
+        for name in names:
+            assert (tmp_path / name).is_symlink()
+        assert training.load_checkpoint(real / "ckpt.json").model_cfg.d == 3
+        assert len((real / "metrics.tsv").read_text().splitlines()) == 1
+        assert alignment.parse_gold(real / "pred.txt")
+
     def test_ibm1_baseline_route(self, synth_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
         write_config(
@@ -388,6 +422,45 @@ class TestAlign:
         )
         assert code == 2
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+    def test_length_mismatch_names_both_files(self, tmp_path, capsys):
+        l1, l2, out = tmp_path / "l1", tmp_path / "l2", tmp_path / "out"
+        l1.write_text("a\nb\n")
+        l2.write_text("x\n")
+        code, _, err = run(
+            capsys, "align", "--checkpoint", str(tmp_path / "ckpt.json"),
+            str(l1), str(l2), str(out),
+        )
+        assert code == 2 and not out.exists()
+        assert err == f"error: parallel files differ in length: {l1} has 2 lines, {l2} has 1\n"
+
+    @pytest.mark.parametrize("key,edit", [
+        ("vocab_l1", "renamed_reserved"), ("vocab_l1", "repeated_token"),
+        ("vocab_l2", "repeated_token"), ("vocab_l2", "reserved_again"),
+    ])
+    def test_vocabulary_that_does_not_rebuild_exits_2(self, tmp_path, capsys, key, edit):
+        synth = synth_corpus(seed=2, v1=6, v2=6, n_pairs=10, len_range=(2, 5), shuffle_l2=False)
+        write_corpus(synth, tmp_path / "l1", tmp_path / "l2", tmp_path / "gold")
+        _, vocab1, vocab2 = load_parallel(tmp_path / "l1", tmp_path / "l2")
+        ckpt_path = perfect_checkpoint(tmp_path, synth, vocab1, vocab2)
+        doc = json.loads(ckpt_path.read_text())
+        vocab = doc[key]  # same length after every edit, so the shapes still fit
+        if edit == "renamed_reserved":
+            vocab[:2] = ["zz", "yy"]
+        elif edit == "repeated_token":
+            vocab[3] = vocab[2]  # every later token would shift by one id
+        else:
+            vocab[2] = "<null>"
+        ckpt_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "align", "--checkpoint", str(ckpt_path),
+            str(tmp_path / "l1"), str(tmp_path / "l2"), str(out),
+        )
+        assert code == 2 and not out.exists()
+        assert err == (f"error: checkpoint field {key!r} is not a list of distinct "
+                       f"strings starting '<null>', '<unk>'\n")
 
 
 class TestEval:

@@ -1,3 +1,7 @@
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from alignvae.corpus import (
     make_batches,
     synth_corpus,
     write_corpus,
+    write_text,
 )
 from alignvae.errors import ContractError, DataError
 
@@ -262,3 +267,53 @@ class TestDeriveSeed:
         assert derive_seed(1, "a") != derive_seed(2, "a")
         # frozen value so a future refactor cannot silently change all streams
         assert derive_seed(1, "a") == 2514313960912413249
+
+
+class TestWriteText:
+    def test_new_path_and_regular_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text(path, ["caf\u00e9 ", "a\n"])
+        assert path.read_bytes() == "caf\u00e9 a\n".encode("utf-8")
+        write_text(path, (line for line in ["b\n", "c\n"]))
+        assert path.read_bytes() == b"b\nc\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_symlink_written_through(self, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        write_text(link, ["new\n"])
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+    def test_fifo_written_in_place(self, tmp_path):
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        got = []
+
+        def reader():
+            with open(path, "rb") as fh:
+                got.append(fh.read())
+
+        thread = threading.Thread(target=reader, daemon=True)
+        thread.start()
+        write_text(path, ["a\n", "b\n"])
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert got == [b"a\nb\n"]
+        assert stat.S_ISFIFO(os.lstat(path).st_mode)
+
+    def test_failure_midway_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+
+        def pieces():
+            yield "new\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_text(path, pieces())
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

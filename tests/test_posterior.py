@@ -14,9 +14,13 @@ from alignvae import alignment, semeval
 from alignvae import autodiff as ad
 from alignvae import model as model_mod
 from alignvae.corpus import NULL_ID, SentencePair, Vocabulary
-from alignvae.hiermodel import infer_sentence_posterior, infer_word_posterior_conditioned
+from alignvae.hiermodel import (
+    infer_sentence_posterior,
+    infer_word_posterior_conditioned,
+    kl_diag_gaussian,
+)
 from alignvae.model import ModelConfig, Ragged, build_params, encode, infer_posterior
-from alignvae.semeval import LexSubInstance, kl_diag, rank_candidates, sentence_embedding
+from alignvae.semeval import LexSubInstance, rank_candidates, sentence_embedding
 
 WORDS = ["cat", "dog", "bird", "sat", "ran", "fast"]
 SENTENCES = [(NULL_ID, 2, 3, 4), (NULL_ID, 5), (NULL_ID, 6, 2, 2, 7)]
@@ -131,7 +135,8 @@ class TestKlRanking:
             swapped = list(inst.sentence)
             swapped[2] = tok
             cand = posterior_at(swapped)
-            score = kl_diag(*tgt, *cand) if reverse_kl else kl_diag(*cand, *tgt)
+            score = (kl_diag_gaussian(*tgt, *cand) if reverse_kl
+                     else kl_diag_gaussian(*cand, *tgt))
             expected.append((tok, weight, score))
         expected.sort(key=lambda item: item[2])
         assert [(t, w) for t, w, _ in ranked] == [(t, w) for t, w, _ in expected]

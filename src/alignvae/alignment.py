@@ -30,28 +30,17 @@ class GoldAlignment:
             raise GoldFormatError("sure links must be a subset of possible links")
 
 
-def best_position(scores) -> int:
-    """Aligned L1 position for one L2 token given per-position scores.
-
-    Word positions tie toward the lowest index; position 0 (NULL) wins
-    only strictly. Returns 0 when the token should stay unaligned.
-    """
-    scores = np.asarray(scores)
-    if scores.shape[0] < 2:
-        return 0
-    best = 1 + int(np.argmax(scores[1:]))
-    return 0 if scores[0] > scores[best] else best
-
-
 def argmax_links(score_matrix) -> set:
-    """Links {(j, i)} from an [m, n] score matrix (rows are L1 positions)."""
+    """Links {(j, i)} from an [m, n] score matrix (rows are L1 positions):
+    one argmax per column over rows 1..m-1, ties to the lowest position,
+    NULL (row 0) only on a strict win, NaN as in ``np.argmax``. Fewer
+    than two rows give no links."""
     scores = np.asarray(score_matrix)
-    links = set()
-    for j in range(scores.shape[1]):
-        i = best_position(scores[:, j])
-        if i != 0:
-            links.add((j + 1, i))
-    return links
+    if scores.shape[0] < 2:
+        return set()
+    best = 1 + np.argmax(scores[1:], axis=0)
+    keep = ~(scores[0] > scores[best, np.arange(scores.shape[1])])
+    return set(zip((np.flatnonzero(keep) + 1).tolist(), best[keep].tolist()))
 
 
 def viterbi_align(pair: SentencePair, params, cfg: ModelConfig) -> set:
@@ -59,8 +48,7 @@ def viterbi_align(pair: SentencePair, params, cfg: ModelConfig) -> set:
 
     Conditions on the posterior locations u_i and scores each position
     with the exact L2 head (the uniform alignment prior is constant per
-    token, so the argmax is prior-free); ties and NULL per
-    ``best_position``.
+    token, so the argmax is prior-free), decoded by ``argmax_links``.
     """
     u = model_mod.posterior_means(pair.x, params, cfg)
     log_probs = model_mod.l2_head_log_probs(u, params["W2"], params["b2"])  # [m, v_y]
@@ -73,22 +61,16 @@ _hier_posterior_means = model_mod.posterior_means
 
 
 def aer(pred_links, gold: GoldAlignment) -> float:
-    """1 - (|A & S| + |A & P|) / (|A| + |S|); 0 when both A and S are empty."""
-    a = set(pred_links)
-    n_s = len(a & gold.sure)
-    n_p = len(a & gold.possible)
-    denom = len(a) + len(gold.sure)
-    if denom == 0:
-        return 0.0
-    return 1.0 - (n_s + n_p) / denom
+    """AER of one sentence: ``corpus_aer`` of a one-sentence corpus."""
+    return corpus_aer({1: pred_links}, {1: gold})[0]
 
 
 def corpus_aer(preds: dict, golds: dict):
-    """Aggregate AER over sentence ids, plus the raw counts.
+    """AER = 1 - (|A & S| + |A & P|) / (|A| + |S|) over sentence ids, plus
+    the raw counts; 0 when both A and S are empty.
 
-    Counts are summed over sentences before the ratio is taken, so the
-    result does not depend on evaluation order. Sentences missing from
-    either mapping contribute empty sets.
+    Counts are summed before the ratio is taken, so evaluation order does
+    not matter. Sentences missing from either mapping count as empty.
     """
     tot_a = tot_s = tot_as = tot_ap = tot_p = 0
     for sid in sorted(set(preds) | set(golds)):

@@ -20,13 +20,13 @@ the parts arrived, so the result is bit-identical to summing one dense
 released as soon as its own backward has run, so a pass holds only the
 gradients still waiting to be consumed.
 
-A tape is confined to one thread. Values produced under one tape are
-treated as constants when used under another.
+Tapes nest: operations are recorded on the innermost active tape only.
+Values produced under one tape are treated as constants when used under
+another.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,12 +133,7 @@ class _Node:
         self.kind = kind
 
 
-_tls = threading.local()
-
-
-def _active_tape():
-    stack = getattr(_tls, "stack", None)
-    return stack[-1] if stack else None
+_TAPES: list[Tape] = []  # active tapes, innermost last
 
 
 class Tape:
@@ -149,14 +144,11 @@ class Tape:
         self._pos: dict[int, int] = {}
 
     def __enter__(self):
-        stack = getattr(_tls, "stack", None)
-        if stack is None:
-            stack = _tls.stack = []
-        stack.append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tls.stack.pop()
+        _TAPES.pop()
         return False
 
     def _ensure(self, t: Tensor) -> int:
@@ -245,9 +237,8 @@ def constant(x) -> Tensor:
 
 def _emit(kind, data, parents, bwd) -> Tensor:
     out = Tensor(data)
-    tape = _active_tape()
-    if tape is not None:
-        tape.record(out, parents, bwd, kind)
+    if _TAPES:
+        _TAPES[-1].record(out, parents, bwd, kind)
     return out
 
 

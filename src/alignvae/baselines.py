@@ -40,56 +40,62 @@ def ibm1_uniform(v_x: int, v_y: int) -> np.ndarray:
     return np.full((v_x, v_y), 1.0 / v_y)
 
 
-def _pair_scores(pair: SentencePair, t: np.ndarray) -> np.ndarray:
-    """t(y_j | x_i) as an [m, n] array; n is 0 for an empty L2 side."""
-    return t[np.ix_(np.asarray(pair.x, dtype=np.intp), np.asarray(pair.y, dtype=np.intp))]
+def _pair_scores(pair: SentencePair, t: np.ndarray):
+    """The pair's ``np.ix_`` index into ``t`` and t(y_j | x_i) there, [m, n]."""
+    idx = np.ix_(np.asarray(pair.x, dtype=np.intp), np.asarray(pair.y, dtype=np.intp))
+    return idx, t[idx]
 
 
-def ibm1_em_step(pairs, t: np.ndarray) -> np.ndarray:
-    """One EM sweep over the corpus, returning a fresh normalized table.
+def _e_step(pairs, t: np.ndarray):
+    """Per pair: its index, t(y_j | x_i) / colsum_j and sum_j log(colsum_j / m)."""
+    for pair in pairs:
+        idx, probs = _pair_scores(pair, t)
+        colsum = probs.sum(axis=0)
+        yield idx, probs / colsum, float(np.log(colsum / len(probs)).sum())
+
+
+def ibm1_em_step(pairs, t: np.ndarray):
+    """One EM sweep: ``(new_table, ibm1_log_likelihood(pairs, t))``.
 
     E-step: per pair and L2 position, responsibilities over all L1
-    positions (NULL included; the uniform prior cancels). M-step:
-    expected counts normalized per L1 row. Rows that collected no mass
-    stay uniform.
+    positions (NULL included; the uniform prior cancels); their column
+    sums give the log-likelihood of the input table. M-step: expected
+    counts normalized per L1 row. Rows that collected no mass stay
+    uniform.
     """
-    v_x, v_y = t.shape
     counts = np.zeros_like(t)
-    for pair in pairs:
-        x = np.asarray(pair.x, dtype=np.intp)
-        y = np.asarray(pair.y, dtype=np.intp)
-        probs = t[np.ix_(x, y)]  # [m, n]
-        denom = probs.sum(axis=0, keepdims=True)
-        gamma = probs / denom
-        np.add.at(counts, (x[:, None], y[None, :]), gamma)
+    loglik = 0.0
+    for idx, gamma, pair_loglik in _e_step(pairs, t):
+        np.add.at(counts, idx, gamma)
+        loglik += pair_loglik
     totals = counts.sum(axis=1, keepdims=True)
-    out = np.where(totals > 0, counts / np.where(totals > 0, totals, 1.0), 1.0 / v_y)
-    return out
+    return np.divide(counts, totals, out=ibm1_uniform(*t.shape), where=totals > 0), loglik
 
 
 def ibm1_log_likelihood(pairs, t: np.ndarray) -> float:
     """Corpus log-likelihood sum_j log sum_i (1/m) t(y_j | x_i)."""
     total = 0.0
-    for pair in pairs:
-        probs = _pair_scores(pair, t)
-        total += float(np.log(probs.mean(axis=0)).sum())
+    for *_, pair_loglik in _e_step(pairs, t):
+        total += pair_loglik
     return total
 
 
 def ibm1_train(pairs, v_x: int, v_y: int, iterations: int = 10):
-    """EM from the uniform table; returns (table, per-iteration log-liks)."""
+    """EM from the uniform table; returns (table, log-liks of the table
+    after 0..iterations sweeps): one E-step pass per sweep, one final pass."""
+    if iterations < 0:
+        raise ContractError(f"IBM1 iterations (em_iters) must be >= 0, got {iterations}")
     t = ibm1_uniform(v_x, v_y)
-    trace = [ibm1_log_likelihood(pairs, t)]
+    trace = []
     for _ in range(iterations):
-        t = ibm1_em_step(pairs, t)
-        trace.append(ibm1_log_likelihood(pairs, t))
-    return t, trace
+        t, loglik = ibm1_em_step(pairs, t)
+        trace.append(loglik)
+    return t, trace + [ibm1_log_likelihood(pairs, t)]
 
 
 def ibm1_align(pair: SentencePair, t: np.ndarray) -> set:
-    """argmax_i t(y_j | x_i); word ties to the lowest position, NULL only
-    on a strict win (dropped from the link set)."""
-    return argmax_links(_pair_scores(pair, t))
+    """Links argmax_i t(y_j | x_i), decoded by ``argmax_links``."""
+    return argmax_links(_pair_scores(pair, t)[1])
 
 
 def save_ibm1_table(t: np.ndarray, vocab_x: Vocabulary, vocab_y: Vocabulary,
@@ -187,7 +193,7 @@ def nibm_log_likelihood(pair: SentencePair, params: ParameterStore,
 
 
 def nibm_align(pair: SentencePair, params: ParameterStore, cfg: NIBMConfig) -> set:
-    """Viterbi links under the exact NIBM head."""
+    """Viterbi links under the exact NIBM head, decoded by ``argmax_links``."""
     reps = _nibm_repr(pair.x, params, cfg)
     log_probs = model_mod.l2_head_log_probs(reps.data, params["out_W"], params["out_b"])
     return argmax_links(log_probs[:, np.asarray(pair.y, dtype=np.intp)])

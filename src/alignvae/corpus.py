@@ -44,6 +44,8 @@ class Vocabulary:
     """
 
     def __init__(self, tokens, max_vocab: int | None = None):
+        if max_vocab is not None and max_vocab < 1:
+            raise ContractError(f"max_vocab must be >= 1, got {max_vocab}")
         self.tokens: list[str] = list(_RESERVED)
         self.index: dict[str, int] = {t: i for i, t in enumerate(self.tokens)}
         order: list[str] = []

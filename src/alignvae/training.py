@@ -33,6 +33,9 @@ from .model import ModelConfig
 
 ANNEAL_STEP = 1e-3
 ANNEAL_INTERVAL = 500
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 CHECKPOINT_FORMAT = "alignvae-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -48,12 +51,13 @@ def anneal_alpha(update_count: int) -> float:
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not 0.0 < self.lr < math.inf:
+            raise ContractError(f"learning rate lr must be finite and > 0, got {self.lr!r}")
 
 
 def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamState:
@@ -63,14 +67,15 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
     ``TrainingError`` with the parameters and the state untouched. The
     moments are updated in place through one temporary array, in the same
     operation order as ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``
-    and ``w = w - lr * m_hat / (sqrt(v_hat) + eps)``.
+    and ``w = w - lr * m_hat / (sqrt(v_hat) + eps)``, with b1, b2 and eps
+    the ``ADAM_*`` constants.
     """
     for name in params.names():
         if not np.all(np.isfinite(grads[name])):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for name, tensor in params.items():
         g = grads[name]
         if name not in state.m:
@@ -78,16 +83,16 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
             state.v[name] = np.zeros_like(tensor.data)
         m, v = state.m[name], state.v[name]
         buf = np.empty_like(tensor.data)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=buf)
-        v *= state.beta2
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=buf)
+        v *= ADAM_BETA2
         np.multiply(g, g, out=buf)
-        v += np.multiply(buf, 1.0 - state.beta2, out=buf)
+        v += np.multiply(buf, 1.0 - ADAM_BETA2, out=buf)
         step = np.divide(m, c1)
         step *= state.lr
         np.divide(v, c2, out=buf)
         np.sqrt(buf, out=buf)
-        buf += state.eps
+        buf += ADAM_EPS
         step /= buf
         tensor.data = tensor.data - step
     return state
@@ -185,6 +190,8 @@ def train(
     from (seed, purpose). With no validation gold the final-epoch model is
     returned (with a warning via ``log_fn`` when given).
     """
+    if train_cfg.epochs < 0:
+        raise ContractError(f"epochs must be >= 0, got {train_cfg.epochs}")
     seed = train_cfg.seed
     params = model_mod.build_params(model_cfg, len(vocab1), len(vocab2), seed)
     adam = AdamState(lr=train_cfg.lr)

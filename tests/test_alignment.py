@@ -5,7 +5,6 @@ from alignvae.alignment import (
     GoldAlignment,
     aer,
     argmax_links,
-    best_position,
     corpus_aer,
     parse_gold,
     viterbi_align,
@@ -21,19 +20,43 @@ def make_gold(sure, possible=None):
     return GoldAlignment(sure, sure | possible)
 
 
-class TestBestPosition:
+def column(*scores):
+    """A one-token [m, 1] score matrix."""
+    return np.array(scores, dtype=float)[:, None]
+
+
+class TestArgmaxLinks:
     def test_word_beats_null(self):
-        assert best_position([0.1, 0.7]) == 1
+        assert argmax_links(column(0.1, 0.7)) == {(1, 1)}
 
     def test_exact_word_tie_takes_lowest(self):
-        assert best_position([-2.0, 1.5, 1.5]) == 1
+        assert argmax_links(column(-2.0, 1.5, 1.5)) == {(1, 1)}
 
     def test_null_needs_strict_win(self):
-        assert best_position([0.5, 0.5]) == 1
-        assert best_position([0.6, 0.5]) == 0
+        assert argmax_links(column(0.5, 0.5)) == {(1, 1)}
+        assert argmax_links(column(0.6, 0.5)) == set()
 
     def test_null_only_sentence(self):
-        assert best_position([0.3]) == 0
+        assert argmax_links(column(0.3)) == set()
+
+    def test_nan_column_follows_np_argmax(self):
+        # a NaN word score wins the argmax; a NaN NULL score never wins
+        scores = np.array([[5.0, np.nan, 0.0],
+                           [1.0, 2.0, np.nan],
+                           [np.nan, 1.0, 1.0]])
+        assert argmax_links(scores) == {(1, 2), (2, 1), (3, 1)}
+
+    def test_zero_columns(self):
+        assert argmax_links(np.zeros((3, 0))) == set()
+        assert argmax_links(np.zeros((1, 0))) == set()
+
+    def test_one_row_matrix(self):
+        assert argmax_links(np.array([[-1.0, 0.0, 2.0]])) == set()
+
+    def test_links_are_python_ints(self):
+        links = argmax_links(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, -1.0]]))
+        assert links == {(1, 2), (2, 1)}
+        assert all(type(v) is int for link in links for v in link)
 
 
 class TestViterbiAlign:
@@ -122,6 +145,15 @@ class TestAer:
             extra = {(int(j), int(i)) for j, i in rng.integers(1, 5, size=(3, 2))}
             gold = GoldAlignment(frozenset(sure), frozenset(sure | extra))
             assert 0.0 <= aer(links, gold) <= 1.0
+
+    def test_equals_corpus_aer_of_one_sentence(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            links = {(int(j), int(i)) for j, i in rng.integers(1, 4, size=(3, 2))}
+            sure = {(int(j), int(i)) for j, i in rng.integers(1, 4, size=(2, 2))}
+            extra = {(int(j), int(i)) for j, i in rng.integers(1, 4, size=(2, 2))}
+            gold = GoldAlignment(frozenset(sure), frozenset(sure | extra))
+            assert aer(links, gold) == corpus_aer({7: links}, {7: gold})[0]
 
     def test_sure_must_be_subset_of_possible(self):
         with pytest.raises(GoldFormatError):

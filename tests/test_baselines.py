@@ -29,7 +29,7 @@ from alignvae.corpus import (
     write_corpus,
 )
 from alignvae import alignment
-from alignvae.errors import DataError
+from alignvae.errors import ContractError, DataError
 
 
 def dict_em_oracle(pairs, v_x, v_y, iterations):
@@ -58,7 +58,8 @@ class TestIbm1Em:
         # one pair ([NULL, a], [b]): all probability mass lands on the
         # only observed L2 word for both L1 rows after one sweep
         pairs = [SentencePair((0, 2), (2,))]
-        t = ibm1_em_step(pairs, ibm1_uniform(3, 3))
+        t, loglik = ibm1_em_step(pairs, ibm1_uniform(3, 3))
+        assert loglik == pytest.approx(math.log(1 / 3), rel=1e-15)
         assert t[2, 2] == pytest.approx(1.0, abs=1e-12)
         assert t[0, 2] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-9)
@@ -114,8 +115,37 @@ class TestIbm1Em:
         ]
         t = ibm1_uniform(5, 5)
         for _ in range(5):
-            t = ibm1_em_step(pairs, t)
+            t, _ = ibm1_em_step(pairs, t)
             np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_trace_entry_k_is_log_likelihood_of_table_k(self):
+        synth = synth_corpus(seed=6, v1=7, v2=9, n_pairs=40, len_range=(1, 6), shuffle_l2=True)
+        vocab1 = Vocabulary(t for line in synth.l1_lines for t in line)
+        vocab2 = Vocabulary(t for line in synth.l2_lines for t in line)
+        pairs = [
+            SentencePair((0, *vocab1.encode(a)), vocab2.encode(b))
+            for a, b in zip(synth.l1_lines, synth.l2_lines)
+        ] + [SentencePair((0, 2), ())]  # an empty L2 side adds nothing
+        final, trace = ibm1_train(pairs, len(vocab1), len(vocab2), iterations=6)
+        assert len(trace) == 7
+        t = ibm1_uniform(len(vocab1), len(vocab2))
+        for k in range(7):
+            assert trace[k] == ibm1_log_likelihood(pairs, t)  # bit for bit
+            if k < 6:
+                t_next, loglik = ibm1_em_step(pairs, t)
+                assert loglik == trace[k]
+                t = t_next
+        assert final.tobytes() == t.tobytes()
+
+    def test_zero_iterations_gives_uniform_table_and_one_entry(self):
+        pairs = [SentencePair((0, 2), (2, 3))]
+        t, trace = ibm1_train(pairs, 4, 4, iterations=0)
+        assert t.tobytes() == ibm1_uniform(4, 4).tobytes()
+        assert trace == [ibm1_log_likelihood(pairs, t)]
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ContractError, match="em_iters"):
+            ibm1_train([SentencePair((0, 2), (2,))], 3, 3, iterations=-3)
 
 
 class TestIbm1Align:

@@ -251,6 +251,32 @@ class TestTrain:
         table = (tmp_path / "table.txt").read_text().splitlines()
         assert table and all(len(line.split()) == 3 for line in table)
 
+    @pytest.mark.parametrize("key, value, baseline", [
+        ("lr", "nan", None), ("lr", "inf", None), ("lr", "-1", None), ("lr", "0", None),
+        ("epochs", "-2", None), ("max_vocab", "-1", None), ("max_vocab", "0", None),
+        ("em_iters", "-3", "ibm1"),
+    ])
+    def test_out_of_range_training_value_exits_2(self, synth_dir, tmp_path, capsys,
+                                                 key, value, baseline):
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={
+                "train_l1": synth_dir / "l1.txt",
+                "train_l2": synth_dir / "l2.txt",
+                "checkpoint": tmp_path / "out.txt",
+                "metrics": tmp_path / "m.tsv",
+            },
+            model={"d": 4, "d_x": 6},
+            training={"epochs": 1, "batch": 20, key: value},
+        )
+        argv = ["train", "--config", str(cfg_path)] + (["--baseline", baseline] if baseline else [])
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+        assert key in stderr and value in stderr
+        assert not (tmp_path / "out.txt").exists()
+
 
 def perfect_checkpoint(tmp_path, synth, vocab1, vocab2):
     """Hand-built model whose posterior means make alignment exact: each

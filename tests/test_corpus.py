@@ -112,6 +112,11 @@ class TestVocabulary:
         vocab = Vocabulary(["b", "a", "a", "b", "c"], max_vocab=2)
         assert "b" in vocab and "a" in vocab and "c" not in vocab
 
+    @pytest.mark.parametrize("max_vocab", [0, -1])
+    def test_max_vocab_below_one_rejected(self, max_vocab):
+        with pytest.raises(ContractError, match="max_vocab"):
+            Vocabulary(["a", "b"], max_vocab=max_vocab)
+
 
 class TestMakeBatches:
     def test_sizes(self):

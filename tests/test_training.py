@@ -115,16 +115,23 @@ class TestAdamStep:
         ref_m = {name: np.zeros_like(a) for name, a in ref_w.items()}
         ref_v = {name: np.zeros_like(a) for name, a in ref_w.items()}
         state = AdamState(lr=3e-3)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        assert (training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS) == (b1, b2, eps)
         for t in range(1, 5):
             grads = {"w": rng.standard_normal((5, 3)), "s": np.asarray(rng.standard_normal())}
             adam_step(store, grads, state)
             for name, g in grads.items():
-                ref_m[name] = state.beta1 * ref_m[name] + (1.0 - state.beta1) * g
-                ref_v[name] = state.beta2 * ref_v[name] + (1.0 - state.beta2) * (g * g)
-                m_hat = ref_m[name] / (1.0 - state.beta1**t)
-                v_hat = ref_v[name] / (1.0 - state.beta2**t)
-                ref_w[name] = ref_w[name] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+                ref_m[name] = b1 * ref_m[name] + (1.0 - b1) * g
+                ref_v[name] = b2 * ref_v[name] + (1.0 - b2) * (g * g)
+                m_hat = ref_m[name] / (1.0 - b1**t)
+                v_hat = ref_v[name] / (1.0 - b2**t)
+                ref_w[name] = ref_w[name] - state.lr * m_hat / (np.sqrt(v_hat) + eps)
                 assert store[name].data.tobytes() == np.asarray(ref_w[name]).tobytes()
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_out_of_range_learning_rate_rejected(self, lr):
+        with pytest.raises(ContractError, match="lr"):
+            AdamState(lr=lr)
 
 
 class TestAnnealAlpha:
@@ -167,6 +174,11 @@ class TestTrain:
             np.testing.assert_array_equal(arr, fresh[name].data)
         assert ckpt.update_count == 0
         assert anneal_alpha(ckpt.update_count) == 0.0
+
+    def test_negative_epochs_rejected(self, tiny_corpus):
+        pairs, v1, v2, _, _ = tiny_corpus
+        with pytest.raises(ContractError, match="epochs"):
+            train(pairs, v1, v2, ModelConfig(d=3, d_x=4), TrainConfig(epochs=-2))
 
     def test_seeded_runs_bit_identical(self, tiny_corpus):
         pairs, v1, v2, gold, tmp_path = tiny_corpus

@@ -2,23 +2,25 @@
 
 Values live in :class:`Tensor` objects backed by numpy. While a
 :class:`Tape` is active (``with Tape() as tape:``) every operation is
-recorded in execution order; ``tape.backward(root)`` replays the record in
-reverse and returns gradients for named trainable parameters. Outside an
-active tape the same operations simply compute values, which keeps
-evaluation-time code cheap.
+recorded in execution order; ``tape.backward(root, params)`` replays the
+record in reverse and returns a gradient for every parameter of
+``params``. Outside an active tape the same operations simply compute
+values, which keeps evaluation-time code cheap.
 
 Gradients are dense arrays, except that the backward of :func:`rows`
 returns a :class:`RowGrad`: the unique gathered row ids and one value
 row per id, so a gather from a [V, d] table costs in proportion to the
-rows it touched, not to V. ``backward`` keeps these parts in a list per
-node and builds a node's dense gradient once: for a trainable leaf at
-the end of the pass, for any other node when its own backward runs, and
-before a dense gradient for the same node is added. It starts from
-zeros (or from the dense sum so far) and adds each part in the order
-the parts arrived, so the result is bit-identical to summing one dense
-``np.add.at`` table per gather from left to right. A node's gradient is
-released as soon as its own backward has run, so a pass holds only the
-gradients still waiting to be consumed.
+rows it touched, not to V. ``backward`` has one accumulation rule: each
+gradient part is added into its node's gradient as it arrives, a dense
+part as ``acc + part`` and a row part scattered into ``acc[ids]``. A
+scatter writes in place only into a buffer that a scatter of this pass
+made. Any other buffer is first copied as ``acc + 0.0``: a buffer an
+op's backward handed over may be shared with another parent, and the
+copy turns -0.0 into 0.0 as adding a zero row would, so the result is
+bit-identical to summing one dense ``np.add.at`` table per gather in
+arrival order. A node's gradient is released as soon as its own
+backward has run, so a pass holds only the gradients still waiting to
+be consumed.
 
 Tapes nest: operations are recorded on the innermost active tape only.
 Values produced under one tape are treated as constants when used under
@@ -38,14 +40,12 @@ _SOFTPLUS_CUTOFF = 30.0
 
 
 class Tensor:
-    """A float64 array, optionally a named trainable parameter."""
+    """A float64 array."""
 
-    __slots__ = ("data", "name", "trainable")
+    __slots__ = ("data",)
 
-    def __init__(self, data, name=None, trainable=False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.name = name
-        self.trainable = trainable
 
     @property
     def shape(self):
@@ -55,12 +55,11 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 class ParameterStore:
-    """Named trainable tensors, kept in insertion order."""
+    """Named parameter tensors, kept in insertion order."""
 
     def __init__(self):
         self._slots: dict[str, Tensor] = {}
@@ -68,7 +67,7 @@ class ParameterStore:
     def add(self, name: str, data) -> Tensor:
         if name in self._slots:
             raise ContractError(f"parameter {name!r} already registered")
-        t = Tensor(np.array(data, dtype=np.float64), name=name, trainable=True)
+        t = Tensor(np.array(data, dtype=np.float64))
         self._slots[name] = t
         return t
 
@@ -104,23 +103,6 @@ class RowGrad:
     @property
     def nbytes(self) -> int:
         return self.ids.nbytes + self.values.nbytes
-
-
-def _densify(base, parts: list[RowGrad], like: np.ndarray) -> np.ndarray:
-    """``base`` (or zeros) plus each part in turn, as a new dense array.
-
-    Equal bit for bit to ``base + z1 + z2 + ...`` where ``zk`` is part k
-    written into a zero table: ``base + 0.0`` turns -0.0 into 0.0 as
-    adding a zero row would, after which no entry is -0.0, so adding a
-    part's value rounds as adding the same value from ``zk`` does. For
-    the same reason ``backward`` may sum parts over one ids array into a
-    single part when they are the first to reach a node: a sum started
-    from its first term, then added to 0.0, equals one started from 0.0.
-    """
-    acc = np.zeros_like(like) if base is None else base + 0.0
-    for part in parts:
-        acc[part.ids] += part.values
-    return acc
 
 
 class _Node:
@@ -164,13 +146,13 @@ class Tape:
         self._pos[id(out)] = len(self.nodes)
         self.nodes.append(_Node(out, parent_pos, bwd, kind))
 
-    def backward(self, root: Tensor, params: ParameterStore | None = None):
-        """Gradients of the scalar ``root`` for every trainable leaf.
+    def backward(self, root: Tensor, params: ParameterStore) -> dict[str, np.ndarray]:
+        """Gradients of the scalar ``root`` for every parameter of ``params``.
 
-        Returns a dict mapping parameter name to a gradient array of the
-        parameter's shape. Trainable leaves not reachable from ``root``
-        (and, when ``params`` is given, parameters never used on this
-        tape) get zero gradients.
+        Returns a dict mapping each name of ``params``, in store order, to
+        a gradient array of the parameter's shape; a parameter that
+        ``root`` does not depend on, or that was never used on this tape,
+        gets zeros.
         """
         pos = self._pos.get(id(root))
         if pos is None:
@@ -180,49 +162,32 @@ class Tape:
                 f"backward root must be a scalar, got shape {root.data.shape}"
             )
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
-        pending: dict[int, list[RowGrad]] = {}  # row-sparse parts not yet in grads
+        owned = [False] * len(self.nodes)  # grads[i] made by a scatter: private, no -0.0
         grads[pos] = np.ones((), dtype=np.float64)
         for i in range(pos, -1, -1):
             node = self.nodes[i]
-            if node.bwd is None:
-                continue
-            if i in pending:
-                grads[i] = _densify(grads[i], pending.pop(i), node.tensor.data)
             g = grads[i]
-            if g is None:
+            if node.bwd is None or g is None:
                 continue
             grads[i] = None  # read by nothing after its own backward: free it now
-            for parent_pos, pg in zip(node.parents, node.bwd(g)):
-                if pg is None:
+            for p, part in zip(node.parents, node.bwd(g)):
+                if part is None:
                     continue
-                if type(pg) is RowGrad:
-                    parts = pending.setdefault(parent_pos, [])
-                    # same intp ids <=> same bytes; exact because these
-                    # rows start from zero (see _densify)
-                    if (len(parts) == 1 and grads[parent_pos] is None
-                            and parts[0].ids.tobytes() == pg.ids.tobytes()):
-                        parts[0].values += pg.values
-                    else:
-                        parts.append(pg)
-                    continue
-                acc = grads[parent_pos]
-                if parent_pos in pending:
-                    acc = _densify(acc, pending.pop(parent_pos),
-                                   self.nodes[parent_pos].tensor.data)
-                grads[parent_pos] = pg if acc is None else acc + pg
+                acc = grads[p]
+                if type(part) is RowGrad:
+                    if acc is None:
+                        acc = np.zeros_like(self.nodes[p].tensor.data)
+                    elif not owned[p]:
+                        acc = acc + 0.0
+                    acc[part.ids] += part.values
+                    grads[p], owned[p] = acc, True
+                else:
+                    grads[p], owned[p] = part if acc is None else acc + part, False
         out: dict[str, np.ndarray] = {}
-        for i, node in enumerate(self.nodes):
-            t = node.tensor
-            if t.trainable and t.name is not None:
-                g = grads[i]
-                if i in pending:
-                    g = _densify(g, pending[i], t.data)
-                out[t.name] = (
-                    np.zeros_like(t.data) if g is None else np.asarray(g, dtype=np.float64)
-                )
-        if params is not None:
-            for name, t in params.items():
-                out.setdefault(name, np.zeros_like(t.data))
+        for name, t in params.items():
+            i = self._pos.get(id(t))
+            g = None if i is None else grads[i]
+            out[name] = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=np.float64)
         return out
 
 
@@ -231,7 +196,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def constant(x) -> Tensor:
-    """Wrap an array or scalar as a non-trainable leaf."""
+    """Wrap an array or scalar as a leaf that is not a parameter."""
     return _as_tensor(x)
 
 

@@ -204,6 +204,8 @@ def train_nibm(pairs, vocab1: Vocabulary, vocab2: Vocabulary, cfg: NIBMConfig,
                n_neg: int = 1000, seed: int = 1, css: bool = True) -> ParameterStore:
     """Adam on the negative conditional log-likelihood, mirroring the
     main training loop but with no latent variable and no KL."""
+    if epochs < 0:
+        raise ContractError(f"epochs must be >= 0, got {epochs}")
     params = build_nibm_params(cfg, len(vocab1), len(vocab2), seed)
     adam = AdamState(lr=lr)
     update = 0

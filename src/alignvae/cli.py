@@ -6,9 +6,9 @@ Training is driven by an INI-style config file:
     [paths]
     train_l1 = data/l1.txt
     train_l2 = data/l2.txt
-    val_l1 = data/l1.txt        ; optional
-    val_l2 = data/l2.txt        ; optional
-    gold = data/gold.txt        ; optional
+    val_l1 = data/l1.txt        ; optional: val_l1, val_l2 and gold
+    val_l2 = data/l2.txt        ; are given together or not at all
+    gold = data/gold.txt
     checkpoint = checkpoint.json
     metrics = metrics.tsv
 
@@ -119,8 +119,11 @@ def cmd_train(args) -> int:
     for key in ("train_l1", "train_l2"):
         if key not in paths:
             raise AlignvaeError(f"config missing required key {key!r} in [paths]")
-    if args.hierarchical is not None:
-        cfg["model"]["hierarchical"] = args.hierarchical
+    missing = [key for key in ("val_l1", "val_l2", "gold") if key not in paths]
+    if len(missing) in (1, 2):
+        raise AlignvaeError(
+            f"validation needs val_l1, val_l2 and gold together; [paths] lacks {', '.join(missing)}"
+        )
     model_cfg = ModelConfig(**cfg["model"])
     section = cfg["training"]
     em_iters = {"iterations": section.pop("em_iters")} if "em_iters" in section else {}
@@ -134,11 +137,10 @@ def cmd_train(args) -> int:
     )
 
     val_pairs = val_gold = None
-    if "val_l1" in paths and "val_l2" in paths:
+    if not missing:
         val_pairs, _, _ = corpus.load_parallel(
             paths["val_l1"], paths["val_l2"], max_len=None, vocabs=(vocab1, vocab2)
         )
-    if "gold" in paths:
         val_gold = alignment.parse_gold(paths["gold"])
 
     ckpt_path = paths.get("checkpoint", "checkpoint.json")
@@ -178,9 +180,7 @@ def cmd_align(args) -> int:
             pair = corpus.SentencePair(
                 x=(NULL_ID,) + vocab1.encode(a), y=vocab2.encode(b)
             )
-            links_by_sid[sid] = (
-                alignment.viterbi_align(pair, params, ckpt.model_cfg) if b else set()
-            )
+            links_by_sid[sid] = alignment.viterbi_align(pair, params, ckpt.model_cfg)
     corpus.write_links(links_by_sid, args.out)
     print(f"wrote alignments for {len(links_by_sid)} sentences to {args.out}")
     return 0
@@ -284,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--hierarchical", type=lambda v: _BOOL[v.lower()], default=None,
-                   help="override the model.hierarchical config key")
     p.add_argument("--baseline", choices=["ibm1"], default=None,
                    help="train the IBM1 baseline instead of the joint model")
     p.set_defaults(fn=cmd_train)

@@ -68,7 +68,7 @@ def lstm_param_shapes(d_x: int) -> dict[str, tuple[int, ...]]:
 
 
 def param_shapes(cfg: ModelConfig, v_x: int, v_y: int) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every trainable tensor of a model, in store order."""
+    """Name -> shape of every parameter of a model, in store order."""
     cfg.validate()
     d, d_x, d_s = cfg.d, cfg.d_x, cfg.d_s
     shapes = {"E": (v_x, d_x)}
@@ -110,7 +110,7 @@ def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParameterStore
 
 
 def build_params(cfg: ModelConfig, v_x: int, v_y: int, seed: int) -> ParameterStore:
-    """Allocate and initialize every trainable tensor for a model config."""
+    """Allocate and initialize every parameter for a model config."""
     return init_params(param_shapes(cfg, v_x, v_y), seed)
 
 

@@ -123,7 +123,7 @@ class TestBackward:
         x = store.add("x", 3.0)
         with Tape() as tape:
             y = ad.mul(x, x)
-        grads = tape.backward(y)
+        grads = tape.backward(y, params=store)
         assert grads["x"] == pytest.approx(6.0, abs=1e-12)
 
     def test_cross_entropy_identity(self):
@@ -136,7 +136,7 @@ class TestBackward:
         with Tape() as tape:
             lse = ad.total(ad.logsumexp_rows(ad.reshape(vt, (1, v.size))))
             loss = ad.sub(lse, ad.row(vt, j))
-        grads = tape.backward(loss)
+        grads = tape.backward(loss, params=store)
         expected = np.exp(v - v.max())
         expected /= expected.sum()
         expected[j] -= 1.0
@@ -164,14 +164,14 @@ class TestBackward:
         with Tape() as tape:
             y = ad.mul(x, x)
         with pytest.raises(ContractError):
-            tape.backward(y)
+            tape.backward(y, params=store)
 
     def test_root_from_other_tape_rejected(self):
         with Tape():
             y = ad.total(ad.constant(np.ones(2)))
         with Tape() as other:
             with pytest.raises(ContractError):
-                other.backward(y)
+                other.backward(y, params=ParameterStore())
 
     def test_unreachable_parameters_get_zeros(self):
         store = ParameterStore()
@@ -183,13 +183,31 @@ class TestBackward:
         np.testing.assert_array_equal(grads["unused"], np.zeros((2, 2)))
         assert grads["used"] == pytest.approx(4.0)
 
+    def test_returns_store_names_in_store_order(self):
+        store = ParameterStore()
+        b = store.add("b", np.array([1.0, 2.0]))
+        store.add("unused", np.ones(3))
+        a = store.add("a", 3.0)
+        late = store.add("late", 5.0)
+        elsewhere = ParameterStore().add("other", 4.0)  # on the tape, not in the store
+        with Tape() as tape:
+            y = ad.add(ad.mul(ad.total(b), a), ad.mul(elsewhere, a))
+        with Tape():
+            ad.mul(late, late)
+        grads = tape.backward(y, params=store)
+        assert list(grads) == store.names() == ["b", "unused", "a", "late"]
+        np.testing.assert_array_equal(grads["b"], [3.0, 3.0])
+        assert grads["a"] == pytest.approx(7.0)
+        np.testing.assert_array_equal(grads["unused"], np.zeros(3))
+        assert grads["late"].shape == () and grads["late"] == 0.0
+
     def test_reuse_accumulates_by_summation(self):
         store = ParameterStore()
         x = store.add("x", np.array([1.5, -0.5]))
         with Tape() as tape:
             # x used three times: total(x*x) + total(x)
             y = ad.add(ad.total(ad.mul(x, x)), ad.total(x))
-        grads = tape.backward(y)
+        grads = tape.backward(y, params=store)
         np.testing.assert_allclose(grads["x"], 2 * x.data + 1.0, atol=1e-12)
 
     def test_consumed_gradients_are_released(self):
@@ -209,7 +227,7 @@ class TestBackward:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            grads = tape.backward(y)
+            grads = tape.backward(y, params=store)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -259,7 +277,7 @@ class TestStructuralOps:
         idx = np.array([1, 1, 3])
         with Tape() as tape:
             out = ad.total(ad.rows(table, idx))
-        grads = tape.backward(out)
+        grads = tape.backward(out, params=store)
         expected = np.zeros((4, 3))
         expected[1] = 2.0
         expected[3] = 1.0
@@ -366,6 +384,8 @@ class TestRowSparseGradients:
         ((5, 8), [("rows", [2]), ("rows", [4, 1]), ("rows", [1, 4, 4]), ("rows", [4, 1])]),
         ((5, 8), [("rows", [1, 4]), ("rows", [4, 1]), ("rows", [1, 2])]),
         ((5, 8), [("rows", [1, 4]), ("rows", [4, 1]), ("dense", None)]),
+        # a gather after two dense uses, whose sum holds -0.0 where both do
+        ((5, 8), [("rows", [1, 4]), ("dense", None), ("dense", None)]),
     ])
     @pytest.mark.parametrize("via_nonleaf", [False, True])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -391,6 +411,32 @@ class TestRowSparseGradients:
         uses = [(k, np.array(a) if a is not None else None) for k, a in uses]
         got, ref = _sparse_case((7, 2), uses, via_nonleaf, seed)
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("gather_first", [True, False])
+    def test_shared_part_is_not_written_by_a_later_gather(self, gather_first):
+        # add(T, C) hands one array to both T and C; a gather of T that
+        # backward visits after it must not scatter into that array
+        rng = np.random.default_rng(11)
+        store = ParameterStore()
+        t = store.add("T", rng.standard_normal((5, 3)))
+        c = store.add("C", rng.standard_normal((5, 3)))
+        ids = np.array([4, 1, 4])
+        k_add, k_rows = rng.standard_normal((5, 3)), rng.standard_normal((3, 3))
+        k_add[rng.random((5, 3)) < 0.3] = -0.0
+        k_rows[rng.random((3, 3)) < 0.3] = -0.0
+        builds = [lambda: ad.total(ad.mul(ad.rows(t, ids), ad.constant(k_rows))),
+                  lambda: ad.total(ad.mul(ad.add(t, c), ad.constant(k_add)))]
+        if not gather_first:
+            builds.reverse()
+        with Tape() as tape:
+            first = builds[0]()  # recorded first, so visited last
+            loss = ad.add(first, builds[1]())
+        grads = tape.backward(loss, params=store)
+        z = np.zeros((5, 3))
+        np.add.at(z, ids, k_rows)
+        ref_t = k_add + z if gather_first else z + k_add  # in the order backward visits
+        assert grads["C"].tobytes() == k_add.tobytes()
+        assert grads["T"].tobytes() == ref_t.tobytes()
 
     def test_rows_backward_is_row_sparse(self):
         table = ad.constant(np.zeros((1000, 4)))

@@ -299,3 +299,9 @@ class TestNibm:
         score, _ = alignment.corpus_aer(preds, gold)
         assert score <= 0.5  # far below the ~0.83 random baseline
 
+    def test_negative_epochs_refused_as_training_does(self, tmp_path):
+        synth = synth_corpus(seed=6, v1=6, v2=6, n_pairs=60, len_range=(2, 4), shuffle_l2=False)
+        write_corpus(synth, tmp_path / "l1", tmp_path / "l2", tmp_path / "gold")
+        pairs, v1, v2 = load_parallel(tmp_path / "l1", tmp_path / "l2")
+        with pytest.raises(ContractError, match=r"^epochs must be >= 0, got -2$"):
+            train_nibm(pairs, v1, v2, NIBMConfig(encoder="bow", d_x=4), epochs=-2)

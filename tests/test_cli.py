@@ -151,7 +151,7 @@ class TestTrain:
             blobs.append((metrics.read_bytes(), (tmp_path / "ckpt.json").read_bytes()))
         assert blobs[0] == blobs[1]
 
-    def test_hierarchical_flag_routes(self, synth_dir, tmp_path, capsys):
+    def test_hierarchical_config_routes(self, synth_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
         write_config(
             cfg_path,
@@ -161,14 +161,46 @@ class TestTrain:
                 "checkpoint": tmp_path / "ckpt.json",
                 "metrics": tmp_path / "metrics.tsv",
             },
-            model={"d": 3, "d_x": 4, "d_s": 2},
+            model={"d": 3, "d_x": 4, "d_s": 2, "hierarchical": "true"},
             training={"epochs": 1, "batch": 30, "seed": 1},
         )
-        code, _, _ = run(capsys, "train", "--config", str(cfg_path), "--hierarchical", "true")
+        code, _, _ = run(capsys, "train", "--config", str(cfg_path))
         assert code == 0
         ckpt = training.load_checkpoint(tmp_path / "ckpt.json")
         assert ckpt.model_cfg.hierarchical is True
         assert "G1" in ckpt.params
+
+    def test_hierarchical_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(tmp_path / "cfg.ini"), "--hierarchical", "true"])
+        assert exc.value.code == 2
+        assert "--hierarchical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", [
+        ("val_l1",), ("val_l2",), ("gold",),
+        ("val_l1", "val_l2"), ("val_l1", "gold"), ("val_l2", "gold"),
+    ])
+    def test_partial_validation_paths_exit_2(self, synth_dir, tmp_path, capsys, given):
+        files = {"val_l1": "l1.txt", "val_l2": "l2.txt", "gold": "gold.txt"}
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={
+                "train_l1": synth_dir / "l1.txt",
+                "train_l2": synth_dir / "l2.txt",
+                **{key: synth_dir / files[key] for key in given},
+                "checkpoint": tmp_path / "ckpt.json",
+                "metrics": tmp_path / "metrics.tsv",
+            },
+            model={"d": 3, "d_x": 4},
+            training={"epochs": 1, "batch": 30, "seed": 1},
+        )
+        code, _, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 2
+        assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+        lacking = stderr.split("lacks", 1)[1]
+        assert all((key in lacking) == (key not in given) for key in files)
+        assert not (tmp_path / "ckpt.json").exists()
 
     def test_unknown_config_key_exits_2(self, synth_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"

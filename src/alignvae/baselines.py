@@ -16,19 +16,18 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from .alignment import argmax_links
-from .autodiff import ParameterStore, Tape, Tensor
+from .autodiff import ParameterStore, Tensor
 from .corpus import (
     CSSupport,
     SentencePair,
     Vocabulary,
     build_css_support,
     derive_seed,
-    make_batches,
     read_text,
     write_text,
 )
 from .errors import ContractError, DataError
-from .training import AdamState, adam_step
+from .training import TrainConfig, ascent_step, fit
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +152,9 @@ class NIBMConfig:
     encoder: str = "bow"  # "bow" | "birnn"
     d_x: int = 128
 
-    def validate(self):
-        if self.encoder not in ("bow", "birnn"):
-            raise ContractError(f"unknown encoder {self.encoder!r}")
-
 
 def build_nibm_params(cfg: NIBMConfig, v_x: int, v_y: int, seed: int) -> ParameterStore:
-    cfg.validate()
-    shapes = {"E": (v_x, cfg.d_x)}
-    if cfg.encoder == "birnn":
-        shapes.update(model_mod.lstm_param_shapes(cfg.d_x))
+    shapes = model_mod.encoder_param_shapes(cfg.encoder, v_x, cfg.d_x)
     shapes.update({"mlp_W": (cfg.d_x, cfg.d_x), "mlp_b": (cfg.d_x,),
                    "out_W": (v_y, cfg.d_x), "out_b": (v_y,)})
     return model_mod.init_params(shapes, seed)
@@ -202,24 +194,18 @@ def nibm_align(pair: SentencePair, params: ParameterStore, cfg: NIBMConfig) -> s
 def train_nibm(pairs, vocab1: Vocabulary, vocab2: Vocabulary, cfg: NIBMConfig,
                epochs: int = 5, batch_size: int = 100, lr: float = 1e-3,
                n_neg: int = 1000, seed: int = 1, css: bool = True) -> ParameterStore:
-    """Adam on the negative conditional log-likelihood, mirroring the
-    main training loop but with no latent variable and no KL."""
-    if epochs < 0:
-        raise ContractError(f"epochs must be >= 0, got {epochs}")
+    """Adam on the negative conditional log-likelihood through ``training.fit``,
+    with no latent variable and no KL; sub-seeds ``nibm-shuffle:{epoch}``
+    and ``nibm-css:{update}``."""
+    train_cfg = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr, n_neg=n_neg,
+                            seed=seed, css=css)
     params = build_nibm_params(cfg, len(vocab1), len(vocab2), seed)
-    adam = AdamState(lr=lr)
-    update = 0
-    for epoch in range(epochs):
-        for batch in make_batches(pairs, batch_size, derive_seed(seed, f"nibm-shuffle:{epoch}")):
-            support = (
-                build_css_support(batch, vocab2, "l2", n_neg,
-                                  derive_seed(seed, f"nibm-css:{update}"))
-                if css
-                else None
-            )
-            with Tape() as tape:
-                loss = ad.neg(nibm_batch_log_likelihood(batch, params, cfg, support))
-            grads = tape.backward(loss, params=params)
-            adam_step(params, grads, adam)
-            update += 1
+
+    def step(batch, n, adam):
+        support = (build_css_support(batch, vocab2, "l2", n_neg, derive_seed(seed, f"nibm-css:{n}"))
+                   if css else None)
+        return ascent_step(lambda: nibm_batch_log_likelihood(batch, params, cfg, support),
+                           params, adam)
+
+    fit(pairs, params, train_cfg, "nibm-", step)
     return params

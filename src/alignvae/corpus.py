@@ -15,6 +15,7 @@ import hashlib
 import os
 import stat
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,7 +122,6 @@ class CSSupport:
     kappa: float
     support_ids: np.ndarray = field(repr=False, default=None)
     log_weights: np.ndarray = field(repr=False, default=None)
-    positions: dict[int, int] = field(repr=False, default=None)
 
     def __post_init__(self):
         ids = np.array(self.c_ids + self.n_ids, dtype=np.intp)
@@ -130,7 +130,13 @@ class CSSupport:
             logw[len(self.c_ids):] = np.log(self.kappa)
         self.support_ids = ids
         self.log_weights = logw
-        self.positions = {int(t): k for k, t in enumerate(ids)}
+
+    @cached_property
+    def positions(self) -> dict[int, int]:
+        """Support id -> support position, built on first use. Training
+        maps ids with ``columns``; the benchmark's reference bound in
+        ``bench/checks.py`` reads this map."""
+        return {int(t): k for k, t in enumerate(self.support_ids)}
 
     @property
     def C(self) -> frozenset:

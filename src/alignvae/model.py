@@ -49,31 +49,30 @@ class ModelConfig:
     hierarchical: bool = False
     d_s: int = 16  # sentence latent width
 
-    def validate(self) -> None:
-        if self.encoder not in ("bow", "birnn"):
-            raise ContractError(f"unknown encoder {self.encoder!r}")
-        if min(self.d, self.d_x, self.d_s) < 1:
-            raise ContractError("model dimensions must be positive")
 
-
-def lstm_param_shapes(d_x: int) -> dict[str, tuple[int, ...]]:
-    """Shapes of both LSTM directions' gate weights and biases."""
-    shapes = {}
-    for direction in _LSTM_DIRS:
-        for gate in _LSTM_GATES:
-            shapes[f"lstm_{direction}_W{gate}"] = (d_x, d_x)
-            shapes[f"lstm_{direction}_U{gate}"] = (d_x, d_x)
-            shapes[f"lstm_{direction}_b{gate}"] = (d_x,)
+def encoder_param_shapes(encoder: str, v_x: int, d_x: int) -> dict[str, tuple[int, ...]]:
+    """Shapes of an encoder's parameters in store order: the embedding table
+    ``E``, then for ``"birnn"`` both LSTM directions' gate weights and biases."""
+    if encoder not in ("bow", "birnn"):
+        raise ContractError(f"unknown encoder {encoder!r}")
+    if d_x < 1:
+        raise ContractError(f"d_x must be >= 1, got {d_x}")
+    shapes = {"E": (v_x, d_x)}
+    if encoder == "birnn":
+        for direction in _LSTM_DIRS:
+            for gate in _LSTM_GATES:
+                shapes[f"lstm_{direction}_W{gate}"] = (d_x, d_x)
+                shapes[f"lstm_{direction}_U{gate}"] = (d_x, d_x)
+                shapes[f"lstm_{direction}_b{gate}"] = (d_x,)
     return shapes
 
 
 def param_shapes(cfg: ModelConfig, v_x: int, v_y: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter of a model, in store order."""
-    cfg.validate()
     d, d_x, d_s = cfg.d, cfg.d_x, cfg.d_s
-    shapes = {"E": (v_x, d_x)}
-    if cfg.encoder == "birnn":
-        shapes.update(lstm_param_shapes(d_x))
+    shapes = encoder_param_shapes(cfg.encoder, v_x, d_x)
+    if min(d, d_s) < 1:
+        raise ContractError(f"d and d_s must be >= 1, got d={d}, d_s={d_s}")
     shapes.update({
         "M1": (d, d_x), "d1": (d,), "M2": (d, d_x), "d2": (d,),
         "W1": (v_x, d), "b1": (v_x,), "W2": (v_y, d), "b2": (v_y,),

@@ -1,10 +1,10 @@
 """Optimization loop: Adam, KL annealing, model selection, checkpoints.
 
-One update = one mini-batch. The batch loss is the summed negative ELBO
-over its pairs, supports for the sampled softmax are rebuilt per batch
-outside the recorded computation, and the annealing weight advances one
-tick per update. After every epoch the model is scored by alignment
-error rate on the validation set and the best checkpoint is kept.
+One update = one mini-batch of ``fit``, the loop NIBM shares. The batch loss
+is the summed negative ELBO over its pairs, supports for the sampled softmax
+are rebuilt per batch outside the recorded computation, and the annealing
+weight advances one tick per update. After every epoch the model is scored
+by alignment error rate on the validation set and the best checkpoint is kept.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -107,6 +108,16 @@ class TrainConfig:
     seed: int = 1
     css: bool = True
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ContractError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.lr < math.inf:  # as AdamState, but before training logs anything
+            raise ContractError(f"learning rate lr must be finite and > 0, got {self.lr!r}")
+        if self.n_neg < 0:
+            raise ContractError(f"n_neg must be >= 0, got {self.n_neg}")
+
 
 @dataclass
 class Checkpoint:
@@ -172,6 +183,37 @@ def _validation_aer(val_pairs, val_gold, params, cfg) -> float:
     return score
 
 
+def ascent_step(objective, params: ParameterStore, adam: AdamState) -> float:
+    """One Adam step up the scalar ``objective()``, recorded on its own tape;
+    returns its value. A non-finite loss raises ``TrainingError`` first."""
+    with Tape() as tape:
+        value = objective()
+        loss = ad.neg(value)
+    if not np.isfinite(loss.data):
+        raise TrainingError(f"non-finite batch loss: {float(loss.data)}")
+    adam_step(params, tape.backward(loss, params=params), adam)
+    return float(value.data)
+
+
+def fit(pairs, params: ParameterStore, train_cfg: TrainConfig, label: str, step,
+        on_epoch=None) -> int:
+    """The one training loop. Epoch e shuffles ``pairs`` into batches by the
+    sub-seed ``{label}shuffle:{e}``; update n calls ``step(batch, n, adam)``,
+    which returns a float, and after each epoch ``on_epoch(epoch, total, n)``
+    gets the epoch's sum of step values and the updates so far. Returns n."""
+    adam = AdamState(lr=train_cfg.lr)
+    n = 0
+    for epoch in range(train_cfg.epochs):
+        total = 0.0
+        for batch in make_batches(pairs, train_cfg.batch_size,
+                                  derive_seed(train_cfg.seed, f"{label}shuffle:{epoch}")):
+            total += step(batch, n, adam)
+            n += 1
+        if on_epoch is not None:
+            on_epoch(epoch, total, n)
+    return n
+
+
 def train(
     train_pairs,
     vocab1: Vocabulary,
@@ -190,11 +232,8 @@ def train(
     from (seed, purpose). With no validation gold the final-epoch model is
     returned (with a warning via ``log_fn`` when given).
     """
-    if train_cfg.epochs < 0:
-        raise ContractError(f"epochs must be >= 0, got {train_cfg.epochs}")
     seed = train_cfg.seed
     params = model_mod.build_params(model_cfg, len(vocab1), len(vocab2), seed)
-    adam = AdamState(lr=train_cfg.lr)
     has_gold = bool(val_pairs) and bool(val_gold) and any(
         g.sure or g.possible for g in val_gold.values()
     )
@@ -202,40 +241,27 @@ def train(
         log_fn("warning: empty validation gold; model selection falls back to final epoch")
 
     best: Checkpoint | None = None
-    best_aer = math.inf
-    update_count = 0
     lines = []
-    for epoch in range(train_cfg.epochs):
-        batches = make_batches(
-            train_pairs, train_cfg.batch_size, derive_seed(seed, f"shuffle:{epoch}")
-        )
-        elbo_total = 0.0
-        for batch in batches:
-            alpha = anneal_alpha(update_count)
-            elbo_total += _batch_update(
-                batch, params, model_cfg, train_cfg, vocab1, vocab2, alpha, adam,
-                derive_seed(seed, f"batch:{update_count}"),
-            )
-            update_count += 1
-        mean_elbo = elbo_total / len(train_pairs)
-        alpha_now = anneal_alpha(update_count)
-        if has_gold:
-            val_aer = _validation_aer(val_pairs, val_gold, params, model_cfg)
-        else:
-            val_aer = float("nan")
-        lines.append(f"{epoch}\t{mean_elbo!r}\t{alpha_now!r}\t{val_aer!r}")
+
+    def step(batch, n, adam):
+        return _batch_update(batch, params, model_cfg, train_cfg, vocab1, vocab2,
+                             anneal_alpha(n), adam, derive_seed(seed, f"batch:{n}"))
+
+    def on_epoch(epoch, elbo_total, update_count):
+        nonlocal best
+        val_aer = _validation_aer(val_pairs, val_gold, params, model_cfg) if has_gold else math.nan
+        lines.append(f"{epoch}\t{elbo_total / len(train_pairs)!r}"
+                     f"\t{anneal_alpha(update_count)!r}\t{val_aer!r}")
         if log_fn is not None:
             log_fn(lines[-1])
-        if has_gold and val_aer < best_aer:
-            best_aer = val_aer
+        if has_gold and (best is None or val_aer < best.best_val_aer):
             best = _snapshot(params, model_cfg, vocab1, vocab2, update_count, val_aer, epoch)
+
+    update_count = fit(train_pairs, params, train_cfg, "", step, on_epoch)
     if best is None:
         # no epochs ran or no usable validation gold
-        best = _snapshot(
-            params, model_cfg, vocab1, vocab2, update_count,
-            best_aer if math.isfinite(best_aer) else None,
-            train_cfg.epochs - 1 if train_cfg.epochs > 0 else None,
-        )
+        best = _snapshot(params, model_cfg, vocab1, vocab2, update_count, None,
+                         train_cfg.epochs - 1 if train_cfg.epochs else None)
     if log_path is not None:
         write_text(log_path, ["\n".join(lines) + ("\n" if lines else "")])
     return best
@@ -244,15 +270,11 @@ def train(
 def _batch_update(batch: Batch, params, model_cfg, train_cfg, vocab1, vocab2,
                   alpha, adam, batch_seed) -> float:
     """Forward/backward/Adam for one batch; returns the summed ELBO value."""
-    if train_cfg.css:
-        css_pair = (
-            build_css_support(batch, vocab1, "l1", train_cfg.n_neg,
-                              derive_seed(batch_seed, "css:l1")),
-            build_css_support(batch, vocab2, "l2", train_cfg.n_neg,
-                              derive_seed(batch_seed, "css:l2")),
-        )
-    else:
-        css_pair = (None, None)
+    css_pair = tuple(
+        build_css_support(batch, vocab, side, train_cfg.n_neg,
+                          derive_seed(batch_seed, f"css:{side}")) if train_cfg.css else None
+        for vocab, side in ((vocab1, "l1"), (vocab2, "l2"))
+    )
     noise = np.random.default_rng(derive_seed(batch_seed, "noise"))
     # per pair, in batch order: eps_z, then eps_s for the sentence latent
     eps_z, eps_s = [], []
@@ -260,17 +282,10 @@ def _batch_update(batch: Batch, params, model_cfg, train_cfg, vocab1, vocab2,
         eps_z.append(noise.standard_normal((pair.m, model_cfg.d)))
         if model_cfg.hierarchical:
             eps_s.append(noise.standard_normal(model_cfg.d_s))
-    with Tape() as tape:
-        summed = model_mod.batch_elbo(
-            batch.pairs, params, model_cfg, alpha, np.concatenate(eps_z),
-            np.stack(eps_s) if eps_s else None, css_pair,
-        )
-        loss = ad.neg(summed)
-    if not np.isfinite(loss.data):
-        raise TrainingError(f"non-finite batch loss: {float(loss.data)}")
-    grads = tape.backward(loss, params=params)
-    adam_step(params, grads, adam)
-    return float(summed.data)
+    return ascent_step(lambda: model_mod.batch_elbo(
+        batch.pairs, params, model_cfg, alpha, np.concatenate(eps_z),
+        np.stack(eps_s) if eps_s else None, css_pair,
+    ), params, adam)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +340,22 @@ def load_checkpoint(path) -> Checkpoint:
             f"checkpoint version {doc['version']} unsupported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    known = {f.name for f in fields(ModelConfig)}
-    if not isinstance(doc["config"], dict):
+    config = doc["config"]
+    if not isinstance(config, dict):
         raise CheckpointError("checkpoint field 'config' is not a mapping")
-    unknown = sorted(set(doc["config"]) - known)
+    unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise CheckpointError(f"unknown model config keys in checkpoint: {unknown}")
-    cfg = ModelConfig(**doc["config"])
+    for key, kind in get_type_hints(ModelConfig).items():
+        if key not in config:
+            raise CheckpointError(f"checkpoint config lacks field {key!r}")
+        # exact types: JSON true is not an int, nor 4.0
+        if type(config[key]) is not kind:
+            raise CheckpointError(
+                f"checkpoint config field {key!r} is not of type {kind.__name__}: "
+                f"{config[key]!r}"
+            )
+    cfg = ModelConfig(**config)
     for key in ("vocab_l1", "vocab_l2"):
         vocab = doc[key]
         # ``Checkpoint.vocabularies`` must rebuild it exactly, so that every
@@ -350,6 +374,8 @@ def load_checkpoint(path) -> Checkpoint:
             arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"malformed parameter {name!r}: {e}") from e
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint parameter {name!r} holds a non-finite value")
         params[name] = arr
     return Checkpoint(
         model_cfg=cfg,

@@ -242,6 +242,13 @@ class TestIbm1TableExport:
 
 
 class TestNibm:
+    @pytest.mark.parametrize("encoder, d_x, message", [
+        ("cnn", 4, r"^unknown encoder 'cnn'$"), ("bow", 0, r"^d_x must be >= 1, got 0$"),
+    ], ids=["unknown_encoder", "d_x_0"])
+    def test_bad_encoder_config_rejected(self, encoder, d_x, message):
+        with pytest.raises(ContractError, match=message):
+            build_nibm_params(NIBMConfig(encoder=encoder, d_x=d_x), 5, 5, seed=0)
+
     def test_zero_parameters_uniform(self):
         cfg = NIBMConfig(encoder="bow", d_x=4)
         params = build_nibm_params(cfg, 6, 7, seed=0)

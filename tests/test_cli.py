@@ -309,6 +309,49 @@ class TestTrain:
         assert key in stderr and value in stderr
         assert not (tmp_path / "out.txt").exists()
 
+    @pytest.mark.parametrize("training, message", [
+        ({"epochs": 0, "batch": 0}, "error: batch_size must be >= 1, got 0\n"),
+        ({"css": "false", "n_neg": -5}, "error: n_neg must be >= 0, got -5\n"),
+    ], ids=["batch_0_with_epochs_0", "n_neg_-5_with_css_off"])
+    def test_out_of_range_value_that_would_go_unused_exits_2(self, synth_dir, tmp_path,
+                                                             capsys, training, message):
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={
+                "train_l1": synth_dir / "l1.txt",
+                "train_l2": synth_dir / "l2.txt",
+                "checkpoint": tmp_path / "out.txt",
+                "metrics": tmp_path / "m.tsv",
+            },
+            model={"d": 4, "d_x": 6},
+            training=training,
+        )
+        code, _, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert (code, stderr) == (2, message)
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_bad_learning_rate_is_the_only_line_with_empty_gold(self, synth_dir, tmp_path,
+                                                                capsys):
+        (tmp_path / "empty_gold.txt").write_text("")
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={
+                "train_l1": synth_dir / "l1.txt",
+                "train_l2": synth_dir / "l2.txt",
+                "val_l1": synth_dir / "l1.txt",
+                "val_l2": synth_dir / "l2.txt",
+                "gold": tmp_path / "empty_gold.txt",
+                "checkpoint": tmp_path / "out.txt",
+                "metrics": tmp_path / "m.tsv",
+            },
+            model={"d": 4, "d_x": 6},
+            training={"epochs": 1, "batch": 20, "lr": "nan"},
+        )
+        code, _, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert (code, stderr) == (2, "error: learning rate lr must be finite and > 0, got nan\n")
+
 
 def perfect_checkpoint(tmp_path, synth, vocab1, vocab2):
     """Hand-built model whose posterior means make alignment exact: each
@@ -481,6 +524,40 @@ class TestAlign:
         assert code == 2
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("edit, named", [
+        ("d_string", "'d'"), ("d_float", "'d'"), ("d_missing", "'d'"),
+        ("hierarchical_string", "'hierarchical'"), ("nan_in_M1", "'M1'"),
+        ("infinity_in_W2", "'W2'"),
+    ])
+    def test_mistyped_config_or_non_finite_parameter_exits_2(self, tmp_path, capsys,
+                                                            edit, named):
+        synth = synth_corpus(seed=2, v1=6, v2=6, n_pairs=10, len_range=(2, 5), shuffle_l2=False)
+        write_corpus(synth, tmp_path / "l1", tmp_path / "l2", tmp_path / "gold")
+        _, vocab1, vocab2 = load_parallel(tmp_path / "l1", tmp_path / "l2")
+        ckpt_path = perfect_checkpoint(tmp_path, synth, vocab1, vocab2)
+        doc = json.loads(ckpt_path.read_text())
+        config = doc["config"]
+        if edit == "d_string":
+            config["d"] = str(config["d"])
+        elif edit == "d_float":
+            config["d"] = float(config["d"])  # same shapes, so only the type is wrong
+        elif edit == "d_missing":
+            del config["d"]  # would fall back to the default width
+        elif edit == "hierarchical_string":
+            config["hierarchical"] = "yes"
+        elif edit == "nan_in_M1":
+            doc["params"]["M1"]["data"][0] = float("nan")
+        else:
+            doc["params"]["W2"]["data"][-1] = float("inf")
+        ckpt_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "align", "--checkpoint", str(ckpt_path),
+            str(tmp_path / "l1"), str(tmp_path / "l2"), str(out),
+        )
+        assert code == 2 and not out.exists()
+        assert err.startswith("error: checkpoint") and len(err.splitlines()) == 1
+        assert named in err
 
     def test_length_mismatch_names_both_files(self, tmp_path, capsys):
         l1, l2, out = tmp_path / "l1", tmp_path / "l2", tmp_path / "out"

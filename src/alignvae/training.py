@@ -9,6 +9,7 @@ by alignment error rate on the validation set and the best checkpoint is kept.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -39,7 +40,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 CHECKPOINT_FORMAT = "alignvae-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def anneal_alpha(update_count: int) -> float:
@@ -295,11 +296,13 @@ def _batch_update(batch: Batch, params, model_cfg, train_cfg, vocab1, vocab2,
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Single structured text document; floats round-trip exactly.
 
-    The bytes are those of ``json.dump(doc)`` plus a newline, but each
-    parameter is encoded on its own by the C encoder behind ``json.dumps``
-    (``json.dump`` runs the pure-Python one), so neither the whole
-    document nor every parameter's list of floats is held at once. It is
-    written through ``corpus.write_text``.
+    Each parameter is stored as its shape and, under ``"b64"``, the base64
+    text of its C-order little-endian float64 bytes. The bytes are those
+    of ``json.dump(doc)`` plus a newline, but the header and each
+    parameter's shape are encoded on their own by the C encoder behind
+    ``json.dumps`` (``json.dump`` runs the pure-Python one), so the whole
+    document is never held at once. It is written through
+    ``corpus.write_text``.
     """
     head = json.dumps({
         "format": CHECKPOINT_FORMAT,
@@ -315,18 +318,63 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     def pieces():
         yield head[:-1] + ', "params": {'
         for k, (name, arr) in enumerate(ckpt.params.items()):
-            entry = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-            yield (", " if k else "") + json.dumps(name) + ": " + json.dumps(entry)
+            shape = json.dumps({"shape": list(arr.shape)})
+            yield (", " if k else "") + json.dumps(name) + ": " + shape[:-1] + ', "b64": "'
+            # base64 text needs no JSON escaping, so it skips the encoder's scan
+            yield base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+            yield '"}'
         yield "}}\n"
 
     write_text(path, pieces())
 
 
+def _decode_param(name, entry, version: int) -> np.ndarray:
+    """One stored parameter as a new float64 array.
+
+    A version-1 entry is ``{"shape", "data"}`` with ``data`` a flat list of
+    JSON numbers; a version-2 entry is ``{"shape", "b64"}`` with exactly
+    ``8 * prod(shape)`` base64-coded little-endian float64 bytes. Anything
+    else, or a value that is not finite, raises ``CheckpointError`` naming
+    the parameter.
+    """
+    key = "data" if version == 1 else "b64"
+    try:
+        if not isinstance(entry, dict) or entry.keys() != {"shape", key}:
+            raise ValueError(f"expected an object with the keys 'shape' and {key!r}")
+        shape, value = entry["shape"], entry[key]
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError("shape is not a list of non-negative ints")
+        size = math.prod(shape)
+        if version == 1:
+            # exact types, as for the config: JSON true and "1.5" are not numbers
+            if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
+                raise ValueError("data is not a flat list of numbers")
+            if len(value) != size:
+                raise ValueError(f"{len(value)} values for shape {shape}")
+            arr = np.array(value, dtype=np.float64)
+        else:
+            if not isinstance(value, str):
+                raise ValueError("b64 is not a string")
+            raw = base64.b64decode(value, validate=True)
+            # b64decode also takes surplus padding, so the text must have the
+            # length the writer gives these bytes
+            if len(raw) != 8 * size or len(value) != 4 * -(-len(raw) // 3):
+                raise ValueError(f"{len(value)} base64 characters decode to {len(raw)} "
+                                 f"bytes, shape {shape} needs {8 * size}")
+            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)  # a writable copy
+    except (ValueError, OverflowError) as e:  # OverflowError: an int beyond float range
+        raise CheckpointError(f"malformed parameter {name!r}: {e}") from e
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"checkpoint parameter {name!r} holds a non-finite value")
+    return arr.reshape(shape)
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint document written by ``save_checkpoint``."""
+    """Read a checkpoint document written by ``save_checkpoint``, of this
+    version or of version 1 (every parameter as a list of numbers)."""
     try:
         doc = json.loads(read_text(path))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"malformed checkpoint file {path}: {e}") from e
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint file {path} does not hold a JSON object")
@@ -335,10 +383,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"checkpoint missing field {key!r}")
     if doc["format"] != CHECKPOINT_FORMAT:
         raise CheckpointError(f"not an alignvae checkpoint: format={doc['format']!r}")
-    if doc["version"] != CHECKPOINT_VERSION:
+    version = doc["version"]
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
-            f"checkpoint version {doc['version']} unsupported "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"checkpoint version {version!r} unsupported (expected 1 or {CHECKPOINT_VERSION})"
         )
     config = doc["config"]
     if not isinstance(config, dict):
@@ -368,15 +416,8 @@ def load_checkpoint(path) -> Checkpoint:
             )
     if not isinstance(doc["params"], dict):
         raise CheckpointError("checkpoint field 'params' is not a mapping")
-    params = {}
-    for name, entry in doc["params"].items():
-        try:
-            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise CheckpointError(f"malformed parameter {name!r}: {e}") from e
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"checkpoint parameter {name!r} holds a non-finite value")
-        params[name] = arr
+    params = {name: _decode_param(name, entry, version)
+              for name, entry in doc["params"].items()}
     return Checkpoint(
         model_cfg=cfg,
         vocab_l1=doc["vocab_l1"],

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,38 @@ def toy_setup():
     rng = np.random.default_rng(11)
     noise = [rng.standard_normal((p.m, cfg.d)) for p in pairs]
     return cfg, params, pairs, noise
+
+
+def encode_entry(values, shape, version: int) -> dict:
+    """A checkpoint parameter entry holding ``values`` (flat, float64) in
+    the encoding of checkpoint format ``version``: 1 stores ``data``, a list
+    of numbers, 2 stores ``b64``, the base64 of the little-endian bytes."""
+    values = np.asarray(values, dtype="<f8").reshape(-1)
+    if version == 1:
+        return {"shape": list(shape), "data": values.tolist()}
+    return {"shape": list(shape), "b64": base64.b64encode(values.tobytes()).decode("ascii")}
+
+
+def entry_values(entry) -> np.ndarray:
+    """The flat float64 values of a parameter entry of either encoding."""
+    if "data" in entry:
+        return np.array(entry["data"], dtype=np.float64)
+    return np.frombuffer(base64.b64decode(entry["b64"]), dtype="<f8").astype(np.float64)
+
+
+def as_version(doc: dict, version: int) -> dict:
+    """The parsed checkpoint document ``doc`` with its version field and
+    every parameter entry in the encoding of ``version``; edited in place."""
+    doc["version"] = version
+    for name, entry in doc["params"].items():
+        doc["params"][name] = encode_entry(entry_values(entry), entry["shape"], version)
+    return doc
+
+
+def set_value(doc: dict, name: str, index: int, value: float) -> None:
+    """Store ``value`` at flat ``index`` of parameter ``name`` in ``doc``,
+    keeping the entry's encoding."""
+    entry = doc["params"][name]
+    values = entry_values(entry)
+    values[index] = value
+    doc["params"][name] = encode_entry(values, entry["shape"], 1 if "data" in entry else 2)

@@ -8,6 +8,7 @@ from alignvae import alignment, corpus, semeval, training
 from alignvae.cli import main
 from alignvae.corpus import load_parallel, synth_corpus, write_corpus
 from alignvae.model import ModelConfig
+from conftest import as_version, set_value
 
 
 def run(capsys, *argv):
@@ -498,14 +499,16 @@ class TestAlign:
 
     @pytest.mark.parametrize("edit", [
         "missing_param", "unknown_config_key", "top_level_number", "params_list",
-        "vocab_number",
+        "vocab_number", "truncated_file", "short_payload", "non_base64_payload",
+        "version_true", "deeply_nested",
     ])
     def test_broken_checkpoint_exits_2(self, tmp_path, capsys, edit):
         synth = synth_corpus(seed=2, v1=6, v2=6, n_pairs=10, len_range=(2, 5), shuffle_l2=False)
         write_corpus(synth, tmp_path / "l1", tmp_path / "l2", tmp_path / "gold")
         _, vocab1, vocab2 = load_parallel(tmp_path / "l1", tmp_path / "l2")
         ckpt_path = perfect_checkpoint(tmp_path, synth, vocab1, vocab2)
-        doc = json.loads(ckpt_path.read_text())
+        text = ckpt_path.read_text()
+        doc = json.loads(text)
         if edit == "missing_param":
             del doc["params"]["b2"]
         elif edit == "unknown_config_key":
@@ -514,9 +517,22 @@ class TestAlign:
             doc = 5
         elif edit == "params_list":
             doc["params"] = []
-        else:
+        elif edit == "vocab_number":
             doc["vocab_l1"] = 5
-        ckpt_path.write_text(json.dumps(doc))
+        elif edit == "short_payload":
+            doc["params"]["M1"]["b64"] = doc["params"]["M1"]["b64"][:-12]
+        elif edit == "non_base64_payload":
+            doc["params"]["M1"]["b64"] = "*" + doc["params"]["M1"]["b64"][1:]
+        elif edit == "version_true":
+            doc = as_version(doc, 1)
+            doc["version"] = True
+        if edit == "truncated_file":
+            text = text[: len(text) // 2]
+        elif edit == "deeply_nested":
+            text = "[" * 100_000 + "]" * 100_000  # beyond the parser's recursion limit
+        else:
+            text = json.dumps(doc)
+        ckpt_path.write_text(text)
         code, _, err = run(
             capsys, "align", "--checkpoint", str(ckpt_path),
             str(tmp_path / "l1"), str(tmp_path / "l2"), str(tmp_path / "out"),
@@ -524,18 +540,19 @@ class TestAlign:
         assert code == 2
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
     @pytest.mark.parametrize("edit, named", [
         ("d_string", "'d'"), ("d_float", "'d'"), ("d_missing", "'d'"),
         ("hierarchical_string", "'hierarchical'"), ("nan_in_M1", "'M1'"),
         ("infinity_in_W2", "'W2'"),
     ])
     def test_mistyped_config_or_non_finite_parameter_exits_2(self, tmp_path, capsys,
-                                                            edit, named):
+                                                            edit, named, version):
         synth = synth_corpus(seed=2, v1=6, v2=6, n_pairs=10, len_range=(2, 5), shuffle_l2=False)
         write_corpus(synth, tmp_path / "l1", tmp_path / "l2", tmp_path / "gold")
         _, vocab1, vocab2 = load_parallel(tmp_path / "l1", tmp_path / "l2")
         ckpt_path = perfect_checkpoint(tmp_path, synth, vocab1, vocab2)
-        doc = json.loads(ckpt_path.read_text())
+        doc = as_version(json.loads(ckpt_path.read_text()), version)
         config = doc["config"]
         if edit == "d_string":
             config["d"] = str(config["d"])
@@ -546,9 +563,9 @@ class TestAlign:
         elif edit == "hierarchical_string":
             config["hierarchical"] = "yes"
         elif edit == "nan_in_M1":
-            doc["params"]["M1"]["data"][0] = float("nan")
+            set_value(doc, "M1", 0, float("nan"))
         else:
-            doc["params"]["W2"]["data"][-1] = float("inf")
+            set_value(doc, "W2", -1, float("inf"))
         ckpt_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         code, _, err = run(
@@ -558,6 +575,31 @@ class TestAlign:
         assert code == 2 and not out.exists()
         assert err.startswith("error: checkpoint") and len(err.splitlines()) == 1
         assert named in err
+
+    def test_version_1_checkpoint_aligns_like_version_2(self, tmp_path, capsys):
+        synth = synth_corpus(seed=2, v1=6, v2=6, n_pairs=50, len_range=(2, 5), shuffle_l2=True)
+        write_corpus(synth, tmp_path / "l1", tmp_path / "l2", tmp_path / "gold")
+        _, vocab1, vocab2 = load_parallel(tmp_path / "l1", tmp_path / "l2")
+        v2_path = perfect_checkpoint(tmp_path, synth, vocab1, vocab2)
+        # the format written before version 2, by hand: shape + a list of numbers
+        v1_path = tmp_path / "v1.json"
+        ckpt = training.load_checkpoint(v2_path)
+        doc = json.loads(v2_path.read_text())
+        doc["version"] = 1
+        doc["params"] = {name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+                         for name, arr in ckpt.params.items()}
+        v1_path.write_text(json.dumps(doc) + "\n")
+        v1 = training.load_checkpoint(v1_path)
+        assert list(v1.params) == list(ckpt.params)
+        assert all(np.array_equal(v1.params[n], a) for n, a in ckpt.params.items())
+        outputs = []
+        for path in (v1_path, v2_path):
+            out = tmp_path / f"pred-{path.stem}.txt"
+            code, _, err = run(capsys, "align", "--checkpoint", str(path),
+                               str(tmp_path / "l1"), str(tmp_path / "l2"), str(out))
+            assert (code, err) == (0, "")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") > 50
 
     def test_length_mismatch_names_both_files(self, tmp_path, capsys):
         l1, l2, out = tmp_path / "l1", tmp_path / "l2", tmp_path / "out"

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 from dataclasses import asdict
@@ -21,6 +22,7 @@ from alignvae.training import (
     train,
 )
 from alignvae import alignment
+from conftest import as_version, encode_entry
 
 
 class TestGlorotInit:
@@ -307,9 +309,11 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="missing \\['W2'\\]"):
             load_checkpoint(path).build_store()
 
-    def test_extra_parameter_rejected(self, tiny_corpus):
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_extra_parameter_rejected(self, tiny_corpus, version):
         def edit(doc):
-            doc["params"]["G1"] = {"shape": [2], "data": [0.0, 1.0]}
+            as_version(doc, version)
+            doc["params"]["G1"] = encode_entry([0.0, 1.0], [2], version)
 
         path = self.rewrite(tiny_corpus, edit)
         with pytest.raises(CheckpointError, match="unexpected \\['G1'\\]"):
@@ -348,6 +352,102 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="depth"):
             load_checkpoint(path)
 
+    def test_loaded_parameters_are_writable_copies(self, tiny_corpus):
+        ckpt, _, tmp_path = self.build(tiny_corpus)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        for arr in load_checkpoint(path).params.values():
+            assert arr.dtype == np.float64 and arr.flags.writeable
+            arr += 1.0
+
+    @pytest.mark.parametrize("value,encoding", [
+        (True, 1), (1.0, 1), (0, 1), (2.0, 2), ("2", 2), (None, 2), (3, 2), ([2], 2),
+    ])
+    def test_version_must_be_int_1_or_2(self, tiny_corpus, value, encoding):
+        def edit(doc):
+            as_version(doc, encoding)
+            doc["version"] = value
+
+        path = self.rewrite(tiny_corpus, edit)
+        with pytest.raises(CheckpointError, match="checkpoint version .* unsupported"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        "string", "bool", "null", "nested", "object", "huge_int", "too_few", "data_and_b64",
+    ])
+    def test_version_1_data_must_be_a_flat_list_of_numbers(self, tiny_corpus, edit):
+        def change(doc):
+            as_version(doc, 1)
+            entry = doc["params"]["M1"]
+            data = entry["data"]
+            if edit == "string":
+                data[0] = "1.5"
+            elif edit == "bool":
+                data[0] = True
+            elif edit == "null":
+                data[0] = None
+            elif edit == "nested":
+                entry["data"] = np.reshape(data, entry["shape"]).tolist()
+            elif edit == "object":
+                entry["data"] = {"0": 1.0}
+            elif edit == "huge_int":
+                data[0] = 10**400  # beyond the float range
+            elif edit == "too_few":
+                data.pop()
+            else:
+                entry["b64"] = ""
+
+        path = self.rewrite(tiny_corpus, change)
+        with pytest.raises(CheckpointError, match="malformed parameter 'M1'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        "short", "long", "ragged", "bad_char", "newline", "non_ascii", "cut_char", "surplus_padding",
+        "number", "data_key", "extra_key", "negative_shape", "bool_shape", "float_shape",
+        "string_shape", "swapped_shape",
+    ])
+    def test_malformed_version_2_entry_rejected(self, tiny_corpus, edit):
+        def change(doc):
+            entry = doc["params"]["M1"]
+            raw = base64.b64decode(entry["b64"])
+            text = entry["b64"]
+            if edit == "short":
+                entry["b64"] = base64.b64encode(raw[:-8]).decode()
+            elif edit == "long":
+                entry["b64"] = base64.b64encode(raw + bytes(8)).decode()
+            elif edit == "ragged":
+                entry["b64"] = base64.b64encode(raw[:-3]).decode()
+            elif edit == "bad_char":
+                entry["b64"] = "!" + text[1:]
+            elif edit == "newline":
+                entry["b64"] = text[:8] + "\n" + text[8:]
+            elif edit == "non_ascii":
+                entry["b64"] = "\u00e9" + text[1:]
+            elif edit == "cut_char":
+                entry["b64"] = text[:-1]
+            elif edit == "surplus_padding":
+                entry["b64"] = text + "=="  # base64.b64decode alone ignores it
+            elif edit == "number":
+                entry["b64"] = 5
+            elif edit == "data_key":
+                entry["data"] = entry.pop("b64")
+            elif edit == "extra_key":
+                entry["dtype"] = "<f8"
+            elif edit == "negative_shape":
+                entry["shape"] = [-entry["shape"][0], -entry["shape"][1]]
+            elif edit == "bool_shape":
+                entry["shape"] = [True, len(raw) // 8]
+            elif edit == "float_shape":
+                entry["shape"] = [float(n) for n in entry["shape"]]
+            elif edit == "string_shape":
+                entry["shape"] = "x".join(map(str, entry["shape"]))
+            else:
+                entry["shape"] = entry["shape"] + [2]
+
+        path = self.rewrite(tiny_corpus, change)
+        with pytest.raises(CheckpointError, match="malformed parameter 'M1'"):
+            load_checkpoint(path)
+
     def test_build_store_draws_no_initialisation(self, tiny_corpus, monkeypatch):
         ckpt, _, _ = self.build(tiny_corpus)
 
@@ -382,7 +482,8 @@ class TestCheckpointWrite:
             "best_val_aer": ckpt.best_val_aer,
             "best_epoch": ckpt.best_epoch,
             "params": {
-                name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+                name: {"shape": list(arr.shape),
+                       "b64": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
                 for name, arr in ckpt.params.items()
             },
         }

@@ -1,5 +1,10 @@
 """Alignment prediction from posterior means and AER scoring.
 
+``align_pairs`` is the one decode path, for align, validation and (through
+``_decode_pairs``) the neural IBM1 baseline: L1 sides are encoded in the
+chunks of ``model.eval_chunks``, each sentence's rows scored by the exact
+head and decoded by ``argmax_links``.
+
 Link convention: a link is a pair (j, i) of 1-based positions, j on the
 L2 side and i on the L1 side with NULL excluded (the padded L1 index of
 the first real word is 1, which matches the gold numbering). Gold files
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
+from .autodiff import Tensor
 from .corpus import SentencePair, read_text
 from .errors import GoldFormatError
 from .model import ModelConfig
@@ -43,16 +49,38 @@ def argmax_links(score_matrix) -> set:
     return set(zip((np.flatnonzero(keep) + 1).tolist(), best[keep].tolist()))
 
 
-def viterbi_align(pair: SentencePair, params, cfg: ModelConfig) -> set:
-    """Most likely L1 position for each L2 token, from posterior means.
+def _decode_pairs(pairs, head_inputs, weights: Tensor, bias: Tensor) -> list[set]:
+    """Links of every pair under the exact head ``weights``/``bias``.
+
+    ``head_inputs(x)`` gives the head's input rows [T, k] of a Ragged
+    batch ``x`` of L1 sides; each pair's own rows are scored against its
+    L2 ids and decoded by ``argmax_links``.
+    """
+    links = []
+    for x in model_mod.eval_chunks([p.x for p in pairs]):
+        rows = head_inputs(x)
+        for start, m in zip(x.starts.tolist(), x.lengths.tolist()):
+            log_probs = model_mod.l2_head_log_probs(rows[start:start + m], weights, bias)
+            y = np.asarray(pairs[len(links)].y, dtype=np.intp)  # the next pair's L2 ids
+            links.append(argmax_links(log_probs[:, y]))
+    return links
+
+
+def align_pairs(pairs, params, cfg: ModelConfig) -> list[set]:
+    """Most likely L1 position for each L2 token of every pair in the list
+    ``pairs``, from posterior means.
 
     Conditions on the posterior locations u_i and scores each position
     with the exact L2 head (the uniform alignment prior is constant per
     token, so the argmax is prior-free), decoded by ``argmax_links``.
     """
-    u = model_mod.posterior_means(pair.x, params, cfg)
-    log_probs = model_mod.l2_head_log_probs(u, params["W2"], params["b2"])  # [m, v_y]
-    return argmax_links(log_probs[:, np.asarray(pair.y, dtype=np.intp)])
+    return _decode_pairs(pairs, lambda x: model_mod.posterior_means(x, params, cfg),
+                         params["W2"], params["b2"])
+
+
+def viterbi_align(pair: SentencePair, params, cfg: ModelConfig) -> set:
+    """The links of one pair: ``align_pairs`` of a batch of one."""
+    return align_pairs([pair], params, cfg)[0]
 
 
 # bench/tracer.py looks this name up to time ``alignment.posterior``

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as model_mod
-from .alignment import argmax_links
+from .alignment import _decode_pairs, argmax_links
 from .autodiff import ParameterStore, Tensor
 from .corpus import (
     CSSupport,
@@ -185,10 +185,10 @@ def nibm_log_likelihood(pair: SentencePair, params: ParameterStore,
 
 
 def nibm_align(pair: SentencePair, params: ParameterStore, cfg: NIBMConfig) -> set:
-    """Viterbi links under the exact NIBM head, decoded by ``argmax_links``."""
-    reps = _nibm_repr(pair.x, params, cfg)
-    log_probs = model_mod.l2_head_log_probs(reps.data, params["out_W"], params["out_b"])
-    return argmax_links(log_probs[:, np.asarray(pair.y, dtype=np.intp)])
+    """Viterbi links under the exact NIBM head, through the joint model's
+    decode loop (``alignment._decode_pairs``) with ``out_W``/``out_b``."""
+    return _decode_pairs([pair], lambda x: _nibm_repr(x, params, cfg).data,
+                         params["out_W"], params["out_b"])[0]
 
 
 def train_nibm(pairs, vocab1: Vocabulary, vocab2: Vocabulary, cfg: NIBMConfig,

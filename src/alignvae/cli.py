@@ -39,7 +39,7 @@ import numpy as np
 
 from . import alignment, baselines, corpus, semeval, training
 from .corpus import NULL_ID, NULL_TOKEN
-from .errors import AlignvaeError, DataError, TrainingError
+from .errors import AlignvaeError, DataError, NumericalError
 from .model import ModelConfig
 
 _CONFIG_SCHEMA = {
@@ -176,11 +176,10 @@ def cmd_align(args) -> int:
             links_by_sid[sid] = baselines.ibm1_align(pair, table)
     else:
         ckpt, params, vocab1, vocab2 = _load_model(args.checkpoint)
-        for sid, (a, b) in enumerate(zip(l1, l2), start=1):
-            pair = corpus.SentencePair(
-                x=(NULL_ID,) + vocab1.encode(a), y=vocab2.encode(b)
-            )
-            links_by_sid[sid] = alignment.viterbi_align(pair, params, ckpt.model_cfg)
+        pairs = [corpus.SentencePair(x=(NULL_ID, *vocab1.encode(a)), y=vocab2.encode(b))
+                 for a, b in zip(l1, l2)]
+        links = alignment.align_pairs(pairs, params, ckpt.model_cfg)
+        links_by_sid = dict(enumerate(links, start=1))
     corpus.write_links(links_by_sid, args.out)
     print(f"wrote alignments for {len(links_by_sid)} sentences to {args.out}")
     return 0
@@ -254,11 +253,11 @@ def cmd_embed(args) -> int:
         seen = dict.fromkeys(tok for toks in sentences for tok in toks)
         rows = [(tok, table[vocab1.id(tok)]) for tok in seen]
     else:
-        rows = []
         for sid, row in enumerate(ids, start=1):
             if row == (NULL_ID,):
                 raise DataError(f"{args.corpus}:{sid}: empty sentence")
-            rows.append((str(sid), semeval.sentence_embedding(row, params, ckpt.model_cfg)))
+        vecs = semeval.sentence_embeddings(ids, params, ckpt.model_cfg)
+        rows = [(str(sid), vec) for sid, vec in enumerate(vecs, start=1)]
     lines = (key + " " + " ".join(repr(float(v)) for v in vec) + "\n" for key, vec in rows)
     corpus.write_text(args.out, lines)
     print(f"wrote {len(rows)} {args.mode} embeddings to {args.out}")
@@ -331,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TrainingError as e:
+    except NumericalError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except AlignvaeError as e:

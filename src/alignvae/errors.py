@@ -37,5 +37,9 @@ class DeterminismError(AlignvaeError, RuntimeError):
     """A computation expected to be deterministic produced differing values."""
 
 
-class TrainingError(AlignvaeError, RuntimeError):
+class NumericalError(AlignvaeError, RuntimeError):
+    """A computation gave a non-finite value where a finite one is required."""
+
+
+class TrainingError(NumericalError):
     """Optimization failed (non-finite loss or gradient)."""

@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import CSSupport, SentencePair, derive_seed
-from .errors import ContractError, ShapeError
+from .errors import ContractError, NumericalError, ShapeError
 
 _LSTM_GATES = "ifoc"
 _LSTM_DIRS = ("fwd", "bwd")
@@ -128,11 +128,13 @@ class Ragged:
     __slots__ = ("ids", "lengths", "starts", "seg")
 
     def __init__(self, seqs):
-        self.lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+        # plain-int bookkeeping: evaluation builds one for every single sentence
+        lengths = [len(s) for s in seqs]
+        self.lengths = np.array(lengths, dtype=np.intp)
         self.ids = np.fromiter(itertools.chain.from_iterable(seqs), dtype=np.intp,
-                               count=int(self.lengths.sum()))
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        self.seg = np.repeat(np.arange(len(self.lengths)), self.lengths)
+                               count=sum(lengths))
+        self.starts = np.array([0, *itertools.accumulate(lengths)][:-1], dtype=np.intp)
+        self.seg = np.repeat(np.arange(len(lengths)), self.lengths)
 
     @property
     def size(self) -> int:
@@ -442,25 +444,41 @@ def elbo(pair: SentencePair, params: ParameterStore, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 # evaluation-time helpers (no tape)
 
+EVAL_CHUNK = 512  # sentences per Ragged batch when evaluation encodes a corpus
+
+
+def eval_chunks(seqs):
+    """Ragged batches of at most ``EVAL_CHUNK`` consecutive id sequences of
+    the list ``seqs``, in order."""
+    for lo in range(0, len(seqs), EVAL_CHUNK):
+        yield Ragged(seqs[lo:lo + EVAL_CHUNK])
+
 
 def posterior_params_np(x_ids, params: ParameterStore, cfg: ModelConfig):
     """(locations, scales) [T, d] of the token posteriors of one id sequence
     or a Ragged batch: the one posterior that every evaluation command reads.
     The numpy heads follow ``infer_posterior``'s operation order, so they
     equal it bit for bit; a hierarchical model conditions each token on its
-    sentence's posterior mean (``hiermodel._sentence_blocks_np``)."""
+    sentence's posterior mean (``hiermodel._sentence_blocks_np``). Weights
+    too large for float64 raise ``NumericalError`` instead of a warning."""
     x = as_ragged(x_ids)
-    h = encode(x, params, cfg).data
-    u = h @ params["M1"].data.T
-    u += params["d1"].data
-    s_pre = h @ params["M2"].data.T
-    s_pre += params["d2"].data
-    if cfg.hierarchical:
-        from . import hiermodel  # deferred: hiermodel imports this module
-        block_u, block_s = hiermodel._sentence_blocks_np(x, params)
-        u += block_u
-        s_pre += block_s
-    return u, ad._softplus_values(s_pre)
+    with np.errstate(all="ignore"):
+        h = encode(x, params, cfg).data
+        u = h @ params["M1"].data.T
+        u += params["d1"].data
+        s_pre = h @ params["M2"].data.T
+        s_pre += params["d2"].data
+        if cfg.hierarchical:
+            from . import hiermodel  # deferred: hiermodel imports this module
+            block_u, block_s = hiermodel._sentence_blocks_np(x, params)
+            u += block_u
+            s_pre += block_s
+        s = ad._softplus_values(s_pre)
+        # NaN and infinities carry into a sum, a sum past float64 overflows
+        finite = math.isfinite(u.sum() + s.sum())
+    if not finite:
+        raise NumericalError("non-finite posterior: the model's weights overflow float64")
+    return u, s
 
 
 def posterior_means(x_ids, params: ParameterStore, cfg: ModelConfig) -> np.ndarray:
@@ -471,11 +489,18 @@ def posterior_means(x_ids, params: ParameterStore, cfg: ModelConfig) -> np.ndarr
 
 def l2_head_log_probs(u: np.ndarray, weights: Tensor, bias: Tensor) -> np.ndarray:
     """Exact log-softmax over all classes of the head ``u @ weights.T + bias``,
-    numpy only: [..., V] for latents [..., d]."""
-    logits = u @ weights.data.T + bias.data
-    hi = logits.max(axis=-1, keepdims=True)
-    norm = hi + np.log(np.exp(logits - hi).sum(axis=-1, keepdims=True))
-    return logits - norm
+    numpy only: [..., V] for latents [..., d]. A non-finite result raises
+    ``NumericalError``."""
+    with np.errstate(all="ignore"):
+        logits = u @ weights.data.T + bias.data
+        hi = logits.max(axis=-1, keepdims=True)
+        norm = hi + np.log(np.exp(logits - hi).sum(axis=-1, keepdims=True))
+        log_probs = logits - norm
+        finite = math.isfinite(log_probs.sum())  # as in ``posterior_params_np``
+    if not finite:
+        raise NumericalError("non-finite log-probability in the exact head: "
+                             "the model's weights overflow float64")
+    return log_probs
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Lexical substitution by density overlap, plus embedding extraction
 and the ranking/correlation metrics (GAP, cosine, Spearman).
 
+All of them read ``model.posterior_params_np``: embeddings encode a corpus
+in the chunks of ``model.eval_chunks``, lexsub each instance (the target
+sentence and its substituted copies) as one batch.
+
 Lexical-substitution input: one instance per line with four tab-separated
 fields: target token, 0-based target position, the space-tokenized
 sentence, and semicolon-separated ``candidate:weight`` pairs. Word
@@ -167,14 +171,15 @@ def mean_gap(instances, vocab, params, cfg, metric: str = "kl",
 def type_embeddings_for_corpus(sentences_ids, params, cfg: ModelConfig) -> dict[int, np.ndarray]:
     """Average in-context posterior locations for every id in the corpus.
 
-    ``sentences_ids`` are NULL-padded id sequences; the NULL position is
-    skipped.
+    ``sentences_ids`` is a list of NULL-padded id sequences; the NULL
+    position is skipped. Sums run in corpus order.
     """
     sums: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
-    for ids in sentences_ids:
-        u, _ = model_mod.posterior_params_np(ids, params, cfg)
-        for tid, row in zip(ids[1:], u[1:]):
+    for x in model_mod.eval_chunks(sentences_ids):
+        u, _ = model_mod.posterior_params_np(x, params, cfg)
+        real = x.positions() > 0
+        for tid, row in zip(x.ids[real].tolist(), u[real]):
             if tid in sums:
                 sums[tid] += row
                 counts[tid] += 1
@@ -183,13 +188,22 @@ def type_embeddings_for_corpus(sentences_ids, params, cfg: ModelConfig) -> dict[
     return {tid: sums[tid] / counts[tid] for tid in sums}
 
 
-def sentence_embedding(ids, params, cfg: ModelConfig) -> np.ndarray:
-    """Mean of in-context posterior locations over tokens (NULL excluded)."""
-    ids = tuple(ids)
-    if len(ids) < 2:
+def sentence_embeddings(sentences_ids, params, cfg: ModelConfig) -> list[np.ndarray]:
+    """Per sentence of the list ``sentences_ids`` (NULL-padded), the mean of
+    its in-context posterior locations over tokens, NULL excluded."""
+    if any(len(ids) < 2 for ids in sentences_ids):
         raise ContractError("sentence_embedding: empty sentence")
-    u, _ = model_mod.posterior_params_np(ids, params, cfg)
-    return u[1:].mean(axis=0)
+    means = []
+    for x in model_mod.eval_chunks(sentences_ids):
+        u, _ = model_mod.posterior_params_np(x, params, cfg)
+        for start, m in zip(x.starts.tolist(), x.lengths.tolist()):
+            means.append(u[start + 1:start + m].mean(axis=0))
+    return means
+
+
+def sentence_embedding(ids, params, cfg: ModelConfig) -> np.ndarray:
+    """``sentence_embeddings`` of one sentence."""
+    return sentence_embeddings([tuple(ids)], params, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -177,9 +177,7 @@ def _snapshot(params, cfg, vocab1, vocab2, update_count, aer, epoch) -> Checkpoi
 
 
 def _validation_aer(val_pairs, val_gold, params, cfg) -> float:
-    preds = {}
-    for sid, pair in enumerate(val_pairs, start=1):
-        preds[sid] = alignment.viterbi_align(pair, params, cfg)
+    preds = dict(enumerate(alignment.align_pairs(val_pairs, params, cfg), start=1))
     score, _ = alignment.corpus_aer(preds, val_gold)
     return score
 
@@ -416,6 +414,13 @@ def load_checkpoint(path) -> Checkpoint:
             )
     if not isinstance(doc["params"], dict):
         raise CheckpointError("checkpoint field 'params' is not a mapping")
+    # optional fields: exact JSON types as for the config, counts not negative
+    for key, kinds, what in (("update_count", (int,), "an int >= 0"),
+                             ("best_val_aer", (float, type(None)), "a float or null"),
+                             ("best_epoch", (int, type(None)), "an int >= 0 or null")):
+        value = doc.get(key)
+        if key in doc and (type(value) not in kinds or (type(value) is int and value < 0)):
+            raise CheckpointError(f"checkpoint field {key!r} is not {what}: {value!r}")
     params = {name: _decode_param(name, entry, version)
               for name, entry in doc["params"].items()}
     return Checkpoint(

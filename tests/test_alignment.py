@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from alignvae import model as model_mod
 from alignvae.alignment import (
     GoldAlignment,
     aer,
+    align_pairs,
     argmax_links,
     corpus_aer,
     parse_gold,
     viterbi_align,
 )
 from alignvae.corpus import SentencePair, write_links
-from alignvae.errors import GoldFormatError
+from alignvae.errors import GoldFormatError, NumericalError
 from alignvae.model import ModelConfig, build_params
 
 
@@ -113,6 +115,63 @@ class TestViterbiAlign:
         base = argmax_links(normalized(logits)[:, y])
         shifted = logits + rng.uniform(0.1, 50.0, size=(4, 1))
         assert argmax_links(normalized(shifted)[:, y]) == base
+
+
+def random_model(encoder, hierarchical, v=7, seed=4):
+    """Every parameter drawn standard normal, so no two positions tie
+    unless they hold the same id in a bow sentence."""
+    cfg = ModelConfig(encoder=encoder, d=3, d_x=4, hierarchical=hierarchical, d_s=2)
+    params = build_params(cfg, v, v, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, tensor in params.items():
+        tensor.data = rng.standard_normal(tensor.data.shape)
+    return cfg, params
+
+
+def mixed_pairs(n, v=7, seed=8):
+    """``n`` pairs of 0-6 real L1 and 0-6 L2 tokens, repeats included; the
+    first has an empty L1 line (NULL only), the second an empty L2 line."""
+    rng = np.random.default_rng(seed)
+    pairs = [SentencePair((0,), (3, 4)), SentencePair((0, 2, 5), ())]
+    for _ in range(n - 2):
+        m, k = rng.integers(0, 7, size=2)
+        pairs.append(SentencePair((0, *rng.integers(1, v, size=m).tolist()),
+                                  tuple(rng.integers(0, v, size=k).tolist())))
+    return pairs
+
+
+def one_pair_links(pair, params, cfg):
+    """The decode of one pair written out: posterior means of the pair
+    alone, exact head, ``argmax_links``."""
+    u = model_mod.posterior_means(pair.x, params, cfg)
+    log_probs = model_mod.l2_head_log_probs(u, params["W2"], params["b2"])
+    return argmax_links(log_probs[:, list(pair.y)])
+
+
+class TestAlignPairs:
+    @pytest.mark.parametrize("encoder,hierarchical", [
+        ("bow", False), ("birnn", False), ("bow", True), ("birnn", True)])
+    def test_chunks_equal_one_pair_decodes(self, encoder, hierarchical, monkeypatch):
+        cfg, params = random_model(encoder, hierarchical)
+        pairs = mixed_pairs(model_mod.EVAL_CHUNK + 37)
+        expected = [one_pair_links(p, params, cfg) for p in pairs]
+        sizes = []
+        means = model_mod.posterior_means
+        monkeypatch.setattr(model_mod, "posterior_means",
+                            lambda x, *a: sizes.append(x.size) or means(x, *a))
+        assert align_pairs(pairs, params, cfg) == expected
+        assert sizes == [model_mod.EVAL_CHUNK, 37]  # each chunk encoded once
+        assert expected[0] == set() and expected[1] == set()
+
+    def test_no_pairs(self):
+        cfg, params = random_model("bow", False)
+        assert align_pairs([], params, cfg) == []
+
+    def test_overflowing_head_raises_numerical_error(self):
+        cfg, params = random_model("bow", False)
+        params["b2"].data[:2] = [1.7e308, -1.7e308]
+        with pytest.raises(NumericalError, match="non-finite log-probability"):
+            align_pairs(mixed_pairs(3), params, cfg)
 
 
 class TestAer:

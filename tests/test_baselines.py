@@ -29,7 +29,9 @@ from alignvae.corpus import (
     write_corpus,
 )
 from alignvae import alignment
-from alignvae.errors import ContractError, DataError
+from alignvae import model as model_mod
+from alignvae.baselines import _nibm_repr
+from alignvae.errors import ContractError, DataError, NumericalError
 
 
 def dict_em_oracle(pairs, v_x, v_y, iterations):
@@ -305,6 +307,26 @@ class TestNibm:
         preds = {sid: nibm_align(p, params, cfg) for sid, p in enumerate(pairs, start=1)}
         score, _ = alignment.corpus_aer(preds, gold)
         assert score <= 0.5  # far below the ~0.83 random baseline
+
+    @pytest.mark.parametrize("encoder", ["bow", "birnn"])
+    def test_align_is_the_exact_head_argmax(self, encoder):
+        cfg = NIBMConfig(encoder=encoder, d_x=4)
+        params = build_nibm_params(cfg, 7, 7, seed=2)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            x = (0, *rng.integers(1, 7, size=rng.integers(0, 5)).tolist())
+            y = tuple(rng.integers(0, 7, size=rng.integers(0, 5)).tolist())
+            reps = _nibm_repr(x, params, cfg).data
+            log_probs = model_mod.l2_head_log_probs(reps, params["out_W"], params["out_b"])
+            expected = alignment.argmax_links(log_probs[:, list(y)])
+            assert nibm_align(SentencePair(x, y), params, cfg) == expected
+
+    def test_align_overflowing_head_raises_numerical_error(self):
+        cfg = NIBMConfig(encoder="bow", d_x=4)
+        params = build_nibm_params(cfg, 7, 7, seed=2)
+        params["out_b"].data[:2] = [1.7e308, -1.7e308]
+        with pytest.raises(NumericalError):
+            nibm_align(SentencePair((0, 2, 3), (1, 4)), params, cfg)
 
     def test_negative_epochs_refused_as_training_does(self, tmp_path):
         synth = synth_corpus(seed=6, v1=6, v2=6, n_pairs=60, len_range=(2, 4), shuffle_l2=False)

@@ -4,8 +4,10 @@ A valid checkpoint of each format version is mutated (truncation, byte
 flips inside and outside the parameter payloads, payloads of the wrong
 length or not in the encoding, non-finite values, a JSON value of another
 type at any place in the document) and aligned with. Whatever the file
-holds, the command exits 0 with well-formed links or exits 2 with one
-``error:`` line, and never lets an exception escape.
+holds, the command exits 0 with well-formed links, exits 2 with one
+``error:`` line, or exits 3 with one ``error:`` line when a finite weight
+is too large for the posterior or the head to stay finite, and never lets
+an exception escape or a warning through.
 """
 
 import base64
@@ -13,7 +15,6 @@ import contextlib
 import io
 import json
 import re
-import warnings
 
 import numpy as np
 import pytest
@@ -43,7 +44,8 @@ def files(tmp_path_factory):
     cfg = ModelConfig(encoder="bow", d=3, d_x=4)
     params = build_params(cfg, len(vocab1), len(vocab2), seed=3)
     ckpt = training.Checkpoint(cfg, list(vocab1.tokens), list(vocab2.tokens),
-                               params.copy_values())
+                               params.copy_values(), update_count=16, best_val_aer=0.25,
+                               best_epoch=1)
     training.save_checkpoint(ckpt, d / "valid.json")
     v2 = (d / "valid.json").read_bytes()
     docs = {2: json.loads(v2), 1: as_version(json.loads(v2), 1)}
@@ -68,17 +70,12 @@ def align(files, blob: bytes):
     path.write_bytes(blob)
     out.unlink(missing_ok=True)
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        # a flip in an exponent can leave a finite weight so large that the
-        # posterior overflows; the console script prints numpy's warning and
-        # goes on, so here it is not raised either
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["align", "--checkpoint", str(path), str(d / "l1"), str(d / "l2"), str(out)])
     stderr = err.getvalue()
-    assert code in (0, 2), stderr
+    assert code in (0, 2, 3), stderr
     assert "Traceback" not in stderr
-    if code == 2:
+    if code in (2, 3):
         assert len(stderr.splitlines()) == 1 and stderr.startswith("error: "), stderr
         assert not out.exists()
     else:
@@ -186,8 +183,8 @@ def test_non_finite_bit_patterns(files, version, data):
     assert code == 2 and f"parameter {name!r} holds a non-finite value" in stderr, stderr
 
 
-# read back into ``Checkpoint`` as stored, not checked: align never uses them
-UNCHECKED = {"update_count", "best_val_aer", "best_epoch"}
+# fields that may also hold null
+NULLABLE = {("best_val_aer",), ("best_epoch",)}
 
 
 def swap_type(files, doc, path, value):
@@ -203,7 +200,8 @@ def swap_type(files, doc, path, value):
     code, _ = align(files, json.dumps(doc).encode())
     # a version-1 value may be any JSON number; everywhere else the type is exact
     number = {int, float} >= {type(old), type(value)} and path[2:3] == ("data",)
-    if type(old) is not type(value) and not number and not UNCHECKED & set(path[:1]):
+    null_ok = value is None and path in NULLABLE
+    if type(old) is not type(value) and not number and not null_ok:
         assert code == 2, (path, value)
 
 
@@ -226,3 +224,40 @@ def test_json_type_swap_anywhere(files, version, data):
     doc = json.loads(json.dumps(files[1][version]))
     path = data.draw(st.sampled_from(list(json_paths(doc))))
     swap_type(files, doc, path, data.draw(st.sampled_from(OTHER_TYPES)))
+
+
+@VERSIONS
+@pytest.mark.parametrize("key,value", [
+    ("update_count", -1), ("update_count", True), ("update_count", 3.0),
+    ("best_val_aer", 1), ("best_val_aer", "0.5"), ("best_epoch", -2),
+    ("best_epoch", False), ("best_epoch", 1.0),
+])
+def test_bad_training_fields_exit_2(files, version, key, value):
+    doc = json.loads(json.dumps(files[1][version]))
+    doc[key] = value
+    code, stderr = align(files, json.dumps(doc).encode())
+    assert code == 2 and f"checkpoint field {key!r}" in stderr, stderr
+
+
+@VERSIONS
+@pytest.mark.parametrize("key,value", [("best_val_aer", None), ("best_epoch", None),
+                                       ("update_count", 0), ("best_epoch", 0)])
+def test_valid_training_fields_align(files, version, key, value):
+    doc = json.loads(json.dumps(files[1][version]))
+    doc[key] = value
+    assert align(files, json.dumps(doc).encode()) == (0, "")
+
+
+@VERSIONS
+@pytest.mark.parametrize("name,values,what", [
+    ("E", [1.7e308] * 4, "posterior"),  # the NULL row: every posterior overflows
+    ("b2", [1.7e308, -1.7e308], "log-probability"),  # logits span more than float64
+], ids=["posterior", "head"])
+def test_finite_weights_too_large_exit_3(files, version, name, values, what):
+    """Finite weights that overflow the posterior or the exact head end
+    with one line and no output, not with links decoded from NaN."""
+    doc = json.loads(json.dumps(files[1][version]))
+    for at, value in enumerate(values):
+        set_value(doc, name, at, value)
+    code, stderr = align(files, json.dumps(doc).encode())
+    assert code == 3 and stderr.startswith(f"error: non-finite {what}"), stderr

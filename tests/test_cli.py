@@ -420,6 +420,16 @@ class TestAlign:
         pred = alignment.parse_gold(out)
         assert 2 not in pred  # sentence id 2 has no links at all
 
+    def test_empty_files_give_no_links(self, tmp_path, capsys):
+        ckpt, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        for name in ("e1", "e2"):
+            (tmp_path / name).write_text("")
+        out = tmp_path / "pred.txt"
+        code, stdout, _ = run(capsys, "align", "--checkpoint", str(ckpt),
+                              str(tmp_path / "e1"), str(tmp_path / "e2"), str(out))
+        assert code == 0 and "alignments for 0 sentences" in stdout
+        assert alignment.parse_gold(out) == {}
+
     def test_ibm1_empty_l2_line_gets_no_links(self, tmp_path, capsys):
         table = tmp_path / "table.txt"
         table.write_text("<null> x 0.25\na x 0.5\nb y 0.5\n", encoding="utf-8")
@@ -859,3 +869,41 @@ class TestEmbed:
         assert code == 2
         assert err == f"error: {text}:2: empty sentence\n"
         assert out.read_text() == "earlier output\n"  # a failed run writes nothing
+
+    @pytest.mark.parametrize("mode", ["type", "sentence"])
+    def test_empty_file_gives_no_lines(self, tmp_path, capsys, mode):
+        ckpt, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        text = tmp_path / "empty.txt"
+        text.write_text("")
+        out = tmp_path / "emb.txt"
+        code, stdout, _ = run(capsys, "embed", "--checkpoint", str(ckpt), "--mode", mode,
+                              str(text), str(out))
+        assert code == 0 and f"wrote 0 {mode} embeddings" in stdout
+        assert out.read_text() == ""
+
+
+class TestNumericalFailure:
+    """Finite weights whose posterior overflows float64 end every evaluation
+    command with exit 3, one ``error:`` line and no output file."""
+
+    @pytest.mark.parametrize("command", [
+        ["align", "{ckpt}", "{text}", "{text}", "{out}"],
+        ["embed", "--mode", "type", "{ckpt}", "{text}", "{out}"],
+        ["embed", "--mode", "sentence", "{ckpt}", "{text}", "{out}"],
+        ["eval", "lexsub", "{lexsub}", "{ckpt}", "--per-instance", "{out}"],
+        ["eval", "wordsim", "{wordsim}", "{ckpt}", "--corpus", "{text}"],
+    ], ids=["align", "embed-type", "embed-sentence", "lexsub", "wordsim"])
+    def test_overflowing_posterior_exits_3(self, tmp_path, capsys, command):
+        ckpt_path, text = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        ckpt = training.load_checkpoint(ckpt_path)
+        ckpt.params["E"][corpus.NULL_ID] = 1.7e308
+        ckpt.params["M1"][:] = 1.0  # so every location sums the huge row to inf
+        training.save_checkpoint(ckpt, ckpt_path)
+        files = {"ckpt": f"--checkpoint={ckpt_path}", "text": text, "out": tmp_path / "out.txt",
+                 "lexsub": tmp_path / "ls.txt", "wordsim": tmp_path / "ws.txt"}
+        files["lexsub"].write_text("bb\t1\taa bb\tcc:1;aa:0\n")
+        files["wordsim"].write_text("aa bb 1\naa cc 2\nbb cc 3\n")
+        code, _, err = run(capsys, *(arg.format(**files) for arg in command))
+        assert code == 3
+        assert err == "error: non-finite posterior: the model's weights overflow float64\n"
+        assert not files["out"].exists()

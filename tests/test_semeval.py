@@ -6,6 +6,7 @@ import pytest
 from alignvae.corpus import NULL_ID, Vocabulary
 from alignvae.errors import ContractError, DataError, DomainError, MetricError
 from alignvae.hiermodel import kl_diag_gaussian
+from alignvae import model as model_mod
 from alignvae.model import ModelConfig, build_params, posterior_params_np
 from alignvae.semeval import (
     LexSubInstance,
@@ -16,6 +17,7 @@ from alignvae.semeval import (
     parse_wordsim,
     rank_candidates,
     sentence_embedding,
+    sentence_embeddings,
     spearman,
     type_embeddings_for_corpus,
 )
@@ -211,6 +213,47 @@ class TestEmbeddings:
         cfg, _, params = small_model
         with pytest.raises(ContractError):
             sentence_embedding((NULL_ID,), params, cfg)
+
+
+class TestChunkedEmbeddings:
+    """The corpus goes through the encoder in chunks; every value must
+    match the sentence-by-sentence reference."""
+
+    @pytest.fixture
+    def corpus_ids(self):
+        rng = np.random.default_rng(21)
+        return [(NULL_ID, *rng.integers(1, 7, size=rng.integers(1, 6)).tolist())
+                for _ in range(model_mod.EVAL_CHUNK + 45)]
+
+    @pytest.mark.parametrize("encoder,hierarchical", [
+        ("bow", False), ("birnn", False), ("bow", True), ("birnn", True)])
+    def test_match_one_sentence_reference(self, corpus_ids, encoder, hierarchical):
+        cfg = ModelConfig(encoder=encoder, d=3, d_x=4, hierarchical=hierarchical, d_s=2)
+        params = build_params(cfg, 7, 7, seed=5)
+        sums, counts, means = {}, {}, []
+        for ids in corpus_ids:
+            u, _ = posterior_params_np(ids, params, cfg)
+            means.append(u[1:].mean(axis=0))
+            for tid, row in zip(ids[1:], u[1:]):
+                sums[tid] = sums.get(tid, 0.0) + row
+                counts[tid] = counts.get(tid, 0) + 1
+        table = type_embeddings_for_corpus(corpus_ids, params, cfg)
+        assert list(table) == list(dict.fromkeys(t for ids in corpus_ids for t in ids[1:]))
+        for tid, vec in table.items():
+            np.testing.assert_allclose(vec, sums[tid] / counts[tid], rtol=1e-12, atol=0)
+        got = sentence_embeddings(corpus_ids, params, cfg)
+        assert len(got) == len(corpus_ids)
+        np.testing.assert_allclose(np.array(got), np.array(means), rtol=1e-12, atol=0)
+
+    def test_no_sentences(self, small_model):
+        cfg, _, params = small_model
+        assert type_embeddings_for_corpus([], params, cfg) == {}
+        assert sentence_embeddings([], params, cfg) == []
+
+    def test_empty_sentence_anywhere_rejected(self, small_model):
+        cfg, vocab, params = small_model
+        with pytest.raises(ContractError):
+            sentence_embeddings([encode_sentence(vocab, ["cat"]), (NULL_ID,)], params, cfg)
 
 
 class TestCosine:

@@ -10,7 +10,7 @@ from alignvae import model as model_mod
 from alignvae import training
 from alignvae.autodiff import ParameterStore
 from alignvae.corpus import load_parallel, synth_corpus, write_corpus, write_text
-from alignvae.errors import CheckpointError, ContractError, TrainingError
+from alignvae.errors import CheckpointError, ContractError, NumericalError, TrainingError
 from alignvae.model import ModelConfig, build_params, elbo, glorot_init
 from alignvae.training import (
     AdamState,
@@ -181,6 +181,23 @@ class TestTrain:
         pairs, v1, v2, _, _ = tiny_corpus
         with pytest.raises(ContractError, match="epochs"):
             train(pairs, v1, v2, ModelConfig(d=3, d_x=4), TrainConfig(epochs=-2))
+
+    def test_validation_aer_is_the_corpus_aer_of_one_pair_aligns(self, tiny_corpus):
+        pairs, v1, v2, gold, _ = tiny_corpus
+        mcfg = ModelConfig(d=3, d_x=4)
+        params = build_params(mcfg, len(v1), len(v2), seed=5)
+        one_by_one = {sid: alignment.viterbi_align(p, params, mcfg)
+                      for sid, p in enumerate(pairs, start=1)}
+        assert (training._validation_aer(pairs, gold, params, mcfg)
+                == alignment.corpus_aer(one_by_one, gold)[0])
+
+    def test_validation_overflow_is_a_numerical_error(self, tiny_corpus):
+        pairs, v1, v2, gold, _ = tiny_corpus
+        mcfg = ModelConfig(d=3, d_x=4)
+        params = build_params(mcfg, len(v1), len(v2), seed=5)
+        params["b2"].data[:2] = [1.7e308, -1.7e308]
+        with pytest.raises(NumericalError):
+            training._validation_aer(pairs, gold, params, mcfg)
 
     def test_seeded_runs_bit_identical(self, tiny_corpus):
         pairs, v1, v2, gold, tmp_path = tiny_corpus

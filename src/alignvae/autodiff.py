@@ -285,34 +285,27 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b, bias=None) -> Tensor:
-    """``a @ b``, plus ``bias`` (broadcast to the product's shape) if given.
+    """``a @ b`` of two matrices, plus ``bias`` (broadcast to the product's
+    shape) if given.
 
     The bias is added into the product in place, so ``matmul(a, b, bias)``
     equals ``add(matmul(a, b), bias)`` bit for bit, gradients included,
     with one array and one tape node fewer.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim == 0 or b.data.ndim == 0 or a.data.ndim > 2 or b.data.ndim > 2:
-        raise ShapeError(f"matmul: operands must be 1-d or 2-d, got {a.shape} and {b.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul: operands must be 2-d, got {a.shape} and {b.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
     if bias is not None:
         bias = _as_tensor(bias)
         if not _broadcasts_to(bias.data.shape, data.shape):
             raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to {data.shape}")
-        data = np.asarray(data)  # a dot product gives a read-only scalar
         data += bias.data
 
     def bwd(g):
-        if a.data.ndim == 2 and b.data.ndim == 2:
-            grads = g @ b.data.T, a.data.T @ g
-        elif a.data.ndim == 2 and b.data.ndim == 1:
-            grads = np.outer(g, b.data), a.data.T @ g
-        elif a.data.ndim == 1 and b.data.ndim == 2:
-            grads = b.data @ g, np.outer(a.data, g)
-        else:
-            grads = g * b.data, g * a.data  # dot product
+        grads = g @ b.data.T, a.data.T @ g
         return grads if bias is None else grads + (_unbroadcast(g, bias.data.shape),)
 
     return _emit("matmul", data, (a, b) if bias is None else (a, b, bias), bwd)
@@ -359,17 +352,6 @@ def rows(table, ids) -> Tensor:
         return (RowGrad(ids[first], values),)
 
     return _emit("rows", data, (table,), bwd)
-
-
-def row(a, i: int) -> Tensor:
-    a = _as_tensor(a)
-
-    def bwd(g):
-        z = np.zeros_like(a.data)
-        z[i] = g
-        return (z,)
-
-    return _emit("row", a.data[i], (a,), bwd)
 
 
 def gather_rc(a, row_idx, col_idx) -> Tensor:

@@ -160,9 +160,10 @@ def build_nibm_params(cfg: NIBMConfig, v_x: int, v_y: int, seed: int) -> Paramet
     return model_mod.init_params(shapes, seed)
 
 
-def _nibm_repr(x_ids, params: ParameterStore, cfg: NIBMConfig) -> Tensor:
-    """Per-token representations [T, d_x]: MLP over embeddings or states."""
-    base = model_mod.encode(x_ids, params, cfg)
+def _nibm_repr(x: model_mod.Ragged, params: ParameterStore, cfg: NIBMConfig) -> Tensor:
+    """Per-token representations [T, d_x] of a Ragged batch: MLP over
+    embeddings or states."""
+    base = model_mod.encode(x, params, cfg)
     return ad.tanh(ad.matmul(base, ad.transpose(params["mlp_W"]), bias=params["mlp_b"]))
 
 
@@ -176,12 +177,6 @@ def nibm_batch_log_likelihood(pairs, params: ParameterStore, cfg: NIBMConfig,
     return ad.total(
         model_mod._l2_log_marginals(reps, x, y, params["out_W"], params["out_b"], css)
     )
-
-
-def nibm_log_likelihood(pair: SentencePair, params: ParameterStore,
-                        cfg: NIBMConfig, css: CSSupport | None = None) -> Tensor:
-    """sum_j [logsumexp_i log P(y_j | repr(x_i)) - log m], a scalar tensor."""
-    return nibm_batch_log_likelihood([pair], params, cfg, css)
 
 
 def nibm_align(pair: SentencePair, params: ParameterStore, cfg: NIBMConfig) -> set:

@@ -34,6 +34,7 @@ import argparse
 import configparser
 import os
 import sys
+from typing import get_type_hints
 
 import numpy as np
 
@@ -47,13 +48,11 @@ _CONFIG_SCHEMA = {
         "train_l1": str, "train_l2": str, "val_l1": str, "val_l2": str,
         "gold": str, "checkpoint": str, "metrics": str,
     },
-    "model": {
-        "encoder": str, "d": int, "d_x": int, "hierarchical": bool, "d_s": int,
-    },
-    "training": {
-        "epochs": int, "batch": int, "lr": float, "n_neg": int,
-        "seed": int, "css": bool, "em_iters": int, "max_vocab": int,
-    },
+    "model": get_type_hints(ModelConfig),
+    # TrainConfig's fields, its batch_size read as batch, and two keys of the run
+    "training": {("batch" if key == "batch_size" else key): kind
+                 for key, kind in get_type_hints(training.TrainConfig).items()}
+                | {"em_iters": int, "max_vocab": int},
 }
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,

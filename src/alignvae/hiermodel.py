@@ -21,27 +21,23 @@ from .errors import DomainError
 from .model import ModelConfig
 
 
-def infer_sentence_posterior(x_ids, params: ParameterStore):
+def infer_sentence_posterior(x: model_mod.Ragged, params: ParameterStore):
     """Diagonal-Gaussian parameters of the sentence latent given x.
 
     Each sentence is summarized by the mean of its token embeddings (so
     the result is order-invariant), taken as one constant averaging
     matmul over the batch's tokens, then mapped by two affine heads.
-    Returns ([B, d_s] locations, [B, d_s] scales) for a Ragged batch, or
-    ([d_s], [d_s]) for one id sequence.
+    Returns [B, d_s] locations and [B, d_s] scales for the Ragged batch.
     """
-    x = model_mod.as_ragged(x_ids)
     pooled = ad.matmul(ad.constant(x.averaging()), ad.rows(params["E"], x.ids))
     u_k = ad.matmul(pooled, ad.transpose(params["sent_Mu"]), bias=params["sent_bu"])
     s_k = ad.softplus(ad.matmul(pooled, ad.transpose(params["sent_Ms"]), bias=params["sent_bs"]))
-    if x is x_ids:
-        return u_k, s_k
-    return ad.row(u_k, 0), ad.row(s_k, 0)
+    return u_k, s_k
 
 
 def prior_mean(s: Tensor, params: ParameterStore) -> Tensor:
     """Conditional prior mean for token embeddings: one tanh hidden layer.
-    ``s`` is one sentence draw [d_s] or one per row [T, d_s]."""
+    ``s`` [T, d_s] holds the sentence draw of each token, one row per row."""
     hidden = ad.tanh(ad.matmul(s, ad.transpose(params["prior_V1"]), bias=params["prior_c1"]))
     return ad.matmul(hidden, ad.transpose(params["prior_V2"]), bias=params["prior_c2"])
 
@@ -51,8 +47,8 @@ def infer_word_posterior_conditioned(s: Tensor, h: Tensor, params: ParameterStor
 
     The affine map over the concatenation [s ; h_i] is realized as the
     base head plus an additive sentence block, so zeroing the block
-    reduces exactly to the unconditioned posterior. ``s`` is one draw
-    [d_s] for every row of h, or one per row [T, d_s].
+    reduces exactly to the unconditioned posterior. ``s`` [T, d_s] holds
+    the sentence draw of each token, one row per row of h.
     """
     base_u = ad.matmul(h, ad.transpose(params["M1"]), bias=params["d1"])
     base_s_pre = ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"])

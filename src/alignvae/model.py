@@ -160,19 +160,13 @@ class Ragged:
         return weights
 
 
-def as_ragged(x) -> Ragged:
-    """``x`` itself if it is a Ragged batch, else a batch of the one id sequence ``x``."""
-    return x if isinstance(x, Ragged) else Ragged([x])
-
-
 # ---------------------------------------------------------------------------
 # encoders
 
 
-def encode_bow(x_ids, params: ParameterStore) -> Tensor:
+def encode_bow(x: Ragged, params: ParameterStore) -> Tensor:
     """Per-token table lookup; h_i depends only on x_i."""
-    ids = x_ids.ids if isinstance(x_ids, Ragged) else np.asarray(x_ids, dtype=np.intp)
-    return ad.rows(params["E"], ids)
+    return ad.rows(params["E"], x.ids)
 
 
 def _lstm_states(inputs: Tensor, steps: np.ndarray, params, direction: str) -> Tensor:
@@ -209,7 +203,7 @@ def _lstm_states(inputs: Tensor, steps: np.ndarray, params, direction: str) -> T
     return ad.reshape(ad.stack(states), (len(states) * steps.shape[1], -1))
 
 
-def encode_birnn(x_ids, params: ParameterStore) -> Tensor:
+def encode_birnn(x: Ragged, params: ParameterStore) -> Tensor:
     """Elementwise sum of forward and backward LSTM states per position.
 
     Both directions run on left-aligned sentences, the backward one
@@ -217,7 +211,6 @@ def encode_birnn(x_ids, params: ParameterStore) -> Tensor:
     sentence's real steps and need no mask; the states are gathered back
     into flat token order.
     """
-    x = as_ragged(x_ids)
     if x.lengths.min() < 1:
         raise ShapeError("encode_birnn: empty sentence")
     inputs = ad.rows(params["E"], x.ids)
@@ -230,9 +223,9 @@ def encode_birnn(x_ids, params: ParameterStore) -> Tensor:
     )
 
 
-def encode(x_ids, params: ParameterStore, cfg: ModelConfig) -> Tensor:
-    """Token encodings [T, d_x] of one id sequence or of a Ragged batch."""
-    return encode_birnn(x_ids, params) if cfg.encoder == "birnn" else encode_bow(x_ids, params)
+def encode(x: Ragged, params: ParameterStore, cfg: ModelConfig) -> Tensor:
+    """Token encodings [T, d_x] of a Ragged batch."""
+    return encode_birnn(x, params) if cfg.encoder == "birnn" else encode_bow(x, params)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +257,7 @@ def _head_logits(z: Tensor, weights: Tensor, bias: Tensor, css: CSSupport | None
 
     With a CSSupport, scores cover only C followed by N (in support order);
     otherwise the full vocabulary. ``s_block`` [V, d_s] adds a per-class
-    contribution from the sentence draw ``s``: one [d_s] vector for every
-    row, or one row per row of z.
+    contribution from the sentence draw ``s`` [m, d_s], one row per row of z.
     """
     if css is not None:
         weights, bias = ad.rows(weights, css.support_ids), ad.rows(bias, css.support_ids)
@@ -291,26 +283,21 @@ def _columns(ids, css: CSSupport | None) -> np.ndarray:
 
 
 def css_log_normalizer(z, css: CSSupport, weights, bias) -> Tensor:
-    """Sampled-support estimate of log sum_x exp(z . w_x + b_x).
+    """Sampled-support estimate of log sum_x exp(z . w_x + b_x) for one
+    latent ``z`` [d], as a scalar.
 
     Sums exactly over the explicit set C and reweights the sampled
     negatives N by kappa, all inside one stable log-sum-exp.
     """
     if not css.c_ids:
         raise ContractError("CSS support has empty explicit class set C")
-    z = z if isinstance(z, Tensor) else ad.constant(z)
-    single = z.data.ndim == 1
-    zmat = ad.reshape(z, (1, z.data.shape[0])) if single else z
-    norms = _log_normalizers(_head_logits(zmat, weights, bias, css), css)
-    return ad.row(norms, 0) if single else norms
+    zrow = ad.reshape(ad.constant(z), (1, -1))
+    return ad.total(_log_normalizers(_head_logits(zrow, weights, bias, css), css))
 
 
-def l1_log_prob(z_i, x_i: int, params: ParameterStore, css: CSSupport | None = None,
-                s: Tensor | None = None) -> Tensor:
-    """Log probability of one L1 token given its latent embedding."""
-    z = z_i if isinstance(z_i, Tensor) else ad.constant(z_i)
-    zmat = ad.reshape(z, (1, z.data.shape[0]))
-    return _l1_sum(zmat, [x_i], params, css, s)
+def l1_log_prob(z_i, x_i: int, params: ParameterStore, css: CSSupport | None = None) -> Tensor:
+    """Log probability of one L1 token given its latent embedding [d]."""
+    return _l1_sum(ad.reshape(ad.constant(z_i), (1, -1)), [x_i], params, css)
 
 
 def _l1_sum(z: Tensor, x_ids, params: ParameterStore, css: CSSupport | None,
@@ -345,15 +332,6 @@ def _l2_log_marginals(z: Tensor, x: Ragged, y: Ragged, weights: Tensor, bias: Te
     logp = ad.sub(ad.gather_rc(logits, zrow, cols), ad.rows(norms, zrow))
     per_j = ad.logsumexp_rows(logp, shift=np.where(real, 0.0, -np.inf))
     return ad.sub(per_j, ad.constant(np.log(m.astype(np.float64))))
-
-
-def l2_log_marginal(z, y_j: int, params: ParameterStore, css: CSSupport | None = None) -> Tensor:
-    """log sum_i (1/m) P(y_j | z_i) over all m positions including NULL."""
-    zt = z if isinstance(z, Tensor) else ad.constant(np.asarray(z, dtype=np.float64))
-    x = Ragged([np.zeros(zt.data.shape[0], dtype=np.intp)])  # only its length matters
-    return ad.row(
-        _l2_log_marginals(zt, x, Ragged([[y_j]]), params["W2"], params["b2"], css), 0
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +432,13 @@ def eval_chunks(seqs):
         yield Ragged(seqs[lo:lo + EVAL_CHUNK])
 
 
-def posterior_params_np(x_ids, params: ParameterStore, cfg: ModelConfig):
-    """(locations, scales) [T, d] of the token posteriors of one id sequence
-    or a Ragged batch: the one posterior that every evaluation command reads.
+def posterior_params_np(x: Ragged, params: ParameterStore, cfg: ModelConfig):
+    """(locations, scales) [T, d] of the token posteriors of a Ragged batch:
+    the one posterior that every evaluation command reads.
     The numpy heads follow ``infer_posterior``'s operation order, so they
     equal it bit for bit; a hierarchical model conditions each token on its
     sentence's posterior mean (``hiermodel._sentence_blocks_np``). Weights
     too large for float64 raise ``NumericalError`` instead of a warning."""
-    x = as_ragged(x_ids)
     with np.errstate(all="ignore"):
         h = encode(x, params, cfg).data
         u = h @ params["M1"].data.T
@@ -481,10 +458,10 @@ def posterior_params_np(x_ids, params: ParameterStore, cfg: ModelConfig):
     return u, s
 
 
-def posterior_means(x_ids, params: ParameterStore, cfg: ModelConfig) -> np.ndarray:
+def posterior_means(x: Ragged, params: ParameterStore, cfg: ModelConfig) -> np.ndarray:
     """The locations of ``posterior_params_np``, for alignment; its own
     name lets ``bench/tracer.py`` time the align posterior."""
-    return posterior_params_np(x_ids, params, cfg)[0]
+    return posterior_params_np(x, params, cfg)[0]
 
 
 def l2_head_log_probs(u: np.ndarray, weights: Tensor, bias: Tensor) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as model_mod
 from .corpus import NULL_ID, Vocabulary, read_text
-from .errors import ContractError, DataError, DomainError, MetricError
+from .errors import ContractError, DataError, DomainError, MetricError, NumericalError
 from .model import ModelConfig
 
 
@@ -117,6 +117,9 @@ def rank_candidates(instance: LexSubInstance, vocab: Vocabulary, params,
     at = x.starts + pos + 1  # +1 skips the NULL pad
     u, s = u[at], s[at]  # row 0 is the target, row k + 1 candidate k
     if metric == "kl":
+        if not s.min() > 0.0:  # softplus of a very negative pre-activation is exactly 0
+            raise NumericalError("posterior scale underflowed to 0: the KL ranking "
+                                 "needs positive scales")
         # one call for all candidates; the target's [1, d] row broadcasts
         target, cands = (u[:1], s[:1]), (u[1:], s[1:])
         (q_u, q_s), (p_u, p_s) = (target, cands) if reverse_kl else (cands, target)

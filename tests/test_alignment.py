@@ -143,7 +143,7 @@ def mixed_pairs(n, v=7, seed=8):
 def one_pair_links(pair, params, cfg):
     """The decode of one pair written out: posterior means of the pair
     alone, exact head, ``argmax_links``."""
-    u = model_mod.posterior_means(pair.x, params, cfg)
+    u = model_mod.posterior_means(model_mod.Ragged([pair.x]), params, cfg)
     log_probs = model_mod.l2_head_log_probs(u, params["W2"], params["b2"])
     return argmax_links(log_probs[:, list(pair.y)])
 

@@ -23,25 +23,29 @@ from alignvae.errors import (
 
 class TestMatmulBias:
     def test_identity(self):
-        out = ad.matmul(ad.constant(np.eye(2)), ad.constant([3.0, 4.0]), bias=ad.constant([0.0, 0.0]))
-        np.testing.assert_array_equal(out.data, [3.0, 4.0])
+        out = ad.matmul(ad.constant(np.eye(2)), ad.constant([[3.0], [4.0]]),
+                        bias=ad.constant([0.0]))
+        np.testing.assert_array_equal(out.data, [[3.0], [4.0]])
 
     def test_direct_formula(self):
-        out = ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([1.0, 1.0]), bias=ad.constant([5.0]))
-        np.testing.assert_array_equal(out.data, [8.0])
+        out = ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[1.0], [1.0]]),
+                        bias=ad.constant([5.0]))
+        np.testing.assert_array_equal(out.data, [[8.0]])
 
     def test_shape_mismatch_names_operands(self):
         with pytest.raises(ShapeError, match=r"matmul"):
-            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones(2)), bias=ad.constant(np.ones(2)))
+            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 1))),
+                      bias=ad.constant(np.ones(1)))
         with pytest.raises(ShapeError, match=r"bias"):
-            ad.matmul(ad.constant(np.ones(3)), ad.constant(np.ones(3)), bias=ad.constant(np.ones(3)))
+            ad.matmul(ad.constant(np.ones((1, 3))), ad.constant(np.ones((3, 1))),
+                      bias=ad.constant(np.ones(3)))
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(0)
         store = ParameterStore()
         w = store.add("w", rng.uniform(-2, 2, size=(3, 4)))
-        x = store.add("x", rng.uniform(-2, 2, size=4))
-        b = store.add("b", rng.uniform(-2, 2, size=3))
+        x = store.add("x", rng.uniform(-2, 2, size=(4, 1)))
+        b = store.add("b", rng.uniform(-2, 2, size=(3, 1)))
 
         def loss():
             return ad.total(ad.matmul(w, x, bias=b))
@@ -134,8 +138,8 @@ class TestBackward:
         store = ParameterStore()
         vt = store.add("v", v)
         with Tape() as tape:
-            lse = ad.total(ad.logsumexp_rows(ad.reshape(vt, (1, v.size))))
-            loss = ad.sub(lse, ad.row(vt, j))
+            vrow = ad.reshape(vt, (1, v.size))
+            loss = ad.sub(ad.total(ad.logsumexp_rows(vrow)), ad.total(ad.gather_rc(vrow, [0], [j])))
         grads = tape.backward(loss, params=store)
         expected = np.exp(v - v.max())
         expected /= expected.sum()
@@ -149,11 +153,11 @@ class TestBackward:
         b1 = store.add("b1", rng.uniform(-2, 2, size=5))
         w2 = store.add("w2", rng.uniform(-2, 2, size=(3, 5)))
         b2 = store.add("b2", rng.uniform(-2, 2, size=3))
-        x = rng.uniform(-2, 2, size=4)
+        x = rng.uniform(-2, 2, size=(1, 4))
 
         def loss():
-            hidden = ad.tanh(ad.matmul(w1, ad.constant(x), bias=b1))
-            out = ad.sigmoid(ad.matmul(w2, hidden, bias=b2))
+            hidden = ad.tanh(ad.matmul(ad.constant(x), ad.transpose(w1), bias=b1))
+            out = ad.sigmoid(ad.matmul(hidden, ad.transpose(w2), bias=b2))
             return ad.total(ad.mul(out, out))
 
         assert gradient_check(loss, store).max_rel_err <= 1e-4
@@ -239,9 +243,9 @@ class TestGradientCheck:
     def test_linear_regression_tight(self):
         rng = np.random.default_rng(8)
         features = rng.uniform(-1, 1, size=(12, 3))
-        targets = rng.uniform(-1, 1, size=12)
+        targets = rng.uniform(-1, 1, size=(12, 1))
         store = ParameterStore()
-        w = store.add("w", rng.uniform(-1, 1, size=3))
+        w = store.add("w", rng.uniform(-1, 1, size=(3, 1)))
         b = store.add("b", 0.0)
 
         def loss():
@@ -297,7 +301,7 @@ class TestStructuralOps:
             lambda p: ad.total(ad.sum_rows(ad.mul(p, p))),
             lambda p: ad.total(ad.gather_rc(p, np.array([0, 3]), np.array([1, 2]))),
             lambda p: ad.total(ad.reshape(ad.mul(p, p), (3, 4))),
-            lambda p: ad.total(ad.stack([ad.row(p, 0), ad.row(p, 2)])),
+            lambda p: ad.total(ad.stack([ad.rows(p, [0]), ad.rows(p, [2])])),
             lambda p: ad.total(ad.neg(ad.sub(p, ad.constant(0.5)))),
             lambda p: ad.total(ad.mul(ad.rows(p, np.array([2, 0, 2, 2])),
                                       ad.tanh(ad.rows(p, np.array([1, 2, 3, 2]))))),
@@ -312,8 +316,15 @@ class TestStructuralOps:
     def test_matmul_shape_errors(self):
         with pytest.raises(ShapeError):
             ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
-        with pytest.raises(ShapeError):
-            ad.matmul(ad.constant(1.0), ad.constant(np.ones(2)))
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((3,), (3, 4)), ((5, 3), (3,)), ((3,), (3,)), ((), (1, 2)), ((2, 1), ()),
+         ((2, 2, 3), (3, 4))],
+    )
+    def test_matmul_takes_matrices_only(self, a_shape, b_shape):
+        with pytest.raises(ShapeError, match="must be 2-d"):
+            ad.matmul(ad.constant(np.ones(a_shape)), ad.constant(np.ones(b_shape)))
 
 
 def _dense_use_grad(use, table_shape):
@@ -465,8 +476,8 @@ class TestFusedForms:
 
     @pytest.mark.parametrize(
         "shapes",
-        [((5, 3), (3, 4), (4,)), ((5, 3), (3, 4), (5, 4)), ((3,), (3, 4), (4,)),
-         ((5, 3), (3,), (5,)), ((3,), (3,), ())],
+        [((5, 3), (3, 4), (4,)), ((5, 3), (3, 4), (5, 4)), ((1, 3), (3, 4), (4,)),
+         ((5, 3), (3, 1), (5, 1)), ((1, 3), (3, 1), ())],
     )
     def test_matmul_bias_equals_add(self, shapes):
         rng = np.random.default_rng(3)

@@ -16,7 +16,7 @@ from alignvae.baselines import (
     ibm1_uniform,
     load_ibm1_table,
     nibm_align,
-    nibm_log_likelihood,
+    nibm_batch_log_likelihood,
     save_ibm1_table,
     train_nibm,
 )
@@ -257,7 +257,7 @@ class TestNibm:
         for name in params.names():
             params[name].data = np.zeros_like(params[name].data)
         pair = SentencePair((0, 2, 3), (2, 4, 5, 6))
-        out = nibm_log_likelihood(pair, params, cfg)
+        out = nibm_batch_log_likelihood([pair], params, cfg)
         assert out.item() == pytest.approx(pair.n * math.log(1 / 7), abs=1e-12)
 
     def test_single_position_reduction(self):
@@ -267,7 +267,8 @@ class TestNibm:
         reps = np.tanh(params["mlp_W"].data @ params["E"].data[0] + params["mlp_b"].data)
         logits = params["out_W"].data @ reps + params["out_b"].data
         expected = logits[3] - np.logaddexp.reduce(logits)
-        assert nibm_log_likelihood(pair, params, cfg).item() == pytest.approx(expected, rel=1e-12)
+        out = nibm_batch_log_likelihood([pair], params, cfg)
+        assert out.item() == pytest.approx(expected, rel=1e-12)
 
     def test_gradient(self):
         cfg = NIBMConfig(encoder="bow", d_x=3)
@@ -275,7 +276,7 @@ class TestNibm:
         pair = SentencePair((0, 2, 4), (3, 5))
 
         def loss():
-            return ad.neg(nibm_log_likelihood(pair, params, cfg))
+            return ad.neg(nibm_batch_log_likelihood([pair], params, cfg))
 
         assert gradient_check(loss, params, step=1e-5).max_rel_err <= 1e-4
 
@@ -286,16 +287,16 @@ class TestNibm:
         css = CSSupport(side="l2", c_ids=(3, 5), n_ids=(0, 2), kappa=2.0)
 
         def loss():
-            return ad.neg(nibm_log_likelihood(pair, params, cfg, css))
+            return ad.neg(nibm_batch_log_likelihood([pair], params, cfg, css))
 
         assert gradient_check(loss, params, step=1e-5).max_rel_err <= 1e-4
 
     def test_bow_permutation_invariance(self):
         cfg = NIBMConfig(encoder="bow", d_x=4)
         params = build_nibm_params(cfg, 7, 7, seed=4)
-        a = nibm_log_likelihood(SentencePair((0, 2, 3, 4), (5, 6)), params, cfg).item()
-        b = nibm_log_likelihood(SentencePair((0, 4, 2, 3), (5, 6)), params, cfg).item()
-        assert a == pytest.approx(b, rel=1e-13)
+        a = nibm_batch_log_likelihood([SentencePair((0, 2, 3, 4), (5, 6))], params, cfg)
+        b = nibm_batch_log_likelihood([SentencePair((0, 4, 2, 3), (5, 6))], params, cfg)
+        assert a.item() == pytest.approx(b.item(), rel=1e-13)
 
     def test_training_beats_random_alignment(self, tmp_path):
         synth = synth_corpus(seed=6, v1=10, v2=10, n_pairs=400, len_range=(2, 6), shuffle_l2=True)
@@ -316,7 +317,7 @@ class TestNibm:
         for _ in range(20):
             x = (0, *rng.integers(1, 7, size=rng.integers(0, 5)).tolist())
             y = tuple(rng.integers(0, 7, size=rng.integers(0, 5)).tolist())
-            reps = _nibm_repr(x, params, cfg).data
+            reps = _nibm_repr(model_mod.Ragged([x]), params, cfg).data
             log_probs = model_mod.l2_head_log_probs(reps, params["out_W"], params["out_b"])
             expected = alignment.argmax_links(log_probs[:, list(y)])
             assert nibm_align(SentencePair(x, y), params, cfg) == expected

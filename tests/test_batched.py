@@ -1,8 +1,9 @@
 """The batched objective: one graph over the flat token layout of a batch.
 
 The batch bound and its gradients must equal the sum of the one-pair
-bounds (``elbo``, ``elbo_s``, ``nibm_log_likelihood``), which are batches
-of one themselves, for ragged batches of every encoder.
+bounds (``elbo``, ``elbo_s`` and ``nibm_batch_log_likelihood`` of one
+pair), which are batches of one themselves, for ragged batches of every
+encoder.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from alignvae.baselines import (
     NIBMConfig,
     build_nibm_params,
     nibm_batch_log_likelihood,
-    nibm_log_likelihood,
 )
 from alignvae.corpus import Batch, SentencePair, Vocabulary, build_css_support, derive_seed
 from alignvae.errors import ShapeError
@@ -171,7 +171,9 @@ class TestBatchEqualsSumOfPairs:
             lambda: nibm_batch_log_likelihood(RAGGED, params, cfg, css), params
         )
         summed = value_and_grads(
-            lambda: summed_pairs(RAGGED, lambda _, p: nibm_log_likelihood(p, params, cfg, css)),
+            lambda: summed_pairs(
+                RAGGED, lambda _, p: nibm_batch_log_likelihood([p], params, cfg, css)
+            ),
             params,
         )
         assert_close(batched, summed)

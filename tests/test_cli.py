@@ -907,3 +907,25 @@ class TestNumericalFailure:
         assert code == 3
         assert err == "error: non-finite posterior: the model's weights overflow float64\n"
         assert not files["out"].exists()
+
+    @pytest.mark.parametrize("flags", [["--metric", "kl"], ["--metric", "kl", "--reverse-kl"],
+                                       ["--metric", "cosine"]], ids=["kl", "reverse-kl", "cosine"])
+    def test_underflowed_scale_ends_kl_lexsub_only(self, tmp_path, capsys, flags):
+        """A scale bias so negative that softplus gives exactly 0: the KL
+        ranking exits 3, the cosine ranking reads locations and succeeds."""
+        ckpt_path, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        ckpt = training.load_checkpoint(ckpt_path)
+        ckpt.params["d2"][:] = -1000.0
+        training.save_checkpoint(ckpt, ckpt_path)
+        lexsub, out = tmp_path / "ls.txt", tmp_path / "out.txt"
+        lexsub.write_text("bb\t1\taa bb\tcc:1;aa:0\n")
+        code, _, err = run(capsys, "eval", "lexsub", str(lexsub), f"--checkpoint={ckpt_path}",
+                           *flags, "--per-instance", str(out))
+        if flags[1] == "cosine":
+            assert (code, err) == (0, "")
+            assert out.exists()
+        else:
+            assert code == 3
+            assert err == ("error: posterior scale underflowed to 0: "
+                           "the KL ranking needs positive scales\n")
+            assert not out.exists()

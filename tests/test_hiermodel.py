@@ -15,7 +15,7 @@ from alignvae.hiermodel import (
     prior_mean,
     zero_sentence_pathways,
 )
-from alignvae.model import ModelConfig, build_params, elbo, encode_bow, infer_posterior
+from alignvae.model import ModelConfig, Ragged, build_params, elbo, encode_bow, infer_posterior
 
 
 @pytest.fixture
@@ -39,14 +39,14 @@ class TestSentencePosterior:
         cfg, params, pairs, _ = hier_setup
         for name in ("sent_Mu", "sent_bu", "sent_Ms", "sent_bs"):
             params[name].data = np.zeros_like(params[name].data)
-        u_k, s_k = infer_sentence_posterior(pairs[0].x, params)
-        np.testing.assert_array_equal(u_k.data, np.zeros(cfg.d_s))
+        u_k, s_k = infer_sentence_posterior(Ragged([pairs[0].x]), params)
+        np.testing.assert_array_equal(u_k.data, np.zeros((1, cfg.d_s)))
         np.testing.assert_allclose(s_k.data, math.log(2), atol=1e-15)
 
     def test_permutation_invariance(self, hier_setup):
         _, params, _, _ = hier_setup
-        a = infer_sentence_posterior((0, 2, 3, 4), params)
-        b = infer_sentence_posterior((0, 4, 2, 3), params)
+        a = infer_sentence_posterior(Ragged([(0, 2, 3, 4)]), params)
+        b = infer_sentence_posterior(Ragged([(0, 4, 2, 3)]), params)
         np.testing.assert_allclose(a[0].data, b[0].data, atol=1e-15)
         np.testing.assert_allclose(a[1].data, b[1].data, atol=1e-15)
 
@@ -54,7 +54,7 @@ class TestSentencePosterior:
         _, params, pairs, _ = hier_setup
 
         def loss():
-            u_k, s_k = infer_sentence_posterior(pairs[0].x, params)
+            u_k, s_k = infer_sentence_posterior(Ragged([pairs[0].x]), params)
             return ad.add(ad.total(ad.mul(u_k, u_k)), ad.total(s_k))
 
         assert gradient_check(loss, params, step=1e-5).max_rel_err <= 1e-4
@@ -65,7 +65,7 @@ class TestConditionedWordPosterior:
         cfg, params, _, _ = hier_setup
         for name in ("M1", "d1", "M2", "d2", "N1", "N2"):
             params[name].data = np.zeros_like(params[name].data)
-        s = ad.constant(np.random.default_rng(0).standard_normal(cfg.d_s))
+        s = ad.constant(np.random.default_rng(0).standard_normal((3, cfg.d_s)))
         h = ad.constant(np.random.default_rng(1).standard_normal((3, cfg.d_x)))
         l, r = infer_word_posterior_conditioned(s, h, params)
         np.testing.assert_array_equal(l.data, np.zeros((3, cfg.d)))
@@ -74,16 +74,16 @@ class TestConditionedWordPosterior:
     def test_sentence_dependence(self, hier_setup):
         cfg, params, _, _ = hier_setup
         h = ad.constant(np.random.default_rng(2).standard_normal((2, cfg.d_x)))
-        l1, _ = infer_word_posterior_conditioned(ad.constant(np.ones(cfg.d_s)), h, params)
-        l2, _ = infer_word_posterior_conditioned(ad.constant(-np.ones(cfg.d_s)), h, params)
+        l1, _ = infer_word_posterior_conditioned(ad.constant(np.ones((2, cfg.d_s))), h, params)
+        l2, _ = infer_word_posterior_conditioned(ad.constant(-np.ones((2, cfg.d_s))), h, params)
         assert not np.allclose(l1.data, l2.data)
 
     def test_zero_block_reduces_to_base(self, hier_setup):
         cfg, params, pairs, _ = hier_setup
         params["N1"].data = np.zeros_like(params["N1"].data)
         params["N2"].data = np.zeros_like(params["N2"].data)
-        h = encode_bow(pairs[0].x, params)
-        s = ad.constant(np.random.default_rng(3).standard_normal(cfg.d_s))
+        h = encode_bow(Ragged([pairs[0].x]), params)
+        s = ad.constant(np.random.default_rng(3).standard_normal((pairs[0].m, cfg.d_s)))
         l, r = infer_word_posterior_conditioned(s, h, params)
         u, sc = infer_posterior(h, params)
         np.testing.assert_array_equal(l.data, u.data)
@@ -229,11 +229,11 @@ class TestPriorMean:
         cfg, params, _, _ = hier_setup
         for name in ("prior_V1", "prior_c1", "prior_V2", "prior_c2"):
             params[name].data = np.zeros_like(params[name].data)
-        out = prior_mean(ad.constant(np.ones(cfg.d_s)), params)
-        np.testing.assert_array_equal(out.data, np.zeros(cfg.d))
+        out = prior_mean(ad.constant(np.ones((1, cfg.d_s))), params)
+        np.testing.assert_array_equal(out.data, np.zeros((1, cfg.d)))
 
     def test_depends_on_s(self, hier_setup):
         cfg, params, _, _ = hier_setup
-        a = prior_mean(ad.constant(np.ones(cfg.d_s)), params).data
-        b = prior_mean(ad.constant(np.zeros(cfg.d_s)), params).data
+        a = prior_mean(ad.constant(np.ones((1, cfg.d_s))), params).data
+        b = prior_mean(ad.constant(np.zeros((1, cfg.d_s))), params).data
         assert not np.array_equal(a, b)

@@ -9,6 +9,8 @@ from alignvae.corpus import Batch, CSSupport, SentencePair, Vocabulary, build_cs
 from alignvae.errors import ContractError
 from alignvae.model import (
     ModelConfig,
+    Ragged,
+    _l2_log_marginals,
     build_params,
     css_log_normalizer,
     elbo,
@@ -18,11 +20,18 @@ from alignvae.model import (
     infer_posterior,
     kl_to_standard_normal,
     l1_log_prob,
-    l2_log_marginal,
     reparam_sample,
 )
 
 from conftest import rel_err
+
+
+def l2_log_marginal(z, y_j, params) -> float:
+    """log sum_i (1/m) P(y_j | z_i) over the m rows of ``z``: the batch
+    marginal of one L1 sentence of m tokens and one L2 token."""
+    x = Ragged([np.zeros(len(z), dtype=np.intp)])  # only its length matters
+    out = _l2_log_marginals(ad.constant(z), x, Ragged([[y_j]]), params["W2"], params["b2"], None)
+    return float(out.data[0])
 
 
 def full_cover_css(side, v, extra_c=()):
@@ -36,21 +45,21 @@ class TestEncodeBow:
     def test_identical_tokens_identical_rows(self):
         cfg = ModelConfig(d=3, d_x=5)
         params = build_params(cfg, 6, 6, seed=0)
-        h = encode_bow((0, 2, 2), params)
+        h = encode_bow(Ragged([(0, 2, 2)]), params)
         np.testing.assert_array_equal(h.data[1], h.data[2])
 
     def test_zero_table(self):
         cfg = ModelConfig(d=3, d_x=5)
         params = build_params(cfg, 6, 6, seed=0)
         params["E"].data = np.zeros_like(params["E"].data)
-        h = encode_bow((0, 3, 4), params)
+        h = encode_bow(Ragged([(0, 3, 4)]), params)
         np.testing.assert_array_equal(h.data, np.zeros((3, 5)))
 
     def test_context_independence(self):
         cfg = ModelConfig(d=3, d_x=5)
         params = build_params(cfg, 8, 8, seed=1)
-        h1 = encode_bow((0, 4, 2), params)
-        h2 = encode_bow((0, 7, 4, 3), params)
+        h1 = encode_bow(Ragged([(0, 4, 2)]), params)
+        h2 = encode_bow(Ragged([(0, 7, 4, 3)]), params)
         np.testing.assert_array_equal(h1.data[1], h2.data[2])
 
 
@@ -60,21 +69,21 @@ class TestEncodeBirnn:
         params = build_params(cfg, 5, 5, seed=0)
         for name in params.names():
             params[name].data = np.zeros_like(params[name].data)
-        h = encode_birnn((0, 2, 3), params)
+        h = encode_birnn(Ragged([(0, 2, 3)]), params)
         np.testing.assert_array_equal(h.data, np.zeros((3, 3)))
 
     def test_reversal_symmetry(self):
         cfg = ModelConfig(encoder="birnn", d=2, d_x=4)
         params = build_params(cfg, 7, 7, seed=3)
         ids = (0, 2, 3, 4, 2)
-        h = encode_birnn(ids, params).data
+        h = encode_birnn(Ragged([ids]), params).data
         # swap the two directions' parameter sets
         for gate in "ifoc":
             for kind in "WUb":
                 a = f"lstm_fwd_{kind}{gate}"
                 b = f"lstm_bwd_{kind}{gate}"
                 params[a].data, params[b].data = params[b].data, params[a].data
-        h_rev = encode_birnn(tuple(reversed(ids)), params).data
+        h_rev = encode_birnn(Ragged([tuple(reversed(ids))]), params).data
         np.testing.assert_allclose(h_rev, h[::-1], atol=1e-12)
 
     def test_gradient_vs_finite_differences(self):
@@ -83,7 +92,7 @@ class TestEncodeBirnn:
         ids = (0, 2, 3)
 
         def loss():
-            return ad.total(encode_birnn(ids, params))
+            return ad.total(encode_birnn(Ragged([ids]), params))
 
         report = gradient_check(loss, params, step=1e-5)
         assert report.max_rel_err <= 1e-4
@@ -244,8 +253,7 @@ class TestL2LogMarginal:
         params["W2"].data = np.array([[1.0], [0.0]])
         params["b2"].data = np.zeros(2)
         z = np.array([[math.log(0.2 / 0.8)], [math.log(0.4 / 0.6)]])
-        out = l2_log_marginal(z, 0, params)
-        assert out.item() == pytest.approx(math.log(0.3), abs=1e-12)
+        assert l2_log_marginal(z, 0, params) == pytest.approx(math.log(0.3), abs=1e-12)
 
     def test_single_position(self):
         cfg = ModelConfig(d=2, d_x=2)
@@ -253,7 +261,7 @@ class TestL2LogMarginal:
         z = np.random.default_rng(2).uniform(-1, 1, size=(1, 2))
         logits = params["W2"].data @ z[0] + params["b2"].data
         expected = logits[3] - np.logaddexp.reduce(logits)
-        assert l2_log_marginal(z, 3, params).item() == pytest.approx(expected, rel=1e-12)
+        assert l2_log_marginal(z, 3, params) == pytest.approx(expected, rel=1e-12)
 
     def test_brute_force_probability_space(self):
         rng = np.random.default_rng(3)
@@ -265,7 +273,7 @@ class TestL2LogMarginal:
             logits = z @ params["W2"].data.T + params["b2"].data
             probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
             expected = math.log(probs[:, y].mean())
-            got = l2_log_marginal(z, y, params).item()
+            got = l2_log_marginal(z, y, params)
             assert rel_err(got, expected) <= 1e-12
 
     def test_permutation_invariance(self):
@@ -274,8 +282,8 @@ class TestL2LogMarginal:
         params = build_params(cfg, 4, 6, seed=6)
         z = rng.uniform(-1, 1, size=(4, 3))
         perm = rng.permutation(4)
-        a = l2_log_marginal(z, 2, params).item()
-        b = l2_log_marginal(z[perm], 2, params).item()
+        a = l2_log_marginal(z, 2, params)
+        b = l2_log_marginal(z[perm], 2, params)
         assert a == pytest.approx(b, rel=1e-13)
 
 
@@ -310,7 +318,7 @@ class TestElbo:
         kl = float(
             ad.total(
                 kl_to_standard_normal(
-                    *infer_posterior(encode_bow(pairs[0].x, params), params)
+                    *infer_posterior(encode_bow(Ragged([pairs[0].x]), params), params)
                 )
             ).data
         )

@@ -50,7 +50,7 @@ class TestPosteriorParamsNp:
     @pytest.mark.parametrize("encoder", ["bow", "birnn"])
     def test_equals_autodiff_heads_bit_for_bit(self, encoder):
         cfg, _, params = random_model(encoder, False)
-        for x in (SENTENCES[0], Ragged(SENTENCES)):
+        for x in (Ragged(SENTENCES[:1]), Ragged(SENTENCES)):
             ref_u, ref_s = infer_posterior(encode(x, params, cfg), params)
             u, s = model_mod.posterior_params_np(x, params, cfg)
             assert u.tobytes() == ref_u.data.tobytes()
@@ -74,7 +74,7 @@ class TestPosteriorParamsNp:
         x = Ragged(SENTENCES)
         u, s = model_mod.posterior_params_np(x, params, cfg)
         for b, ids in enumerate(SENTENCES):
-            one_u, one_s = model_mod.posterior_params_np(ids, params, cfg)
+            one_u, one_s = model_mod.posterior_params_np(Ragged([ids]), params, cfg)
             rows = slice(x.starts[b], x.starts[b] + x.lengths[b])
             np.testing.assert_allclose(u[rows], one_u, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(s[rows], one_s, rtol=1e-12, atol=1e-15)
@@ -126,7 +126,8 @@ class TestKlRanking:
         ranked = rank_candidates(inst, vocab, params, cfg, metric="kl", reverse_kl=reverse_kl)
 
         def posterior_at(tokens):
-            u, s = model_mod.posterior_params_np((NULL_ID, *vocab.encode(tokens)), params, cfg)
+            x = Ragged([(NULL_ID, *vocab.encode(tokens))])
+            u, s = model_mod.posterior_params_np(x, params, cfg)
             return u[3], s[3]
 
         tgt = posterior_at(inst.sentence)

@@ -7,7 +7,7 @@ from alignvae.corpus import NULL_ID, Vocabulary
 from alignvae.errors import ContractError, DataError, DomainError, MetricError
 from alignvae.hiermodel import kl_diag_gaussian
 from alignvae import model as model_mod
-from alignvae.model import ModelConfig, build_params, posterior_params_np
+from alignvae.model import ModelConfig, Ragged, build_params, posterior_params_np
 from alignvae.semeval import (
     LexSubInstance,
     cosine,
@@ -88,13 +88,13 @@ class TestRankCandidates:
         ranked = rank_candidates(inst, vocab, params, cfg, metric="kl")
         # independent recomputation straight from posterior heads
         ids = encode_sentence(vocab, inst.sentence)
-        tu, ts = posterior_params_np(ids, params, cfg)
+        tu, ts = posterior_params_np(Ragged([ids]), params, cfg)
         tu, ts = tu[3], ts[3]
         expected = []
         for tok, w in inst.candidates:
             swapped = list(inst.sentence)
             swapped[2] = tok
-            cu, cs = posterior_params_np(encode_sentence(vocab, swapped), params, cfg)
+            cu, cs = posterior_params_np(Ragged([encode_sentence(vocab, swapped)]), params, cfg)
             cu, cs = cu[3], cs[3]
             div = float(
                 (np.log(ts / cs) + (cs**2 + (cu - tu) ** 2) / (2 * ts**2) - 0.5).sum()
@@ -162,7 +162,7 @@ class TestEmbeddings:
         cfg, vocab, params = small_model
         ids = [encode_sentence(vocab, ["cat", "sat"])]
         table = type_embeddings_for_corpus(ids, params, cfg)
-        u, _ = posterior_params_np(ids[0], params, cfg)
+        u, _ = posterior_params_np(Ragged([ids[0]]), params, cfg)
         assert set(table) == {vocab.id("cat"), vocab.id("sat")}
         np.testing.assert_array_equal(table[vocab.id("cat")], u[1])
 
@@ -185,15 +185,15 @@ class TestEmbeddings:
             encode_sentence(vocab, ["dog", "cat"]),
         ]
         emb = type_embeddings_for_corpus(ids, params, cfg)[vocab.id("cat")]
-        u0, _ = posterior_params_np(ids[0], params, cfg)
-        u1, _ = posterior_params_np(ids[1], params, cfg)
+        u0, _ = posterior_params_np(Ragged([ids[0]]), params, cfg)
+        u1, _ = posterior_params_np(Ragged([ids[1]]), params, cfg)
         np.testing.assert_allclose(emb, (u0[1] + u1[2]) / 2.0, atol=1e-15)
 
     def test_sentence_embedding_singleton(self, small_model):
         cfg, vocab, params = small_model
         ids = encode_sentence(vocab, ["bird"])
         emb = sentence_embedding(ids, params, cfg)
-        u, _ = posterior_params_np(ids, params, cfg)
+        u, _ = posterior_params_np(Ragged([ids]), params, cfg)
         np.testing.assert_array_equal(emb, u[1])
 
     def test_sentence_embedding_idempotent_average(self, small_model):
@@ -206,7 +206,7 @@ class TestEmbeddings:
         cfg, vocab, params = small_model
         ids = encode_sentence(vocab, ["cat", "sat", "dog"])
         emb = sentence_embedding(ids, params, cfg)
-        u, _ = posterior_params_np(ids, params, cfg)
+        u, _ = posterior_params_np(Ragged([ids]), params, cfg)
         np.testing.assert_allclose(emb, u[1:].mean(axis=0), atol=1e-15)
 
     def test_sentence_embedding_empty_rejected(self, small_model):
@@ -232,7 +232,7 @@ class TestChunkedEmbeddings:
         params = build_params(cfg, 7, 7, seed=5)
         sums, counts, means = {}, {}, []
         for ids in corpus_ids:
-            u, _ = posterior_params_np(ids, params, cfg)
+            u, _ = posterior_params_np(Ragged([ids]), params, cfg)
             means.append(u[1:].mean(axis=0))
             for tid, row in zip(ids[1:], u[1:]):
                 sums[tid] = sums.get(tid, 0.0) + row

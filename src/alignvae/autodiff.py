@@ -2,9 +2,11 @@
 
 Values live in :class:`Tensor` objects backed by numpy. While a
 :class:`Tape` is active (``with Tape() as tape:``) every operation is
-recorded in execution order; ``tape.backward(root, params)`` replays the
-record in reverse and returns a gradient for every parameter of
-``params``. Outside an active tape the same operations simply compute
+recorded in execution order as one node: its output, its input tensors
+and its backward; parameters and constants get no node of their own.
+``tape.backward(root, params)`` replays the nodes in reverse, keying
+gradients by tensor identity, and returns a gradient for every parameter
+of ``params``. Outside an active tape the same operations simply compute
 values, which keeps evaluation-time code cheap.
 
 Gradients are dense arrays, except that the backward of :func:`rows`
@@ -109,10 +111,7 @@ class _Node:
     __slots__ = ("tensor", "parents", "bwd", "kind")
 
     def __init__(self, tensor, parents, bwd, kind):
-        self.tensor = tensor
-        self.parents = parents
-        self.bwd = bwd
-        self.kind = kind
+        self.tensor, self.parents, self.bwd, self.kind = tensor, parents, bwd, kind
 
 
 _TAPES: list[Tape] = []  # active tapes, innermost last
@@ -123,7 +122,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._pos: dict[int, int] = {}
 
     def __enter__(self):
         _TAPES.append(self)
@@ -133,18 +131,8 @@ class Tape:
         _TAPES.pop()
         return False
 
-    def _ensure(self, t: Tensor) -> int:
-        pos = self._pos.get(id(t))
-        if pos is None:
-            pos = len(self.nodes)
-            self.nodes.append(_Node(t, (), None, "leaf"))
-            self._pos[id(t)] = pos
-        return pos
-
     def record(self, out: Tensor, parents, bwd, kind: str) -> None:
-        parent_pos = tuple(self._ensure(p) for p in parents)
-        self._pos[id(out)] = len(self.nodes)
-        self.nodes.append(_Node(out, parent_pos, bwd, kind))
+        self.nodes.append(_Node(out, parents, bwd, kind))
 
     def backward(self, root: Tensor, params: ParameterStore) -> dict[str, np.ndarray]:
         """Gradients of the scalar ``root`` for every parameter of ``params``.
@@ -154,39 +142,38 @@ class Tape:
         ``root`` does not depend on, or that was never used on this tape,
         gets zeros.
         """
-        pos = self._pos.get(id(root))
-        if pos is None:
+        if not any(node.tensor is root for node in reversed(self.nodes)):
             raise ContractError("backward root was not computed on this tape")
         if root.data.shape != ():
             raise ContractError(
                 f"backward root must be a scalar, got shape {root.data.shape}"
             )
-        grads: list[np.ndarray | None] = [None] * len(self.nodes)
-        owned = [False] * len(self.nodes)  # grads[i] made by a scatter: private, no -0.0
-        grads[pos] = np.ones((), dtype=np.float64)
-        for i in range(pos, -1, -1):
-            node = self.nodes[i]
-            g = grads[i]
-            if node.bwd is None or g is None:
+        # Keyed by id(tensor), stable because the nodes keep every tensor they
+        # name alive; nodes recorded after the root never receive a gradient.
+        grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
+        owned: set[int] = set()  # ids whose gradient a scatter made: private, no -0.0
+        for node in reversed(self.nodes):
+            g = grads.pop(id(node.tensor), None)  # read by nothing after its own backward
+            if g is None:
                 continue
-            grads[i] = None  # read by nothing after its own backward: free it now
             for p, part in zip(node.parents, node.bwd(g)):
                 if part is None:
                     continue
-                acc = grads[p]
+                acc = grads.get(id(p))
                 if type(part) is RowGrad:
                     if acc is None:
-                        acc = np.zeros_like(self.nodes[p].tensor.data)
-                    elif not owned[p]:
+                        acc = np.zeros_like(p.data)
+                    elif id(p) not in owned:
                         acc = acc + 0.0
                     acc[part.ids] += part.values
-                    grads[p], owned[p] = acc, True
+                    owned.add(id(p))
                 else:
-                    grads[p], owned[p] = part if acc is None else acc + part, False
+                    acc = part if acc is None else acc + part
+                    owned.discard(id(p))
+                grads[id(p)] = acc
         out: dict[str, np.ndarray] = {}
         for name, t in params.items():
-            i = self._pos.get(id(t))
-            g = None if i is None else grads[i]
+            g = grads.get(id(t))
             out[name] = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=np.float64)
         return out
 
@@ -196,7 +183,7 @@ def _as_tensor(x) -> Tensor:
 
 
 def constant(x) -> Tensor:
-    """Wrap an array or scalar as a leaf that is not a parameter."""
+    """Wrap an array or scalar as a tensor that is not a parameter."""
     return _as_tensor(x)
 
 

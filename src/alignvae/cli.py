@@ -250,7 +250,10 @@ def cmd_embed(args) -> int:
     if args.mode == "type":
         table = semeval.type_embeddings_for_corpus(ids, params, ckpt.model_cfg)
         seen = dict.fromkeys(tok for toks in sentences for tok in toks)
-        rows = [(tok, table[vocab1.id(tok)]) for tok in seen]
+        rows = [(tok, table[vocab1.id(tok)]) for tok in seen if tok in vocab1]
+        if len(rows) < len(seen):
+            print(f"warning: skipped {len(seen) - len(rows)} types not in the checkpoint's "
+                  "L1 vocabulary", file=sys.stderr)
     else:
         for sid, row in enumerate(ids, start=1):
             if row == (NULL_ID,):

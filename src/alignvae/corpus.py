@@ -197,7 +197,9 @@ def write_text(path, pieces) -> None:
 
 
 def read_sentences(path) -> list[list[str]]:
-    return [line.split() for line in read_text(path).splitlines()]
+    """One token list per line of ``path``; only ``\\n`` ends a line."""
+    lines = read_text(path).split("\n")
+    return [line.split() for line in (lines[:-1] if lines[-1] == "" else lines)]
 
 
 def read_parallel(l1_path, l2_path) -> tuple[list[list[str]], list[list[str]]]:

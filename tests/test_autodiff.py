@@ -177,6 +177,39 @@ class TestBackward:
             with pytest.raises(ContractError):
                 other.backward(y, params=ParameterStore())
 
+    def test_parameter_root_rejected(self):
+        store = ParameterStore()
+        x = store.add("x", 2.0)
+        with Tape() as tape:
+            ad.mul(x, x)
+        with pytest.raises(ContractError, match="backward root was not computed on this tape"):
+            tape.backward(x, params=store)
+
+    def test_one_node_per_op(self):
+        store = ParameterStore()
+        w = store.add("w", np.array([1.0, 2.0]))
+        c = ad.constant(np.array([3.0, 4.0]))
+        with Tape() as tape:
+            a = ad.mul(w, c)
+            y = ad.total(ad.mul(ad.add(a, w), 2.0))
+        assert [node.kind for node in tape.nodes] == ["mul", "add", "mul", "total"]
+        assert tape.nodes[0].tensor is a
+        assert tape.nodes[0].parents[0] is w and tape.nodes[0].parents[1] is c
+        assert tape.nodes[-1].tensor is y
+        np.testing.assert_array_equal(tape.backward(y, params=store)["w"], [8.0, 10.0])
+
+    def test_outer_tape_tensor_is_a_constant_inside(self):
+        store = ParameterStore()
+        x = store.add("x", 3.0)
+        with Tape() as outer:
+            h = ad.mul(x, x)
+            with Tape() as inner:
+                y = ad.mul(h, x)
+            z = ad.add(h, y)
+        assert len(inner.nodes) == 1 and len(outer.nodes) == 2
+        assert inner.backward(y, params=store)["x"] == 9.0  # d(h*x)/dx with h fixed
+        assert outer.backward(z, params=store)["x"] == 6.0  # d(x*x)/dx with y fixed
+
     def test_unreachable_parameters_get_zeros(self):
         store = ParameterStore()
         used = store.add("used", 2.0)

@@ -857,6 +857,19 @@ class TestEmbed:
         )
         assert out.read_text() == expected
 
+    def test_type_mode_skips_types_outside_the_vocabulary(self, tmp_path, capsys):
+        ckpt, _ = make_checkpoint(tmp_path, capsys, ["s01 s02", "s02 s03"])
+        text = tmp_path / "text.txt"
+        text.write_text("s01 zz s03\nyy s02\n")
+        out = tmp_path / "emb.txt"
+        code, stdout, err = run(
+            capsys, "embed", "--checkpoint", str(ckpt), "--mode", "type", str(text), str(out)
+        )
+        assert code == 0
+        assert err == "warning: skipped 2 types not in the checkpoint's L1 vocabulary\n"
+        assert "wrote 3 type embeddings" in stdout
+        assert [line.split()[0] for line in out.read_text().splitlines()] == ["s01", "s03", "s02"]
+
     def test_sentence_mode_empty_line_exits_2_with_position(self, tmp_path, capsys):
         ckpt, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
         text = tmp_path / "text.txt"

@@ -4,6 +4,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alignvae.corpus import (
     NULL_ID,
@@ -16,6 +18,7 @@ from alignvae.corpus import (
     derive_seed,
     load_parallel,
     make_batches,
+    read_sentences,
     synth_corpus,
     write_corpus,
     write_text,
@@ -85,6 +88,23 @@ class TestLoadParallel:
             assert pair.x[0] == NULL_ID
             assert NULL_ID not in pair.x[1:]
             assert NULL_ID not in pair.y
+
+
+# the line ends of str.splitlines() besides "\n", "\r" and "\r\n" (reading turns those into "\n")
+OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestReadSentences:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(lines=st.lists(st.text(alphabet="ab " + OTHER_LINE_BREAKS, max_size=8), max_size=6))
+    def test_one_sentence_per_newline_terminated_line(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("sentences") / "l1.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="")
+        assert read_sentences(path) == [line.split() for line in lines]
+
+    def test_last_line_needs_no_newline(self, tmp_path):
+        (tmp_path / "l1.txt").write_text("a b\u2028c\nd e", encoding="utf-8")
+        assert read_sentences(tmp_path / "l1.txt") == [["a", "b", "c"], ["d", "e"]]
 
 
 class TestVocabulary:

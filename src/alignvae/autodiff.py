@@ -194,13 +194,6 @@ def _emit(kind, data, parents, bwd) -> Tensor:
     return out
 
 
-def _broadcasts_to(shape: tuple, target: tuple) -> bool:
-    try:
-        return np.broadcast_shapes(shape, target) == target
-    except ValueError:
-        return False
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
     g = np.asarray(grad)
@@ -287,9 +280,10 @@ def matmul(a, b, bias=None) -> Tensor:
     data = a.data @ b.data
     if bias is not None:
         bias = _as_tensor(bias)
-        if not _broadcasts_to(bias.data.shape, data.shape):
-            raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to {data.shape}")
-        data += bias.data
+        try:  # numpy refuses a bias that would grow the product
+            data += bias.data
+        except ValueError:
+            raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to {data.shape}") from None
 
     def bwd(g):
         grads = g @ b.data.T, a.data.T @ g
@@ -341,21 +335,6 @@ def rows(table, ids) -> Tensor:
     return _emit("rows", data, (table,), bwd)
 
 
-def gather_rc(a, row_idx, col_idx) -> Tensor:
-    """Pick ``a[row_idx[k], col_idx[k]]`` for each k, as a vector."""
-    a = _as_tensor(a)
-    ri = np.asarray(row_idx, dtype=np.intp)
-    ci = np.asarray(col_idx, dtype=np.intp)
-    data = a.data[ri, ci]
-
-    def bwd(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, (ri, ci), g)
-        return (z,)
-
-    return _emit("gather_rc", data, (a,), bwd)
-
-
 def stack(tensors) -> Tensor:
     """Stack same-shaped tensors along a new leading axis."""
     ts = [_as_tensor(t) for t in tensors]
@@ -402,9 +381,10 @@ def logsumexp_rows(a, shift=None) -> Tensor:
     vals = a.data
     if shift is not None:
         shift = np.asarray(shift, dtype=np.float64)
-        if not _broadcasts_to(shift.shape, vals.shape):
-            raise ShapeError(f"logsumexp_rows: shift {shift.shape} does not broadcast to {a.shape}")
-        vals = vals + shift
+        try:  # the sum must keep a's shape: numpy refuses to grow ``out``
+            vals = np.add(vals, shift, out=np.empty_like(vals))
+        except ValueError:
+            raise ShapeError(f"logsumexp_rows: shift {shift.shape} does not broadcast to {a.shape}") from None
     hi = vals.max(axis=1, keepdims=True)
     shifted = vals - hi
     np.exp(shifted, out=shifted)

@@ -198,6 +198,11 @@ def _eval_lexsub(args) -> int:
     instances = semeval.parse_lexsub(args.data)
     if args.checkpoint:
         ckpt, params, vocab1, _ = _load_model(args.checkpoint)
+        unknown = sum(tok not in vocab1 for inst in instances
+                      for tok in (*inst.sentence, *(cand for cand, _ in inst.candidates)))
+        if unknown:
+            print(f"warning: read {unknown} tokens not in the checkpoint's L1 vocabulary "
+                  "as UNK", file=sys.stderr)
         score, per_instance = semeval.mean_gap(
             instances, vocab1, params, ckpt.model_cfg,
             metric=args.metric, reverse_kl=args.reverse_kl,
@@ -217,17 +222,22 @@ def _eval_lexsub(args) -> int:
 
 def _eval_wordsim(args) -> int:
     rows = semeval.parse_wordsim(args.data)
-    gold = [row[2] for row in rows]
     if args.checkpoint:
         ckpt, params, vocab1, _ = _load_model(args.checkpoint)
         if not args.corpus:
             raise AlignvaeError("wordsim with a checkpoint needs --corpus (L1 text)")
+        unknown = {tok for row in rows for tok in row[:2] if tok not in vocab1}
+        if unknown:
+            kept = [row for row in rows if not unknown.intersection(row[:2])]
+            print(f"warning: skipped {len(rows) - len(kept)} rows with {len(unknown)} words "
+                  "not in the checkpoint's L1 vocabulary", file=sys.stderr)
+            rows = kept
         sentences = corpus.read_sentences(args.corpus)
         ids = [(NULL_ID, *vocab1.encode(toks)) for toks in sentences]
         table = semeval.type_embeddings_for_corpus(ids, params, ckpt.model_cfg)
 
         def embedding(token):
-            vec = table.get(semeval._context_ids([token], vocab1)[1])  # warns for OOV
+            vec = table.get(vocab1.id(token))
             if vec is None:
                 raise DataError(f"{args.corpus}: {token!r} never occurs in the corpus")
             return vec
@@ -239,7 +249,7 @@ def _eval_wordsim(args) -> int:
                 "wordsim without a checkpoint needs a 4th system-score column"
             )
         sys_scores = [row[3] for row in rows]
-    print(f"{semeval.spearman(sys_scores, gold):.6f}")
+    print(f"{semeval.spearman(sys_scores, [row[2] for row in rows]):.6f}")
     return 0
 
 

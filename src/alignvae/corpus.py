@@ -147,8 +147,8 @@ class CSSupport:
         return frozenset(self.n_ids)
 
     def columns(self, token_ids) -> np.ndarray:
-        """Support positions of an array of ids, each of which must be in
-        the explicit class set C (``ContractError`` otherwise)."""
+        """Support positions of an array of ids, in its shape; each id must
+        be in the explicit class set C (``ContractError`` otherwise)."""
         ids = np.asarray(token_ids, dtype=np.intp).reshape(-1)
         c = np.asarray(self.c_ids, dtype=np.intp)
         order = np.argsort(c, kind="stable")
@@ -159,7 +159,7 @@ class CSSupport:
             raise ContractError(
                 f"token id {ids[~in_c][0]} is not in the explicit class set C ({self.side})"
             )
-        return order[k]
+        return order[k].reshape(np.shape(token_ids))
 
 
 def read_text(path) -> str:

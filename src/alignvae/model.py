@@ -276,12 +276,6 @@ def _log_normalizers(logits: Tensor, css: CSSupport | None) -> Tensor:
     return ad.logsumexp_rows(logits, shift=css.log_weights)
 
 
-def _columns(ids, css: CSSupport | None) -> np.ndarray:
-    """Logit columns of class ids: the ids themselves, or support positions."""
-    ids = np.asarray(ids, dtype=np.intp)
-    return ids if css is None else css.columns(ids)
-
-
 def css_log_normalizer(z, css: CSSupport, weights, bias) -> Tensor:
     """Sampled-support estimate of log sum_x exp(z . w_x + b_x) for one
     latent ``z`` [d], as a scalar.
@@ -300,15 +294,24 @@ def l1_log_prob(z_i, x_i: int, params: ParameterStore, css: CSSupport | None = N
     return _l1_sum(ad.reshape(ad.constant(z_i), (1, -1)), [x_i], params, css)
 
 
+def _cell_log_probs(z: Tensor, zrow, ids, weights: Tensor, bias: Tensor,
+                    css: CSSupport | None, s_block=None, s: Tensor | None = None) -> Tensor:
+    """log P(ids | z[zrow]) cell by cell; ``zrow`` and ``ids`` broadcast to
+    the result's shape. Each cell picks its logit from the flattened logits
+    (at its support position under a CSSupport) and subtracts its row's log
+    normalizer; ``s_block`` and ``s`` are as in ``_head_logits``."""
+    logits = _head_logits(z, weights, bias, css, s_block, s)
+    cols = np.asarray(ids, dtype=np.intp) if css is None else css.columns(ids)
+    picked = ad.rows(ad.reshape(logits, (-1,)), zrow * logits.shape[1] + cols)
+    return ad.sub(picked, ad.rows(_log_normalizers(logits, css), zrow))
+
+
 def _l1_sum(z: Tensor, x_ids, params: ParameterStore, css: CSSupport | None,
             s: Tensor | None = None) -> Tensor:
     """Sum over tokens of log P(x_t | z_t): ``x_ids`` [T] in the rows'
     order; ``s`` is the sentence draw per row [T, d_s], if any."""
-    s_block = params["G1"] if s is not None else None
-    logits = _head_logits(z, params["W1"], params["b1"], css, s_block, s)
-    norms = _log_normalizers(logits, css)
-    picked = ad.gather_rc(logits, np.arange(len(x_ids)), _columns(x_ids, css))
-    return ad.total(ad.sub(picked, norms))
+    return ad.total(_cell_log_probs(z, np.arange(len(x_ids)), x_ids, params["W1"], params["b1"],
+                                    css, params["G1"] if s is not None else None, s))
 
 
 def _l2_log_marginals(z: Tensor, x: Ragged, y: Ragged, weights: Tensor, bias: Tensor,
@@ -317,19 +320,16 @@ def _l2_log_marginals(z: Tensor, x: Ragged, y: Ragged, weights: Tensor, bias: Te
     alignment prior, for every L2 token of the batch in flat order.
 
     ``z`` holds one row per L1 token in ``x``'s flat order. The log
-    probabilities log P(y_j | z_i) are gathered into an [N, m_max] grid,
-    row j holding the positions i of y_j's own L1 sentence; cells past
-    that sentence's end get -inf, so a row-wise log-sum-exp marginalizes
-    each token over exactly its m positions.
+    probabilities log P(y_j | z_i) fill an [N, m_max] grid, row j holding
+    the positions i of y_j's own L1 sentence; cells past that sentence's
+    end repeat its first position and get -inf, so a row-wise
+    log-sum-exp marginalizes each token over exactly its m positions.
     """
-    logits = _head_logits(z, weights, bias, css)
-    norms = _log_normalizers(logits, css)
     m = x.lengths[y.seg]  # [N]
     cell = np.arange(x.lengths.max())
     real = cell < m[:, None]
     zrow = x.starts[y.seg][:, None] + np.where(real, cell, 0)  # [N, m_max]
-    cols = _columns(y.ids, css)[:, None]
-    logp = ad.sub(ad.gather_rc(logits, zrow, cols), ad.rows(norms, zrow))
+    logp = _cell_log_probs(z, zrow, y.ids[:, None], weights, bias, css)
     per_j = ad.logsumexp_rows(logp, shift=np.where(real, 0.0, -np.inf))
     return ad.sub(per_j, ad.constant(np.log(m.astype(np.float64))))
 

@@ -14,8 +14,8 @@ column with a precomputed system score).
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,15 +83,6 @@ def parse_lexsub(path) -> list[LexSubInstance]:
     return instances
 
 
-def _context_ids(sentence_tokens, vocab) -> tuple:
-    """NULL-padded ids of a sentence; warns for every token outside the
-    vocabulary (it maps to UNK)."""
-    for tok in sentence_tokens:
-        if tok not in vocab:
-            warnings.warn(f"token {tok!r} not in vocabulary; using UNK")
-    return (NULL_ID, *vocab.encode(sentence_tokens))
-
-
 def rank_candidates(instance: LexSubInstance, vocab: Vocabulary, params,
                     cfg: ModelConfig, metric: str = "kl",
                     reverse_kl: bool = False):
@@ -102,17 +93,18 @@ def rank_candidates(instance: LexSubInstance, vocab: Vocabulary, params,
     ranking is ascending KL(candidate || target) (flip with
     ``reverse_kl``) or descending cosine of the posterior locations. The
     sort is stable, so exact ties keep the original candidate order.
-    Returns (token, gold_weight, score) triples.
+    Tokens outside ``vocab`` read as UNK. Returns (token, gold_weight,
+    score) triples.
     """
     if metric not in ("kl", "cosine"):
         raise ContractError(f"metric must be 'kl' or 'cosine', got {metric!r}")
     pos = instance.target_position
-    seqs = [_context_ids(instance.sentence, vocab)]
+    sentences = [instance.sentence]
     for tok, _ in instance.candidates:
         swapped = list(instance.sentence)
         swapped[pos] = tok
-        seqs.append(_context_ids(swapped, vocab))
-    x = model_mod.Ragged(seqs)
+        sentences.append(swapped)
+    x = model_mod.Ragged([(NULL_ID, *vocab.encode(toks)) for toks in sentences])
     u, s = model_mod.posterior_params_np(x, params, cfg)
     at = x.starts + pos + 1  # +1 skips the NULL pad
     u, s = u[at], s[at]  # row 0 is the target, row k + 1 candidate k
@@ -126,13 +118,11 @@ def rank_candidates(instance: LexSubInstance, vocab: Vocabulary, params,
         scores = model_mod.gaussian_kl_rows(ad.constant(q_u), ad.constant(q_s),
                                             ad.constant(p_u), ad.constant(p_s)).data
     else:
-        scores = [-cosine(cand_u, u[0]) for cand_u in u[1:]]  # ascending sort, best first
+        scores = [cosine(cand_u, u[0]) for cand_u in u[1:]]
     scored = [(tok, weight, float(score))
               for (tok, weight), score in zip(instance.candidates, scores)]
-    ranked = sorted(scored, key=lambda item: item[2])
-    if metric == "cosine":
-        ranked = [(tok, w, -s) for tok, w, s in ranked]
-    return ranked
+    sign = 1.0 if metric == "kl" else -1.0  # best first: KL ascending, cosine descending
+    return sorted(scored, key=lambda item: sign * item[2])
 
 
 def gap(ranked_weights) -> float:
@@ -175,20 +165,25 @@ def type_embeddings_for_corpus(sentences_ids, params, cfg: ModelConfig) -> dict[
     """Average in-context posterior locations for every id in the corpus.
 
     ``sentences_ids`` is a list of NULL-padded id sequences; the NULL
-    position is skipped. Sums run in corpus order.
+    position is skipped. Sums run in corpus order; keys come in order of
+    first occurrence.
     """
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
+    tids = np.fromiter(itertools.chain.from_iterable(ids[1:] for ids in sentences_ids),
+                       dtype=np.intp)
+    keys, first, slot = np.unique(tids, return_index=True, return_inverse=True)
+    d = cfg.d
+    sums = np.full(len(keys) * d, -0.0)  # -0.0 + a == a bit for bit, sign included
+    lo = 0
     for x in model_mod.eval_chunks(sentences_ids):
         u, _ = model_mod.posterior_params_np(x, params, cfg)
         real = x.positions() > 0
-        for tid, row in zip(x.ids[real].tolist(), u[real]):
-            if tid in sums:
-                sums[tid] += row
-                counts[tid] += 1
-            else:
-                sums[tid], counts[tid] = row.copy(), 1
-    return {tid: sums[tid] / counts[tid] for tid in sums}
+        hi = lo + np.count_nonzero(real)
+        # a flat add.at is a few times faster than a [k, d] one; both add in corpus order
+        np.add.at(sums, (slot[lo:hi, None] * d + np.arange(d)).ravel(), u[real].ravel())
+        lo = hi
+    means = sums.reshape(-1, d) / np.bincount(slot)[:, None]
+    order = np.argsort(first)
+    return dict(zip(keys[order].tolist(), means[order]))
 
 
 def sentence_embeddings(sentences_ids, params, cfg: ModelConfig) -> list[np.ndarray]:

@@ -139,7 +139,8 @@ class TestBackward:
         vt = store.add("v", v)
         with Tape() as tape:
             vrow = ad.reshape(vt, (1, v.size))
-            loss = ad.sub(ad.total(ad.logsumexp_rows(vrow)), ad.total(ad.gather_rc(vrow, [0], [j])))
+            picked = ad.rows(ad.reshape(vrow, (-1,)), [j])
+            loss = ad.sub(ad.total(ad.logsumexp_rows(vrow)), ad.total(picked))
         grads = tape.backward(loss, params=store)
         expected = np.exp(v - v.max())
         expected /= expected.sum()
@@ -332,7 +333,7 @@ class TestStructuralOps:
             lambda p: ad.total(ad.matmul(p, ad.transpose(p))),
             lambda p: ad.total(ad.logsumexp_rows(p)),
             lambda p: ad.total(ad.sum_rows(ad.mul(p, p))),
-            lambda p: ad.total(ad.gather_rc(p, np.array([0, 3]), np.array([1, 2]))),
+            lambda p: ad.total(ad.rows(ad.reshape(p, (-1,)), np.array([0 * 3 + 1, 3 * 3 + 2]))),
             lambda p: ad.total(ad.reshape(ad.mul(p, p), (3, 4))),
             lambda p: ad.total(ad.stack([ad.rows(p, [0]), ad.rows(p, [2])])),
             lambda p: ad.total(ad.neg(ad.sub(p, ad.constant(0.5)))),

@@ -684,6 +684,16 @@ class TestEval:
         assert code == 0
         assert stdout.strip() == "0.857143"
 
+    def test_lexsub_counts_unknown_tokens_in_one_warning(self, tmp_path, capsys):
+        ckpt, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        data = tmp_path / "ls.tsv"
+        data.write_text("bb\t1\taa bb zz\tcc:1;qq:0\nbb\t0\tbb yy\taa:1;bb:0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "eval", "lexsub", str(data), "--checkpoint", str(ckpt))
+        assert code == 0 and 0.0 <= float(stdout) <= 1.0
+        assert err == "warning: read 3 tokens not in the checkpoint's L1 vocabulary as UNK\n"
+
     def test_lexsub_per_instance_output(self, tmp_path, capsys):
         data = tmp_path / "lst.tsv"
         data.write_text("w\t0\tw x\ta:2;b:0;c:1\n", encoding="utf-8")
@@ -773,19 +783,21 @@ class TestEval:
         text = tmp_path / "text.txt"
         text.write_text("aa bb zz\ncc yy aa\ndd bb\n")  # zz, yy map to UNK
         data = tmp_path / "ws.txt"
-        data.write_text("aa qq 1\nbb cc 3\naa dd 2\n")
-        with pytest.warns(UserWarning, match="'qq' not in vocabulary"):
-            code, stdout, _ = run(capsys, "eval", "wordsim", str(data),
-                                  "--checkpoint", str(ckpt), "--corpus", str(text))
+        # qq and zz are outside the vocabulary: their rows are skipped, not
+        # scored with the one UNK vector
+        data.write_text("aa qq 1\nbb cc 3\naa dd 2\nqq zz 5\ncc dd 4\n")
+        code, stdout, err = run(capsys, "eval", "wordsim", str(data),
+                                "--checkpoint", str(ckpt), "--corpus", str(text))
         assert code == 0
+        assert err == "warning: skipped 2 rows with 2 words not in the checkpoint's L1 vocabulary\n"
         table, vocab1 = type_table(ckpt, [line.split() for line in text.read_text().splitlines()])
 
         def vec(tok):
             return table[vocab1.id(tok)]
 
-        pairs = (("aa", "qq"), ("bb", "cc"), ("aa", "dd"))
+        pairs = (("bb", "cc"), ("aa", "dd"), ("cc", "dd"))
         cosines = [semeval.cosine(vec(a), vec(b)) for a, b in pairs]
-        assert stdout == f"{semeval.spearman(cosines, [1.0, 3.0, 2.0]):.6f}\n"
+        assert stdout == f"{semeval.spearman(cosines, [3.0, 2.0, 4.0]):.6f}\n"
 
     @pytest.mark.parametrize("token,oov", [("cc", False), ("zebra", True)])
     def test_wordsim_type_not_in_corpus_exits_2(self, tmp_path, capsys, token, oov):
@@ -793,16 +805,16 @@ class TestEval:
         text = tmp_path / "text.txt"
         text.write_text("aa bb\nbb aa\n")
         data = tmp_path / "ws.txt"
-        data.write_text(f"aa bb 1\naa {token} 2\n")
-        with warnings.catch_warnings(record=True) as warned:
-            warnings.simplefilter("always")
+        data.write_text(f"aa bb 1\naa {token} 2\ncc aa 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, _, err = run(capsys, "eval", "wordsim", str(data),
                                "--checkpoint", str(ckpt), "--corpus", str(text))
-        assert [str(w.message) for w in warned] == (
-            [f"token {token!r} not in vocabulary; using UNK"] if oov else []
-        )
+        # an unknown word's row is skipped; cc is known but never occurs
+        skipped = ("warning: skipped 1 rows with 1 words not in the checkpoint's "
+                   "L1 vocabulary\n") if oov else ""
         assert code == 2
-        assert err == f"error: {text}: {token!r} never occurs in the corpus\n"
+        assert err == skipped + f"error: {text}: 'cc' never occurs in the corpus\n"
 
 
 class TestEmbed:

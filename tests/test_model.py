@@ -10,6 +10,7 @@ from alignvae.errors import ContractError
 from alignvae.model import (
     ModelConfig,
     Ragged,
+    _cell_log_probs,
     _l2_log_marginals,
     build_params,
     css_log_normalizer,
@@ -285,6 +286,58 @@ class TestL2LogMarginal:
         a = l2_log_marginal(z, 2, params)
         b = l2_log_marginal(z[perm], 2, params)
         assert a == pytest.approx(b, rel=1e-13)
+
+
+class TestCellLogProbs:
+    # a grid of 3 rows over 4 latents: row k reads latents zrow[k], the
+    # padded cells repeat a row's first latent, and rows 0 and 2 share id 3
+    ZROW = np.array([[0, 1, 0], [2, 3, 2], [1, 1, 1]])
+    IDS = np.array([[3], [0], [3]])
+    SUPPORT = CSSupport(side="l2", c_ids=(0, 3, 5), n_ids=(1, 4), kappa=1.5)
+
+    @staticmethod
+    def reference(z, w, b, css, g=None, s=None):
+        """numpy ``logits[zrow, cols] - logsumexp(logits)[zrow]``."""
+        support = np.arange(len(w)) if css is None else css.support_ids
+        logits = z @ w[support].T + b[support]
+        if s is not None:
+            logits = logits + s @ g[support].T
+        shifted = logits if css is None else logits + css.log_weights
+        hi = shifted.max(axis=1)
+        norms = hi + np.log(np.exp(shifted - hi[:, None]).sum(axis=1))
+        cols = TestCellLogProbs.IDS
+        if css is not None:
+            cols = np.vectorize(list(css.support_ids).index)(cols)
+        return logits[TestCellLogProbs.ZROW, cols] - norms[TestCellLogProbs.ZROW]
+
+    @pytest.mark.parametrize("css", [None, SUPPORT], ids=["exact", "css"])
+    @pytest.mark.parametrize("with_s", [False, True], ids=["flat", "sentence-block"])
+    def test_matches_numpy_head(self, css, with_s):
+        rng = np.random.default_rng(11)
+        z, w, b = rng.normal(size=(4, 3)), rng.normal(size=(6, 3)), rng.normal(size=6)
+        g, s = (rng.normal(size=(6, 2)), rng.normal(size=(4, 2))) if with_s else (None, None)
+        got = _cell_log_probs(ad.constant(z), self.ZROW, self.IDS, ad.constant(w),
+                              ad.constant(b), css, None if g is None else ad.constant(g),
+                              None if s is None else ad.constant(s))
+        assert got.shape == self.ZROW.shape
+        np.testing.assert_allclose(got.data, self.reference(z, w, b, css, g, s),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("css", [None, SUPPORT], ids=["exact", "css"])
+    def test_gradient_with_sentence_block(self, css):
+        rng = np.random.default_rng(12)
+        store = ParameterStore()
+        z, s = store.add("z", rng.normal(size=(4, 3))), store.add("s", rng.normal(size=(4, 2)))
+        w, b = store.add("W1", rng.normal(size=(6, 3))), store.add("b1", rng.normal(size=6))
+        g = store.add("G1", rng.normal(size=(6, 2)))
+        weight = ad.constant(rng.normal(size=self.ZROW.shape))
+
+        def loss():
+            cells = _cell_log_probs(z, self.ZROW, self.IDS, w, b, css, g, s)
+            return ad.total(ad.mul(cells, weight))
+
+        report = gradient_check(loss, store)
+        assert report.max_rel_err <= 1e-6, report.per_param
 
 
 class TestKlToStandardNormal:

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from alignvae.corpus import NULL_ID, Vocabulary
+from alignvae.corpus import NULL_ID, UNK_TOKEN, Vocabulary
 from alignvae.errors import ContractError, DataError, DomainError, MetricError
 from alignvae.hiermodel import kl_diag_gaussian
 from alignvae import model as model_mod
@@ -103,13 +104,16 @@ class TestRankCandidates:
         expected.sort(key=lambda item: item[1])
         assert [tok for tok, _, _ in ranked] == [tok for tok, _ in expected]
 
-    def test_oov_candidate_warns(self, small_model):
+    def test_oov_candidate_reads_unk_silently(self, small_model):
         cfg, vocab, params = small_model
-        inst = LexSubInstance(
-            sentence=["cat"], target_position=0, candidates=[("zebra", 1.0)]
-        )
-        with pytest.warns(UserWarning, match="zebra"):
-            rank_candidates(inst, vocab, params, cfg)
+
+        def ranked(tok):
+            inst = LexSubInstance(sentence=["cat"], target_position=0, candidates=[(tok, 1.0)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return rank_candidates(inst, vocab, params, cfg)
+
+        assert ranked("zebra")[0][2] == ranked(UNK_TOKEN)[0][2]
 
     def test_reverse_direction_flag(self, small_model):
         cfg, vocab, params = small_model

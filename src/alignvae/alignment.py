@@ -15,6 +15,7 @@ them; ``corpus.write_links`` writes predicted links in that format.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,26 +101,21 @@ def corpus_aer(preds: dict, golds: dict):
     Counts are summed before the ratio is taken, so evaluation order does
     not matter. Sentences missing from either mapping count as empty.
     """
-    tot_a = tot_s = tot_as = tot_ap = tot_p = 0
-    for sid in sorted(set(preds) | set(golds)):
-        a = set(preds.get(sid, ()))
-        gold = golds.get(sid)
-        sure = gold.sure if gold else frozenset()
-        poss = gold.possible if gold else frozenset()
-        tot_a += len(a)
-        tot_s += len(sure)
-        tot_p += len(poss)
-        tot_as += len(a & sure)
-        tot_ap += len(a & poss)
-    denom = tot_a + tot_s
-    score = 0.0 if denom == 0 else 1.0 - (tot_as + tot_ap) / denom
-    return score, {"A": tot_a, "S": tot_s, "P": tot_p}
+    n = Counter()
+    empty = GoldAlignment(frozenset(), frozenset())
+    for sid in set(preds) | set(golds):
+        a, gold = set(preds.get(sid, ())), golds.get(sid, empty)
+        n.update(A=len(a), S=len(gold.sure), P=len(gold.possible),
+                 AS=len(a & gold.sure), AP=len(a & gold.possible))
+    denom = n["A"] + n["S"]
+    score = 0.0 if denom == 0 else 1.0 - (n["AS"] + n["AP"]) / denom
+    return score, {"A": n["A"], "S": n["S"], "P": n["P"]}
 
 
 def parse_gold(path) -> dict:
     """Read ``sid j i [S|P]`` lines into GoldAlignment per sentence id."""
-    sure: dict[int, set] = {}
-    poss: dict[int, set] = {}
+    sure: dict[int, set] = defaultdict(set)
+    poss: dict[int, set] = defaultdict(set)
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -142,11 +138,8 @@ def parse_gold(path) -> dict:
         flag = parts[3].upper() if len(parts) == 4 else "S"
         if flag not in ("S", "P"):
             raise GoldFormatError(f"{path}:{lineno}: unknown flag {flag!r}")
-        poss.setdefault(sid, set()).add((j, i))
+        poss[sid].add((j, i))
         if flag == "S":
-            sure.setdefault(sid, set()).add((j, i))
-    return {
-        sid: GoldAlignment(frozenset(sure.get(sid, ())), frozenset(poss[sid]))
-        for sid in poss
-    }
+            sure[sid].add((j, i))
+    return {sid: GoldAlignment(frozenset(sure[sid]), frozenset(p)) for sid, p in poss.items()}
 

@@ -328,9 +328,12 @@ def rows(table, ids) -> Tensor:
         np.not_equal(ids[1:], ids[:-1], out=first[1:])
         if first.all():
             return (RowGrad(ids, g),)
-        values = np.zeros((np.count_nonzero(first),) + g.shape[1:])
-        np.add.at(values, np.cumsum(first) - 1, g)
-        return (RowGrad(ids[first], values),)
+        # one flat add.at over (row, entry) cells: faster than a row-wise one, same order
+        n, width = np.count_nonzero(first), int(np.prod(g.shape[1:]))
+        cells = (np.cumsum(first)[:, None] - 1) * width + np.arange(width)
+        values = np.zeros(n * width)
+        np.add.at(values, cells.reshape(-1), g.reshape(-1))
+        return (RowGrad(ids[first], values.reshape((n,) + g.shape[1:])),)
 
     return _emit("rows", data, (table,), bwd)
 

@@ -1,6 +1,8 @@
 """Command-line surface: synthesize data, train, align, evaluate, embed.
 
 Exit codes: 0 success, 2 usage/config/data error, 3 numerical failure.
+A failed command prints one ``error:`` line to stderr; ``warning:`` lines
+print only when the command succeeds.
 Training is driven by an INI-style config file:
 
     [paths]
@@ -63,16 +65,19 @@ def _parse_config(path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(corpus.read_text(path), source=str(path))
-    except configparser.Error as e:
+        items = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as e:  # items() interpolates, which can fail too
         raise AlignvaeError(f"malformed config file {path}: {' '.join(str(e).split())}") from None
     values: dict[str, dict] = {section: {} for section in _CONFIG_SCHEMA}
-    for section in parser.sections():
+    for section, pairs in items.items():
         if section not in _CONFIG_SCHEMA:
             raise AlignvaeError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in pairs:
             kind = _CONFIG_SCHEMA[section].get(key)
             if kind is None:
                 raise AlignvaeError(f"unknown config key {key!r} in [{section}]")
+            if kind is str and (not raw or "\0" in raw):  # open() refuses both as paths
+                raise AlignvaeError(f"bad value for {key!r}: {raw!r}")
             if kind is bool:
                 if raw.lower() not in _BOOL:
                     raise AlignvaeError(f"bad boolean for {key!r}: {raw!r}")
@@ -80,6 +85,8 @@ def _parse_config(path) -> dict:
             else:
                 try:
                     values[section][key] = kind(raw)
+                    if kind is int and not -2**63 <= values[section][key] < 2**63:
+                        raise ValueError  # sizes, counts and seeds all reach numpy's int64
                 except ValueError:
                     raise AlignvaeError(f"bad value for {key!r}: {raw!r}") from None
     return values
@@ -152,10 +159,15 @@ def cmd_train(args) -> int:
         print(f"ibm1 table written to {ckpt_path}")
         return 0
 
+    def log(line):  # epoch lines are progress, on stdout; a warning waits for success
+        if line.startswith("warning: "):
+            args.notes.append(line)
+        else:
+            print(line)
+
     ckpt = training.train(
         pairs, vocab1, vocab2, model_cfg, train_cfg,
-        val_pairs=val_pairs, val_gold=val_gold,
-        log_path=metrics_path, log_fn=lambda line: print(line, file=sys.stderr),
+        val_pairs=val_pairs, val_gold=val_gold, log_path=metrics_path, log_fn=log,
     )
     training.save_checkpoint(ckpt, ckpt_path)
     print(f"checkpoint written to {ckpt_path} (best epoch {ckpt.best_epoch})")
@@ -201,8 +213,8 @@ def _eval_lexsub(args) -> int:
         unknown = sum(tok not in vocab1 for inst in instances
                       for tok in (*inst.sentence, *(cand for cand, _ in inst.candidates)))
         if unknown:
-            print(f"warning: read {unknown} tokens not in the checkpoint's L1 vocabulary "
-                  "as UNK", file=sys.stderr)
+            args.notes.append(f"warning: read {unknown} tokens not in the checkpoint's L1 "
+                              "vocabulary as UNK")
         score, per_instance = semeval.mean_gap(
             instances, vocab1, params, ckpt.model_cfg,
             metric=args.metric, reverse_kl=args.reverse_kl,
@@ -229,8 +241,8 @@ def _eval_wordsim(args) -> int:
         unknown = {tok for row in rows for tok in row[:2] if tok not in vocab1}
         if unknown:
             kept = [row for row in rows if not unknown.intersection(row[:2])]
-            print(f"warning: skipped {len(rows) - len(kept)} rows with {len(unknown)} words "
-                  "not in the checkpoint's L1 vocabulary", file=sys.stderr)
+            args.notes.append(f"warning: skipped {len(rows) - len(kept)} rows with "
+                              f"{len(unknown)} words not in the checkpoint's L1 vocabulary")
             rows = kept
         sentences = corpus.read_sentences(args.corpus)
         ids = [(NULL_ID, *vocab1.encode(toks)) for toks in sentences]
@@ -262,8 +274,8 @@ def cmd_embed(args) -> int:
         seen = dict.fromkeys(tok for toks in sentences for tok in toks)
         rows = [(tok, table[vocab1.id(tok)]) for tok in seen if tok in vocab1]
         if len(rows) < len(seen):
-            print(f"warning: skipped {len(seen) - len(rows)} types not in the checkpoint's "
-                  "L1 vocabulary", file=sys.stderr)
+            args.notes.append(f"warning: skipped {len(seen) - len(rows)} types not in the "
+                              "checkpoint's L1 vocabulary")
     else:
         for sid, row in enumerate(ids, start=1):
             if row == (NULL_ID,):
@@ -340,17 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.notes = []  # warning lines, printed only once the command has succeeded
     try:
-        return args.fn(args)
-    except NumericalError as e:
+        code = args.fn(args)
+    except (AlignvaeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except AlignvaeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, NumericalError) else 2
+    for note in args.notes:
+        print(note, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

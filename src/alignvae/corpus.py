@@ -12,8 +12,10 @@ through ``write_text``.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import stat
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -47,25 +49,13 @@ class Vocabulary:
     def __init__(self, tokens, max_vocab: int | None = None):
         if max_vocab is not None and max_vocab < 1:
             raise ContractError(f"max_vocab must be >= 1, got {max_vocab}")
-        self.tokens: list[str] = list(_RESERVED)
+        counts = Counter(tokens)  # keys in order of first occurrence
+        if clash := next((tok for tok in counts if tok in _RESERVED), None):
+            raise DataError(f"corpus token collides with reserved token {clash!r}")
+        # a stable sort keeps equally frequent types in first-occurrence order
+        keep = set(sorted(counts, key=counts.__getitem__, reverse=True)[:max_vocab])
+        self.tokens: list[str] = [*_RESERVED, *(tok for tok in counts if tok in keep)]
         self.index: dict[str, int] = {t: i for i, t in enumerate(self.tokens)}
-        order: list[str] = []
-        counts: dict[str, int] = {}
-        for tok in tokens:
-            if tok in _RESERVED:
-                raise DataError(f"corpus token collides with reserved token {tok!r}")
-            if tok not in counts:
-                counts[tok] = 0
-                order.append(tok)
-            counts[tok] += 1
-        if max_vocab is not None and max_vocab < len(order):
-            first_seen = {tok: k for k, tok in enumerate(order)}
-            ranked = sorted(order, key=lambda t: (-counts[t], first_seen[t]))
-            keep = set(ranked[:max_vocab])
-            order = [tok for tok in order if tok in keep]
-        for tok in order:
-            self.index[tok] = len(self.tokens)
-            self.tokens.append(tok)
 
     def __len__(self):
         return len(self.tokens)
@@ -120,16 +110,13 @@ class CSSupport:
     c_ids: tuple[int, ...]
     n_ids: tuple[int, ...]
     kappa: float
-    support_ids: np.ndarray = field(repr=False, default=None)
-    log_weights: np.ndarray = field(repr=False, default=None)
+    support_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = np.array(self.c_ids + self.n_ids, dtype=np.intp)
-        logw = np.zeros(len(ids))
-        if self.n_ids:
-            logw[len(self.c_ids):] = np.log(self.kappa)
-        self.support_ids = ids
-        self.log_weights = logw
+        self.support_ids = np.array(self.c_ids + self.n_ids, dtype=np.intp)
+        self.log_weights = np.zeros(len(self.support_ids))
+        self.log_weights[len(self.c_ids):] = np.log(self.kappa)
 
     @cached_property
     def positions(self) -> dict[int, int]:
@@ -268,24 +255,22 @@ def build_css_support(batch, vocab, side: str, n_neg: int = 1000, seed: int = 0)
         raise ContractError(f"side must be 'l1' or 'l2', got {side!r}")
     if n_neg < 0:
         raise ContractError(f"n_neg must be >= 0, got {n_neg}")
-    observed = set()
-    for pair in batch:
-        observed.update(pair.x if side == "l1" else pair.y)
+    ids = np.fromiter(itertools.chain.from_iterable(
+        pair.x if side == "l1" else pair.y for pair in batch), dtype=np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= len(vocab)):
+        raise ContractError(f"{side} token id outside the vocabulary of {len(vocab)} ids")
+    observed = np.zeros(len(vocab), dtype=bool)
+    observed[ids] = True
     if side == "l1":
-        observed.add(NULL_ID)
-    c_ids = tuple(sorted(observed))
-    complement = np.array(
-        sorted(set(range(len(vocab))) - observed), dtype=np.intp
-    )
+        observed[NULL_ID] = True
+    c_ids = tuple(np.flatnonzero(observed).tolist())
+    complement = np.flatnonzero(~observed)
     take = min(n_neg, len(complement))
-    if take > 0:
-        rng = np.random.default_rng(seed)
-        n_ids = tuple(int(i) for i in rng.choice(complement, size=take, replace=False))
-        kappa = len(complement) / take
-    else:
-        n_ids = ()
-        kappa = 1.0
-    return CSSupport(side=side, c_ids=c_ids, n_ids=n_ids, kappa=kappa)
+    if take == 0:
+        return CSSupport(side=side, c_ids=c_ids, n_ids=(), kappa=1.0)
+    n_ids = np.random.default_rng(seed).choice(complement, size=take, replace=False)
+    return CSSupport(side=side, c_ids=c_ids, n_ids=tuple(n_ids.tolist()),
+                     kappa=len(complement) / take)
 
 
 @dataclass

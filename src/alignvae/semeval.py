@@ -220,16 +220,9 @@ def cosine(a, b) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based fractional ranks; tied values share their mean rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a group filling sorted places i..j (0-based) gets (i + j) / 2 + 1
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def spearman(sys_scores, gold_scores) -> float:
@@ -238,6 +231,8 @@ def spearman(sys_scores, gold_scores) -> float:
     gold_arr = np.asarray(list(gold_scores), dtype=np.float64)
     if sys_arr.shape != gold_arr.shape or sys_arr.ndim != 1 or sys_arr.size < 2:
         raise MetricError("spearman needs two equal-length lists of >= 2 scores")
+    if np.isnan(sys_arr).any() or np.isnan(gold_arr).any():
+        raise MetricError("spearman undefined for a NaN score")
     if np.all(sys_arr == sys_arr[0]) or np.all(gold_arr == gold_arr[0]):
         raise MetricError("spearman undefined for a constant list")
     rs = _average_ranks(sys_arr)

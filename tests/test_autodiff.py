@@ -495,6 +495,24 @@ class TestRowSparseGradients:
         assert part.nbytes == part.ids.nbytes + part.values.nbytes
         assert out.data.shape == (3, 4)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=30), st.integers(0, 2**32))
+    def test_repeated_gather_matches_dense_add_at(self, ids, seed):
+        # a [V, d] and a [V] table; upstream gradients include -0.0
+        rng = np.random.default_rng(seed)
+        ids = np.array(ids)
+        for shape in ((6, 7), (6,)):
+            store = ParameterStore()
+            table = store.add("T", rng.standard_normal(shape))
+            k = rng.standard_normal((ids.size,) + shape[1:])
+            k[rng.random(k.shape) < 0.3] = -0.0
+            with Tape() as tape:
+                loss = ad.total(ad.mul(ad.rows(table, ids), ad.constant(k)))
+            grad = tape.backward(loss, params=store)["T"]
+            ref = np.zeros(shape)
+            np.add.at(ref, ids, k)
+            assert grad.tobytes() == ref.tobytes()
+
 
 def _value_and_grads(build, arrays):
     store = ParameterStore()

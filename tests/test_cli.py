@@ -217,7 +217,8 @@ class TestTrain:
         "train_l1 = a.txt\n",  # no section header
         "[paths]\ntrain_l1 = a.txt\ntrain_l1 = b.txt\n",  # duplicate key
         "[paths]\ntrain_l1 = a\n  b = c\n  [x\n= y\n",  # continuation and parse errors
-    ], ids=["no_header", "duplicate_key", "parse_error"])
+        "[paths]\ntrain_l1 = 100%.txt\n",  # a % that interpolation cannot read
+    ], ids=["no_header", "duplicate_key", "parse_error", "interpolation"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, text):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(text, encoding="utf-8")
@@ -287,7 +288,7 @@ class TestTrain:
     @pytest.mark.parametrize("key, value, baseline", [
         ("lr", "nan", None), ("lr", "inf", None), ("lr", "-1", None), ("lr", "0", None),
         ("epochs", "-2", None), ("max_vocab", "-1", None), ("max_vocab", "0", None),
-        ("em_iters", "-3", "ibm1"),
+        ("em_iters", "-3", "ibm1"), ("seed", str(2**63), None),
     ])
     def test_out_of_range_training_value_exits_2(self, synth_dir, tmp_path, capsys,
                                                  key, value, baseline):
@@ -352,6 +353,38 @@ class TestTrain:
         )
         code, _, stderr = run(capsys, "train", "--config", str(cfg_path))
         assert (code, stderr) == (2, "error: learning rate lr must be finite and > 0, got nan\n")
+
+    @pytest.mark.parametrize("value", ["", "m\0.tsv"], ids=["empty", "nul"])
+    def test_unusable_path_exits_2_before_training(self, synth_dir, tmp_path, capsys, value):
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={"train_l1": synth_dir / "l1.txt", "train_l2": synth_dir / "l2.txt",
+                   "checkpoint": tmp_path / "out.txt", "metrics": value},
+            model={"d": 4, "d_x": 6},
+            training={"epochs": 1, "batch": 20},
+        )
+        code, stdout, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert (code, stdout, stderr) == (2, "", f"error: bad value for 'metrics': {value!r}\n")
+
+    def test_failure_after_training_prints_one_stderr_line(self, synth_dir, tmp_path, capsys):
+        """Epoch lines go to stdout, so a checkpoint that cannot be written
+        leaves the error line alone on stderr."""
+        (tmp_path / "empty_gold.txt").write_text("")
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={"train_l1": synth_dir / "l1.txt", "train_l2": synth_dir / "l2.txt",
+                   "val_l1": synth_dir / "l1.txt", "val_l2": synth_dir / "l2.txt",
+                   "gold": tmp_path / "empty_gold.txt",  # a warning, held back
+                   "checkpoint": tmp_path, "metrics": tmp_path / "m.tsv"},
+            model={"d": 4, "d_x": 6},
+            training={"epochs": 2, "batch": 20},
+        )
+        code, stdout, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 2
+        assert [line.split("\t")[0] for line in stdout.splitlines()] == ["0", "1"]
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 def perfect_checkpoint(tmp_path, synth, vocab1, vocab2):
@@ -810,11 +843,10 @@ class TestEval:
             warnings.simplefilter("error")
             code, _, err = run(capsys, "eval", "wordsim", str(data),
                                "--checkpoint", str(ckpt), "--corpus", str(text))
-        # an unknown word's row is skipped; cc is known but never occurs
-        skipped = ("warning: skipped 1 rows with 1 words not in the checkpoint's "
-                   "L1 vocabulary\n") if oov else ""
+        # an unknown word's row is skipped, but a failed command prints no
+        # warning; cc is known but never occurs
         assert code == 2
-        assert err == skipped + f"error: {text}: 'cc' never occurs in the corpus\n"
+        assert err == f"error: {text}: 'cc' never occurs in the corpus\n"
 
 
 class TestEmbed:
@@ -954,3 +986,27 @@ class TestNumericalFailure:
             assert err == ("error: posterior scale underflowed to 0: "
                            "the KL ranking needs positive scales\n")
             assert not out.exists()
+
+    def test_failed_lexsub_prints_no_warning(self, tmp_path, capsys):
+        """Unknown tokens, then an underflowed scale: exit 3 with the error line alone."""
+        ckpt_path, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        ckpt = training.load_checkpoint(ckpt_path)
+        ckpt.params["d2"][:] = -1000.0
+        training.save_checkpoint(ckpt, ckpt_path)
+        lexsub = tmp_path / "ls.txt"
+        lexsub.write_text("bb\t1\taa bb zz\tcc:1;qq:0\n")
+        code, _, err = run(capsys, "eval", "lexsub", str(lexsub), f"--checkpoint={ckpt_path}")
+        assert code == 3
+        assert err == ("error: posterior scale underflowed to 0: "
+                       "the KL ranking needs positive scales\n")
+
+    def test_failed_type_embed_prints_no_warning(self, tmp_path, capsys):
+        """A type outside the vocabulary, then an output path that cannot be
+        written: exit 2 with the error line alone."""
+        ckpt_path, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        text = tmp_path / "text.txt"
+        text.write_text("aa zz\nbb cc\n")
+        code, _, err = run(capsys, "embed", f"--checkpoint={ckpt_path}", "--mode", "type",
+                           str(text), str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -148,6 +148,9 @@ def cmd_train(args) -> int:
             paths["val_l1"], paths["val_l2"], max_len=None, vocabs=(vocab1, vocab2)
         )
         val_gold = alignment.parse_gold(paths["gold"])
+        if not val_gold:  # parse_gold keeps only sentences with links
+            args.notes.append("warning: empty validation gold; "
+                              "model selection falls back to final epoch")
 
     ckpt_path = paths.get("checkpoint", "checkpoint.json")
     metrics_path = paths.get("metrics", "metrics.tsv")
@@ -159,15 +162,9 @@ def cmd_train(args) -> int:
         print(f"ibm1 table written to {ckpt_path}")
         return 0
 
-    def log(line):  # epoch lines are progress, on stdout; a warning waits for success
-        if line.startswith("warning: "):
-            args.notes.append(line)
-        else:
-            print(line)
-
-    ckpt = training.train(
+    ckpt = training.train(  # epoch lines are progress, on stdout
         pairs, vocab1, vocab2, model_cfg, train_cfg,
-        val_pairs=val_pairs, val_gold=val_gold, log_path=metrics_path, log_fn=log,
+        val_pairs=val_pairs, val_gold=val_gold, log_path=metrics_path, log_fn=print,
     )
     training.save_checkpoint(ckpt, ckpt_path)
     print(f"checkpoint written to {ckpt_path} (best epoch {ckpt.best_epoch})")
@@ -358,6 +355,9 @@ def main(argv=None) -> int:
     except (AlignvaeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3 if isinstance(e, NumericalError) else 2
+    except MemoryError as e:  # a dimension or vocabulary too large to allocate
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
+        return 2
     for note in args.notes:
         print(note, file=sys.stderr)
     return code

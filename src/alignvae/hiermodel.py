@@ -3,8 +3,10 @@
 A per-sentence Gaussian latent conditions both the prior over the
 per-token embeddings (through a small tanh network) and the generative
 and posterior heads (through additive blocks that consume the sentence
-draw). With every sentence pathway zeroed the objective collapses to the
-base bound, which the tests rely on.
+draw; those blocks live in ``model.infer_posterior`` and ``model._l1_sum``).
+This module holds the sentence posterior and the prior mean. With every
+sentence pathway zeroed the objective collapses to the base bound, which
+the tests rely on.
 """
 
 from __future__ import annotations
@@ -43,27 +45,8 @@ def prior_mean(s: Tensor, params: ParameterStore) -> Tensor:
 
 
 def infer_word_posterior_conditioned(s: Tensor, h: Tensor, params: ParameterStore):
-    """Per-token posterior heads that also consume the sentence draw.
-
-    The affine map over the concatenation [s ; h_i] is realized as the
-    base head plus an additive sentence block, so zeroing the block
-    reduces exactly to the unconditioned posterior. ``s`` [T, d_s] holds
-    the sentence draw of each token, one row per row of h.
-    """
-    base_u = ad.matmul(h, ad.transpose(params["M1"]), bias=params["d1"])
-    base_s_pre = ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"])
-    l = ad.add(base_u, ad.matmul(s, ad.transpose(params["N1"])))
-    r = ad.softplus(ad.add(base_s_pre, ad.matmul(s, ad.transpose(params["N2"]))))
-    return l, r
-
-
-def _sentence_blocks_np(x, params: ParameterStore):
-    """Tape-free sentence blocks of ``infer_word_posterior_conditioned`` at
-    the sentence posterior mean: additive location and pre-softplus [T, d]."""
-    u_k = x.averaging() @ params["E"].data[x.ids] @ params["sent_Mu"].data.T
-    u_k += params["sent_bu"].data
-    s_tok = u_k[x.seg]
-    return s_tok @ params["N1"].data.T, s_tok @ params["N2"].data.T
+    """``model.infer_posterior(h, params, s)``; the name stays for ``bench/tracer.py``."""
+    return model_mod.infer_posterior(h, params, s)
 
 
 def kl_diag_gaussian(q_mean, q_scale, p_mean, p_scale) -> float:
@@ -121,14 +104,15 @@ def _softplus_preimage(target: float = 1.0) -> float:
 def zero_sentence_pathways(params: ParameterStore) -> None:
     """Silence every sentence-latent pathway, in place.
 
-    Zeroes the prior network, the additive posterior and generative
-    blocks, and the sentence-posterior heads. The scale-head bias is set
+    Zeroes every parameter that only the hierarchical model has: the
+    prior network, the additive posterior and generative blocks, and the
+    sentence-posterior heads. The scale-head bias is then set
     to the softplus preimage of 1 so the sentence posterior is exactly
     standard normal and its divergence term vanishes; the sentence draw
     itself is then pure noise consumed only by zeroed blocks.
     """
-    for name in ("prior_V1", "prior_c1", "prior_V2", "prior_c2",
-                 "N1", "N2", "G1", "sent_Mu", "sent_bu", "sent_Ms"):
+    flat = model_mod.param_shapes(ModelConfig(), 1, 1)
+    for name in model_mod.param_shapes(ModelConfig(hierarchical=True), 1, 1).keys() - flat:
         params[name].data = np.zeros_like(params[name].data)
     params["sent_bs"].data = np.full_like(
         params["sent_bs"].data, _softplus_preimage(1.0)

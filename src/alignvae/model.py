@@ -5,7 +5,9 @@ through an affine + softmax head; every L2 token is emitted from the
 latent at a uniformly chosen L1 position (position 0 is NULL), so its
 likelihood marginalizes the alignment. Inference side: a BoW or BiRNN
 encoder feeds two affine heads producing per-token diagonal-Gaussian
-posteriors (softplus keeps scales positive). Training can swap the exact
+posteriors (softplus keeps scales positive); one function,
+``infer_posterior``, holds them for both models, the hierarchical one
+adding its sentence blocks before the softplus. Training can swap the exact
 softmax normalizers for the sampled-support estimate carried by a
 CSSupport; evaluation always uses the full support.
 
@@ -232,11 +234,20 @@ def encode(x: Ragged, params: ParameterStore, cfg: ModelConfig) -> Tensor:
 # posterior and sampling
 
 
-def infer_posterior(h: Tensor, params: ParameterStore):
-    """Location and scale heads over the shared encoding: [m, d] each."""
+def infer_posterior(h: Tensor, params: ParameterStore, s_tok: Tensor | None = None):
+    """Location and scale heads over the shared encoding h [T, d_x]: [T, d] each.
+
+    With the sentence draw of each token ``s_tok`` [T, d_s] (hierarchical
+    model), the affine map over [s ; h_t] is the base head plus the
+    additive blocks ``N1``/``N2`` before the softplus, so zeroed blocks
+    give the unconditioned posterior exactly.
+    """
     u = ad.matmul(h, ad.transpose(params["M1"]), bias=params["d1"])
-    s = ad.softplus(ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"]))
-    return u, s
+    s_pre = ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"])
+    if s_tok is not None:
+        u = ad.add(u, ad.matmul(s_tok, ad.transpose(params["N1"])))
+        s_pre = ad.add(s_pre, ad.matmul(s_tok, ad.transpose(params["N2"])))
+    return u, ad.softplus(s_pre)
 
 
 def reparam_sample(u: Tensor, s: Tensor, eps: np.ndarray) -> Tensor:
@@ -389,17 +400,15 @@ def batch_elbo(pairs, params: ParameterStore, cfg: ModelConfig, alpha: float,
     x = Ragged([p.x for p in pairs])
     y = Ragged([p.y for p in pairs])
     h = encode(x, params, cfg)
-    if eps_s is None:
-        s_tok = None
-        u, s = infer_posterior(h, params)
-        kl = kl_to_standard_normal(u, s)
-    else:
+    s_tok = None
+    if eps_s is not None:
         from . import hiermodel  # deferred: hiermodel imports this module
 
         u_k, s_k = hiermodel.infer_sentence_posterior(x, params)
         s_tok = ad.rows(reparam_sample(u_k, s_k, eps_s), x.seg)
-        u, s = hiermodel.infer_word_posterior_conditioned(s_tok, h, params)
-        kl = gaussian_kl_rows(u, s, hiermodel.prior_mean(s_tok, params))
+    u, s = infer_posterior(h, params, s_tok)
+    kl = (kl_to_standard_normal(u, s) if s_tok is None
+          else gaussian_kl_rows(u, s, hiermodel.prior_mean(s_tok, params)))
     z = reparam_sample(u, s, eps_z)
     like = ad.add(
         _l1_sum(z, x.ids, params, css_l1, s_tok),
@@ -437,8 +446,11 @@ def posterior_params_np(x: Ragged, params: ParameterStore, cfg: ModelConfig):
     the one posterior that every evaluation command reads.
     The numpy heads follow ``infer_posterior``'s operation order, so they
     equal it bit for bit; a hierarchical model conditions each token on its
-    sentence's posterior mean (``hiermodel._sentence_blocks_np``). Weights
-    too large for float64 raise ``NumericalError`` instead of a warning."""
+    sentence's posterior mean (the location of
+    ``hiermodel.infer_sentence_posterior``). Weights too large for float64
+    raise ``NumericalError`` instead of a warning."""
+    # numpy, not the tape-free autodiff heads: on hier-v30 dims those took a
+    # one-sentence call from 53 to 95 us and align and embed ~30% slower
     with np.errstate(all="ignore"):
         h = encode(x, params, cfg).data
         u = h @ params["M1"].data.T
@@ -446,10 +458,11 @@ def posterior_params_np(x: Ragged, params: ParameterStore, cfg: ModelConfig):
         s_pre = h @ params["M2"].data.T
         s_pre += params["d2"].data
         if cfg.hierarchical:
-            from . import hiermodel  # deferred: hiermodel imports this module
-            block_u, block_s = hiermodel._sentence_blocks_np(x, params)
-            u += block_u
-            s_pre += block_s
+            u_k = x.averaging() @ params["E"].data[x.ids] @ params["sent_Mu"].data.T
+            u_k += params["sent_bu"].data
+            s_tok = u_k[x.seg]
+            u += s_tok @ params["N1"].data.T
+            s_pre += s_tok @ params["N2"].data.T
         s = ad._softplus_values(s_pre)
         # NaN and infinities carry into a sum, a sum past float64 overflows
         finite = math.isfinite(u.sum() + s.sum())

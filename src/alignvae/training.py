@@ -229,15 +229,13 @@ def train(
     Fully deterministic given the config seed: epoch shuffles, support
     sampling and reparameterization noise all draw from sub-seeds derived
     from (seed, purpose). With no validation gold the final-epoch model is
-    returned (with a warning via ``log_fn`` when given).
+    returned. ``log_fn``, when given, receives each epoch's metrics line.
     """
     seed = train_cfg.seed
     params = model_mod.build_params(model_cfg, len(vocab1), len(vocab2), seed)
     has_gold = bool(val_pairs) and bool(val_gold) and any(
         g.sure or g.possible for g in val_gold.values()
     )
-    if (val_pairs or val_gold) and not has_gold and log_fn is not None:
-        log_fn("warning: empty validation gold; model selection falls back to final epoch")
 
     best: Checkpoint | None = None
     lines = []

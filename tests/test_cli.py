@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from alignvae import alignment, corpus, semeval, training
+from alignvae import model as model_mod
 from alignvae.cli import main
 from alignvae.corpus import load_parallel, synth_corpus, write_corpus
 from alignvae.model import ModelConfig
@@ -385,6 +386,44 @@ class TestTrain:
         assert code == 2
         assert [line.split("\t")[0] for line in stdout.splitlines()] == ["0", "1"]
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+    def test_empty_gold_warning_prints_after_success(self, synth_dir, tmp_path, capsys):
+        (tmp_path / "empty_gold.txt").write_text("# no links\n")
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={"train_l1": synth_dir / "l1.txt", "train_l2": synth_dir / "l2.txt",
+                   "val_l1": synth_dir / "l1.txt", "val_l2": synth_dir / "l2.txt",
+                   "gold": tmp_path / "empty_gold.txt",
+                   "checkpoint": tmp_path / "out.txt", "metrics": tmp_path / "m.tsv"},
+            model={"d": 4, "d_x": 6},
+            training={"epochs": 1, "batch": 20},
+        )
+        code, _, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert (code, stderr) == (0, "warning: empty validation gold; "
+                                     "model selection falls back to final epoch\n")
+        assert training.load_checkpoint(tmp_path / "out.txt").best_val_aer is None
+
+    @pytest.mark.parametrize("text", ["Unable to allocate 8.00 EiB for an array", ""])
+    def test_allocation_failure_exits_2(self, synth_dir, tmp_path, capsys, monkeypatch, text):
+        """A model too large to allocate ends in one line, not a traceback;
+        the allocation itself is stubbed."""
+        def refuse(shapes, seed):
+            raise MemoryError(text)
+
+        monkeypatch.setattr(model_mod, "init_params", refuse)
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={"train_l1": synth_dir / "l1.txt", "train_l2": synth_dir / "l2.txt",
+                   "checkpoint": tmp_path / "out.txt", "metrics": tmp_path / "m.tsv"},
+            model={"d": 4, "d_x": 6},
+            training={"epochs": 1, "batch": 20},
+        )
+        code, stdout, stderr = run(capsys, "train", "--config", str(cfg_path))
+        line = f"error: out of memory: {text}\n" if text else "error: out of memory\n"
+        assert (code, stdout, stderr) == (2, "", line)
+        assert not (tmp_path / "out.txt").exists()
 
 
 def perfect_checkpoint(tmp_path, synth, vocab1, vocab2):

@@ -1,0 +1,157 @@
+"""The one posterior head against the two it replaced, kept here verbatim
+as references: the flat head, the sentence-conditioned head and the
+evaluation's sentence blocks. The merged head must give the same values
+and the same ``Tape.backward`` gradients, bit for bit, inside the whole
+objective too; the evaluation posterior must match the blocks added to
+its base heads."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alignvae import autodiff as ad
+from alignvae import model as model_mod
+from alignvae.autodiff import ParameterStore, Tape, Tensor
+from alignvae.corpus import NULL_ID, Batch, SentencePair, Vocabulary, build_css_support
+from alignvae.hiermodel import infer_sentence_posterior, prior_mean
+from alignvae.model import ModelConfig, Ragged, build_params, encode, reparam_sample
+
+FIXED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+V = 9
+
+
+def reference_flat(h: Tensor, params: ParameterStore):
+    u = ad.matmul(h, ad.transpose(params["M1"]), bias=params["d1"])
+    s = ad.softplus(ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"]))
+    return u, s
+
+
+def reference_conditioned(s: Tensor, h: Tensor, params: ParameterStore):
+    base_u = ad.matmul(h, ad.transpose(params["M1"]), bias=params["d1"])
+    base_s_pre = ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"])
+    l = ad.add(base_u, ad.matmul(s, ad.transpose(params["N1"])))
+    r = ad.softplus(ad.add(base_s_pre, ad.matmul(s, ad.transpose(params["N2"]))))
+    return l, r
+
+
+def reference_sentence_blocks_np(x, params: ParameterStore):
+    u_k = x.averaging() @ params["E"].data[x.ids] @ params["sent_Mu"].data.T
+    u_k += params["sent_bu"].data
+    s_tok = u_k[x.seg]
+    return s_tok @ params["N1"].data.T, s_tok @ params["N2"].data.T
+
+
+def reference_posterior_params_np(x, params, cfg):
+    """The hierarchical evaluation posterior as the base numpy heads plus
+    ``reference_sentence_blocks_np``."""
+    h = encode(x, params, cfg).data
+    u = h @ params["M1"].data.T
+    u += params["d1"].data
+    s_pre = h @ params["M2"].data.T
+    s_pre += params["d2"].data
+    block_u, block_s = reference_sentence_blocks_np(x, params)
+    u += block_u
+    s_pre += block_s
+    return u, ad._softplus_values(s_pre)
+
+
+def reference_head(h, params, s_tok=None):
+    """``model.infer_posterior``'s signature over the two reference heads."""
+    return reference_flat(h, params) if s_tok is None else reference_conditioned(s_tok, h, params)
+
+
+@st.composite
+def models(draw):
+    """A hierarchical bow or birnn model with every parameter drawn standard
+    normal, a batch of 1-3 pairs, and noise for both latents."""
+    cfg = ModelConfig(encoder=draw(st.sampled_from(["bow", "birnn"])), d=draw(st.integers(4, 8)),
+                      d_x=draw(st.integers(3, 6)), hierarchical=True, d_s=draw(st.integers(2, 4)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    params = build_params(cfg, V, V, seed=0)
+    rng = np.random.default_rng(seed)
+    for _, tensor in params.items():
+        tensor.data = rng.standard_normal(tensor.data.shape)
+    ids = st.integers(2, V - 1)
+    pairs = draw(st.lists(st.builds(
+        lambda x, y: SentencePair((NULL_ID, *x), tuple(y)),
+        st.lists(ids, min_size=1, max_size=5), st.lists(ids, min_size=1, max_size=5),
+    ), min_size=1, max_size=3))
+    eps_z = rng.standard_normal((sum(p.m for p in pairs), cfg.d))
+    eps_s = rng.standard_normal((len(pairs), cfg.d_s))
+    return cfg, params, pairs, eps_z, eps_s
+
+
+def values_and_grads(objective, params):
+    with Tape() as tape:
+        root = objective()
+    grads = tape.backward(root, params)
+    return root.data.tobytes(), {name: g.tobytes() for name, g in grads.items()}
+
+
+class TestHeadMatchesReference:
+    @FIXED
+    @given(models())
+    def test_conditioned_head_values_and_gradients(self, drawn):
+        """The head alone, its sentence draw also feeding the prior mean as
+        in the objective, so the draw's gradient sums several branches."""
+        cfg, params, pairs, _, eps_s = drawn
+        x = Ragged([p.x for p in pairs])
+
+        def objective(head):
+            def run():
+                u_k, s_k = infer_sentence_posterior(x, params)
+                s_tok = ad.rows(reparam_sample(u_k, s_k, eps_s), x.seg)
+                u, s = head(encode(x, params, cfg), params, s_tok)
+                kl = model_mod.gaussian_kl_rows(u, s, prior_mean(s_tok, params))
+                return ad.add(ad.total(kl), ad.total(ad.mul(u, s)))
+            return run
+
+        assert (values_and_grads(objective(model_mod.infer_posterior), params)
+                == values_and_grads(objective(reference_head), params))
+
+    @FIXED
+    @given(models())
+    def test_flat_head_values_and_gradients(self, drawn):
+        cfg, params, pairs, _, _ = drawn
+        x = Ragged([p.x for p in pairs])
+
+        def objective(head):
+            return lambda: ad.total(ad.mul(*head(encode(x, params, cfg), params)))
+
+        assert (values_and_grads(objective(model_mod.infer_posterior), params)
+                == values_and_grads(objective(reference_head), params))
+
+    @FIXED
+    @given(models(), st.booleans(), st.booleans())
+    def test_batch_elbo_values_and_gradients(self, drawn, hierarchical, css):
+        """The whole objective with the merged head equals it with the
+        reference heads put in the merged head's place."""
+        cfg, params, pairs, eps_z, eps_s = drawn
+        eps_s = eps_s if hierarchical else None
+        vocab = Vocabulary([f"w{k}" for k in range(V - 2)])  # V ids
+        css_pair = tuple(build_css_support(Batch(pairs), vocab, side, n_neg=2, seed=3)
+                         for side in ("l1", "l2")) if css else None
+
+        def objective():
+            return model_mod.batch_elbo(pairs, params, cfg, 0.7, eps_z, eps_s, css_pair)
+
+        merged = values_and_grads(objective, params)
+        original = model_mod.infer_posterior  # by hand: hypothesis refuses function fixtures
+        model_mod.infer_posterior = reference_head
+        try:
+            reference = values_and_grads(objective, params)
+        finally:
+            model_mod.infer_posterior = original
+        assert merged == reference
+
+
+class TestEvaluationBlockMatchesReference:
+    @FIXED
+    @given(models())
+    def test_posterior_params_np_bit_for_bit(self, drawn):
+        cfg, params, pairs, _, _ = drawn
+        x = Ragged([p.x for p in pairs])
+        u, s = model_mod.posterior_params_np(x, params, cfg)
+        ref_u, ref_s = reference_posterior_params_np(x, params, cfg)
+        assert u.tobytes() == ref_u.tobytes()
+        assert s.tobytes() == ref_s.tobytes()

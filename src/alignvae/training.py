@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import mmap
 from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
@@ -27,10 +28,9 @@ from .corpus import (
     build_css_support,
     derive_seed,
     make_batches,
-    read_text,
     write_text,
 )
-from .errors import CheckpointError, ContractError, TrainingError
+from .errors import CheckpointError, ContractError, DataError, TrainingError
 from .model import ModelConfig
 
 ANNEAL_STEP = 1e-3
@@ -38,9 +38,13 @@ ANNEAL_INTERVAL = 500
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_ADAM_BLOCK_ROWS = 1024  # rows per Adam pass: a 20k x 100 table in 20 blocks of 800 KB
 
 CHECKPOINT_FORMAT = "alignvae-checkpoint"
 CHECKPOINT_VERSION = 2
+# float64 values per base64 piece on save: whole 3-byte groups, so the pieces
+# join to the text of the whole array, and 768 KB, so no parameter-sized copy
+_B64_PIECE_VALUES = 3 * 2**15
 
 
 def anneal_alpha(update_count: int) -> float:
@@ -67,10 +71,13 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
 
     Every gradient is checked first, so a non-finite one raises
     ``TrainingError`` with the parameters and the state untouched. The
-    moments are updated in place through one temporary array, in the same
-    operation order as ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``
-    and ``w = w - lr * m_hat / (sqrt(v_hat) + eps)``, with b1, b2 and eps
-    the ``ADAM_*`` constants.
+    parameter arrays, ``m`` and ``v`` are then updated in place, block by
+    block of ``_ADAM_BLOCK_ROWS`` leading rows through two reused block
+    buffers, in the same operation order as ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*(g*g)`` and ``w = w - lr * m_hat / (sqrt(v_hat) +
+    eps)``, with b1, b2 and eps the ``ADAM_*`` constants. Each parameter
+    keeps its array object, so a caller that needs the values from before
+    the step must take them with ``params.copy_values()``.
     """
     for name in params.names():
         if not np.all(np.isfinite(grads[name])):
@@ -79,24 +86,29 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
     for name, tensor in params.items():
-        g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
-        m, v = state.m[name], state.v[name]
-        buf = np.empty_like(tensor.data)
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=buf)
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=buf)
-        v += np.multiply(buf, 1.0 - ADAM_BETA2, out=buf)
-        step = np.divide(m, c1)
-        step *= state.lr
-        np.divide(v, c2, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += ADAM_EPS
-        step /= buf
-        tensor.data = tensor.data - step
+        # views: a 0-d array becomes one row, and each block writes through
+        w, g, m, v = np.atleast_1d(tensor.data, grads[name], state.m[name], state.v[name])
+        block_shape = (min(len(w), _ADAM_BLOCK_ROWS), *w.shape[1:])
+        buf_rows, step_rows = np.empty(block_shape), np.empty(block_shape)
+        for lo in range(0, len(w), _ADAM_BLOCK_ROWS):
+            rows = slice(lo, lo + _ADAM_BLOCK_ROWS)  # the last block may be shorter
+            wb, gb, mb, vb = w[rows], g[rows], m[rows], v[rows]
+            buf, step = buf_rows[: len(wb)], step_rows[: len(wb)]
+            mb *= ADAM_BETA1
+            mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
+            vb *= ADAM_BETA2
+            np.multiply(gb, gb, out=buf)
+            vb += np.multiply(buf, 1.0 - ADAM_BETA2, out=buf)
+            np.divide(mb, c1, out=step)
+            step *= state.lr
+            np.divide(vb, c2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += ADAM_EPS
+            step /= buf
+            wb -= step
     return state
 
 
@@ -296,9 +308,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     text of its C-order little-endian float64 bytes. The bytes are those
     of ``json.dump(doc)`` plus a newline, but the header and each
     parameter's shape are encoded on their own by the C encoder behind
-    ``json.dumps`` (``json.dump`` runs the pure-Python one), so the whole
-    document is never held at once. It is written through
-    ``corpus.write_text``.
+    ``json.dumps`` (``json.dump`` runs the pure-Python one) and each
+    payload is coded ``_B64_PIECE_VALUES`` values at a time, so neither the
+    whole document nor a parameter's whole text is held at once. It is
+    written through ``corpus.write_text``.
     """
     head = json.dumps({
         "format": CHECKPOINT_FORMAT,
@@ -317,7 +330,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             shape = json.dumps({"shape": list(arr.shape)})
             yield (", " if k else "") + json.dumps(name) + ": " + shape[:-1] + ', "b64": "'
             # base64 text needs no JSON escaping, so it skips the encoder's scan
-            yield base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+            flat = np.asarray(arr, dtype="<f8").ravel()
+            for lo in range(0, flat.size, _B64_PIECE_VALUES):
+                yield base64.b64encode(flat[lo:lo + _B64_PIECE_VALUES].tobytes()).decode("ascii")
             yield '"}'
         yield "}}\n"
 
@@ -351,13 +366,24 @@ def _decode_param(name, entry, version: int) -> np.ndarray:
         else:
             if not isinstance(value, str):
                 raise ValueError("b64 is not a string")
-            raw = base64.b64decode(value, validate=True)
+            n_bytes = 8 * size
             # b64decode also takes surplus padding, so the text must have the
-            # length the writer gives these bytes
-            if len(raw) != 8 * size or len(value) != 4 * -(-len(raw) // 3):
-                raise ValueError(f"{len(value)} base64 characters decode to {len(raw)} "
-                                 f"bytes, shape {shape} needs {8 * size}")
-            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)  # a writable copy
+            # length the writer gives these bytes; checked before allocating
+            if len(value) != 4 * -(-n_bytes // 3):
+                raise ValueError(f"{len(value)} base64 characters, shape {shape} "
+                                 f"needs {4 * -(-n_bytes // 3)}")
+            # decoded one save piece at a time into the array, so no
+            # parameter-sized bytes are made; each piece must fill its span
+            arr = np.empty(size, dtype="<f8")
+            out, step = arr.view(np.uint8), 8 * _B64_PIECE_VALUES
+            for lo in range(0, n_bytes, step):
+                piece = base64.b64decode(value[lo // 3 * 4:(lo + step) // 3 * 4], validate=True)
+                span = out[lo:lo + step]
+                if len(piece) != len(span):
+                    raise ValueError(f"base64 characters from {lo // 3 * 4} decode to "
+                                     f"{len(piece)} bytes, not {len(span)}")
+                span[:] = np.frombuffer(piece, dtype=np.uint8)
+            arr = arr.astype(np.float64, copy=False)
     except (ValueError, OverflowError) as e:  # OverflowError: an int beyond float range
         raise CheckpointError(f"malformed parameter {name!r}: {e}") from e
     if not np.isfinite(arr).all():
@@ -365,11 +391,30 @@ def _decode_param(name, entry, version: int) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _read_document(path) -> str:
+    """The UTF-8 text of ``path``, decoded from a memory map of the file where
+    it allows one, so the file's bytes are not first copied into memory. JSON
+    takes a carriage return as white space outside strings and refuses it
+    inside them, so line ends need no translation."""
+    with open(path, "rb") as fh:
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):  # an empty file, a pipe or a device
+            data = fh.read()
+        try:
+            return str(data, "utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not UTF-8 text") from None
+        finally:
+            if isinstance(data, mmap.mmap):
+                data.close()
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint document written by ``save_checkpoint``, of this
     version or of version 1 (every parameter as a list of numbers)."""
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(_read_document(path))
     except (json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"malformed checkpoint file {path}: {e}") from e
     if not isinstance(doc, dict):
@@ -419,8 +464,9 @@ def load_checkpoint(path) -> Checkpoint:
         value = doc.get(key)
         if key in doc and (type(value) not in kinds or (type(value) is int and value < 0)):
             raise CheckpointError(f"checkpoint field {key!r} is not {what}: {value!r}")
-    params = {name: _decode_param(name, entry, version)
-              for name, entry in doc["params"].items()}
+    # each entry is dropped once decoded, so its text is freed before the next
+    entries = doc["params"]
+    params = {name: _decode_param(name, entries.pop(name), version) for name in list(entries)}
     return Checkpoint(
         model_cfg=cfg,
         vocab_l1=doc["vocab_l1"],

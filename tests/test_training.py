@@ -1,6 +1,8 @@
 import base64
 import json
 import math
+import os
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -109,10 +111,13 @@ class TestAdamStep:
             np.testing.assert_array_equal(state.v[name], v[name])
 
     def test_bit_identical_to_reference_formula(self):
+        # (2500, 3) and (2500,) run as two full 1,024-row blocks and a ragged
+        # tail of 452; the 0-d scalar as a single one-row block
         rng = np.random.default_rng(4)
+        shapes = {"w": (5, 3), "s": (), "wide": (2500, 3), "vec": (2500,)}
         store = ParameterStore()
-        store.add("w", rng.standard_normal((5, 3)))
-        store.add("s", 0.7)
+        for name, shape in shapes.items():
+            store.add(name, rng.standard_normal(shape))
         ref_w = {name: t.data.copy() for name, t in store.items()}
         ref_m = {name: np.zeros_like(a) for name, a in ref_w.items()}
         ref_v = {name: np.zeros_like(a) for name, a in ref_w.items()}
@@ -120,7 +125,8 @@ class TestAdamStep:
         b1, b2, eps = 0.9, 0.999, 1e-8
         assert (training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS) == (b1, b2, eps)
         for t in range(1, 5):
-            grads = {"w": rng.standard_normal((5, 3)), "s": np.asarray(rng.standard_normal())}
+            grads = {name: np.asarray(rng.standard_normal(shape))
+                     for name, shape in shapes.items()}
             adam_step(store, grads, state)
             for name, g in grads.items():
                 ref_m[name] = b1 * ref_m[name] + (1.0 - b1) * g
@@ -129,6 +135,49 @@ class TestAdamStep:
                 v_hat = ref_v[name] / (1.0 - b2**t)
                 ref_w[name] = ref_w[name] - state.lr * m_hat / (np.sqrt(v_hat) + eps)
                 assert store[name].data.tobytes() == np.asarray(ref_w[name]).tobytes()
+                assert state.m[name].tobytes() == np.asarray(ref_m[name]).tobytes()
+                assert state.v[name].tobytes() == np.asarray(ref_v[name]).tobytes()
+
+    def test_non_finite_gradient_in_last_block_changes_nothing(self):
+        rng = np.random.default_rng(6)
+        store = ParameterStore()
+        store.add("a", rng.standard_normal((2500, 2)))
+        store.add("b", rng.standard_normal(3))
+        state = AdamState()
+        adam_step(store, {"a": rng.standard_normal((2500, 2)), "b": rng.standard_normal(3)}, state)
+        values = store.copy_values()
+        m = {k: v.copy() for k, v in state.m.items()}
+        v = {k: x.copy() for k, x in state.v.items()}
+        bad = rng.standard_normal((2500, 2))
+        bad[2499, 1] = np.nan  # the tail block, after two full blocks
+        with pytest.raises(TrainingError, match="'a'"):
+            adam_step(store, {"a": bad, "b": rng.standard_normal(3)}, state)
+        assert state.t == 1
+        for name in ("a", "b"):
+            assert store[name].data.tobytes() == values[name].tobytes()
+            assert state.m[name].tobytes() == m[name].tobytes()
+            assert state.v[name].tobytes() == v[name].tobytes()
+
+    def test_updates_each_parameter_array_in_place(self):
+        store = ParameterStore()
+        store.add("w", np.ones((1500, 2)))
+        store.add("s", 0.5)
+        arrays = {name: t.data for name, t in store.items()}
+        before = store.copy_values()
+        adam_step(store, {"w": np.ones((1500, 2)), "s": np.asarray(1.0)}, AdamState())
+        for name, t in store.items():
+            assert t.data is arrays[name]
+            assert not np.array_equal(t.data, before[name])
+
+    def test_stepping_a_checkpoint_store_leaves_the_checkpoint_unchanged(self, tiny_corpus):
+        pairs, v1, v2, _, _ = tiny_corpus
+        ckpt = train(pairs, v1, v2, ModelConfig(d=3, d_x=4), TrainConfig(epochs=0, seed=5))
+        saved = {name: a.tobytes() for name, a in ckpt.params.items()}
+        store = ckpt.build_store()
+        adam_step(store, {name: np.ones_like(t.data) for name, t in store.items()}, AdamState())
+        for name, a in ckpt.params.items():
+            assert a.tobytes() == saved[name]
+            assert store[name].data.tobytes() != saved[name]
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -1.0, 0.0])
     def test_out_of_range_learning_rate_rejected(self, lr):
@@ -415,10 +464,61 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="malformed parameter 'M1'"):
             load_checkpoint(path)
 
+    def test_empty_file_is_malformed(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(b"")
+        with pytest.raises(CheckpointError, match="malformed checkpoint file"):
+            load_checkpoint(path)
+
+    def test_crlf_line_end_and_fifo_read(self, tiny_corpus):
+        ckpt, _, tmp_path = self.build(tiny_corpus)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        text = path.read_bytes()[:-1] + b"\r\n"
+        path.write_bytes(text)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def writer():  # a pipe has no memory map, so it is read as a stream
+            with open(fifo, "wb") as fh:
+                fh.write(text)
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        from_fifo = load_checkpoint(fifo)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        for loaded in (load_checkpoint(path), from_fifo):
+            for name, arr in ckpt.params.items():
+                assert loaded.params[name].tobytes() == arr.tobytes()
+
+    def test_version_2_payload_is_read_piece_by_piece(self, tiny_corpus, monkeypatch):
+        # 3 values per piece: M1's 12 values are four pieces of 32 characters
+        monkeypatch.setattr(training, "_B64_PIECE_VALUES", 3)
+        ckpt, _, tmp_path = self.build(tiny_corpus)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        for name, arr in ckpt.params.items():
+            assert loaded.params[name].tobytes() == arr.tobytes()
+
+        def pad_first_piece(doc):  # same length, but the first piece ends in padding
+            text = doc["params"]["M1"]["b64"]
+            doc["params"]["M1"]["b64"] = text[:28] + "AA==" + text[32:]
+
+        def add_a_quantum(doc):  # four more characters, past the last piece
+            doc["params"]["M1"]["b64"] += "AAAA"
+
+        for edit, what in ((pad_first_piece, "base64 characters from 0 decode to 22 bytes"),
+                           (add_a_quantum, "132 base64 characters")):
+            path = self.rewrite(tiny_corpus, edit)
+            with pytest.raises(CheckpointError, match=f"malformed parameter 'M1': {what}"):
+                load_checkpoint(path)
+
     @pytest.mark.parametrize("edit", [
         "short", "long", "ragged", "bad_char", "newline", "non_ascii", "cut_char", "surplus_padding",
         "number", "data_key", "extra_key", "negative_shape", "bool_shape", "float_shape",
-        "string_shape", "swapped_shape",
+        "string_shape", "huge_shape", "swapped_shape",
     ])
     def test_malformed_version_2_entry_rejected(self, tiny_corpus, edit):
         def change(doc):
@@ -455,6 +555,8 @@ class TestCheckpointIO:
                 entry["shape"] = [float(n) for n in entry["shape"]]
             elif edit == "string_shape":
                 entry["shape"] = "x".join(map(str, entry["shape"]))
+            elif edit == "huge_shape":  # refused before an array of that size is made
+                entry["shape"] = [2**40, 2**20]
             else:
                 entry["shape"] = entry["shape"] + [2]
 
@@ -476,7 +578,13 @@ class TestCheckpointIO:
 
 
 class TestCheckpointWrite:
-    def test_bytes_equal_single_json_dump(self, tiny_corpus):
+    # 3 and 6 values per base64 piece split every parameter, most with a
+    # shorter last piece; None keeps the module's piece size, which only
+    # the added "wide" array spans (the writer does not check names)
+    @pytest.mark.parametrize("piece_values", [3, 6, None])
+    def test_bytes_equal_single_json_dump(self, tiny_corpus, monkeypatch, piece_values):
+        if piece_values is not None:
+            monkeypatch.setattr(training, "_B64_PIECE_VALUES", piece_values)
         pairs, v1, v2, gold, tmp_path = tiny_corpus
         mcfg = ModelConfig(d=3, d_x=4, hierarchical=True, d_s=2)
         ckpt = train(pairs[:20], v1, v2, mcfg, TrainConfig(epochs=1, batch_size=10, seed=4),
@@ -484,6 +592,8 @@ class TestCheckpointWrite:
         ckpt.vocab_l1 = ckpt.vocab_l1 + ["caf\u00e9", 'q"uote']
         ckpt.params["W1"] = ckpt.params["W1"].copy()
         ckpt.params["W1"][0, :3] = [-0.0, 1e-300, 123456789.125]
+        ckpt.params["wide"] = np.random.default_rng(3).standard_normal(
+            2 * training._B64_PIECE_VALUES + 7)
         path = tmp_path / "ckpt.json"
         save_checkpoint(ckpt, path)
         doc = {

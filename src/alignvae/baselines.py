@@ -114,11 +114,12 @@ def load_ibm1_table(path):
 
     Row 0 and column 0 are all zero and stand for every token the file
     does not list, so such a token scores 0 against everything.
-    Probabilities must be finite and non-negative.
+    Probabilities must be finite and non-negative, and no ``x y`` entry
+    may appear twice.
     """
     rows: dict[str, int] = {}
     cols: dict[str, int] = {}
-    entries: dict[tuple[int, int], float] = {}
+    entries: dict[tuple[int, int], tuple[float, int]] = {}  # (x, y) -> (prob, line)
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line:
@@ -136,10 +137,13 @@ def load_ibm1_table(path):
             )
         xi = rows.setdefault(parts[0], len(rows) + 1)
         yi = cols.setdefault(parts[1], len(cols) + 1)
-        entries[xi, yi] = p
+        if (xi, yi) in entries:
+            raise DataError(f"{path}:{lineno}: entry '{parts[0]} {parts[1]}' "
+                            f"already given on line {entries[xi, yi][1]}")
+        entries[xi, yi] = p, lineno
     t = np.zeros((len(rows) + 1, len(cols) + 1))
     if entries:
-        t[tuple(zip(*entries))] = list(entries.values())
+        t[tuple(zip(*entries))] = [p for p, _ in entries.values()]
     return t, rows, cols
 
 

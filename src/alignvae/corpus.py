@@ -125,14 +125,6 @@ class CSSupport:
         ``bench/checks.py`` reads this map."""
         return {int(t): k for k, t in enumerate(self.support_ids)}
 
-    @property
-    def C(self) -> frozenset:
-        return frozenset(self.c_ids)
-
-    @property
-    def N(self) -> frozenset:
-        return frozenset(self.n_ids)
-
     def columns(self, token_ids) -> np.ndarray:
         """Support positions of an array of ids, in its shape; each id must
         be in the explicit class set C (``ContractError`` otherwise)."""

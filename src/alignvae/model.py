@@ -7,7 +7,8 @@ likelihood marginalizes the alignment. Inference side: a BoW or BiRNN
 encoder feeds two affine heads producing per-token diagonal-Gaussian
 posteriors (softplus keeps scales positive); one function,
 ``infer_posterior``, holds them for both models, the hierarchical one
-adding its sentence blocks before the softplus. Training can swap the exact
+adding its sentence blocks before the softplus; the sentence posterior
+and the prior mean it conditions live here too. Training can swap the exact
 softmax normalizers for the sampled-support estimate carried by a
 CSSupport; evaluation always uses the full support.
 
@@ -234,6 +235,27 @@ def encode(x: Ragged, params: ParameterStore, cfg: ModelConfig) -> Tensor:
 # posterior and sampling
 
 
+def infer_sentence_posterior(x: Ragged, params: ParameterStore):
+    """Diagonal-Gaussian parameters of the sentence latent given x.
+
+    Each sentence is summarized by the mean of its token embeddings (so
+    the result is order-invariant), taken as one constant averaging
+    matmul over the batch's tokens, then mapped by two affine heads.
+    Returns [B, d_s] locations and [B, d_s] scales for the Ragged batch.
+    """
+    pooled = ad.matmul(ad.constant(x.averaging()), ad.rows(params["E"], x.ids))
+    u_k = ad.matmul(pooled, ad.transpose(params["sent_Mu"]), bias=params["sent_bu"])
+    s_k = ad.softplus(ad.matmul(pooled, ad.transpose(params["sent_Ms"]), bias=params["sent_bs"]))
+    return u_k, s_k
+
+
+def prior_mean(s: Tensor, params: ParameterStore) -> Tensor:
+    """Conditional prior mean for token embeddings: one tanh hidden layer.
+    ``s`` [T, d_s] holds the sentence draw of each token, one row per row."""
+    hidden = ad.tanh(ad.matmul(s, ad.transpose(params["prior_V1"]), bias=params["prior_c1"]))
+    return ad.matmul(hidden, ad.transpose(params["prior_V2"]), bias=params["prior_c2"])
+
+
 def infer_posterior(h: Tensor, params: ParameterStore, s_tok: Tensor | None = None):
     """Location and scale heads over the shared encoding h [T, d_x]: [T, d] each.
 
@@ -387,28 +409,31 @@ def batch_elbo(pairs, params: ParameterStore, cfg: ModelConfig, alpha: float,
     one graph over the flat token layout of ``Ragged``.
 
     ``eps_z`` [T, d] holds the noise of every L1 token in flat order (the
-    pairs' draws concatenated). With ``eps_s`` [B, d_s] the bound is the
-    sentence-latent one: s is drawn per pair from its posterior,
-    broadcast to the pair's tokens, and conditions the token posteriors,
-    their prior mean and the L1 head; its divergence is added on top.
+    pairs' draws concatenated). ``cfg.hierarchical`` alone picks the bound;
+    ``eps_s`` [B, d_s] is given exactly when it is set (``ContractError``
+    otherwise), and the bound is then the sentence-latent one: s is drawn
+    per pair from its posterior, broadcast to the pair's tokens, and
+    conditions the token posteriors, their prior mean and the L1 head;
+    its divergence is added on top.
     One draw z is shared by the L1 and L2 likelihood terms; every KL sum
     is weighted by the annealing factor ``alpha``.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ContractError(f"alpha must be in [0, 1], got {alpha}")
+    if (eps_s is not None) != cfg.hierarchical:
+        raise ContractError(f"eps_s is {'missing' if eps_s is None else 'given'}, "
+                            f"but cfg.hierarchical is {cfg.hierarchical}")
     css_l1, css_l2 = css_pair if css_pair is not None else (None, None)
     x = Ragged([p.x for p in pairs])
     y = Ragged([p.y for p in pairs])
     h = encode(x, params, cfg)
     s_tok = None
-    if eps_s is not None:
-        from . import hiermodel  # deferred: hiermodel imports this module
-
-        u_k, s_k = hiermodel.infer_sentence_posterior(x, params)
+    if cfg.hierarchical:
+        u_k, s_k = infer_sentence_posterior(x, params)
         s_tok = ad.rows(reparam_sample(u_k, s_k, eps_s), x.seg)
     u, s = infer_posterior(h, params, s_tok)
-    kl = (kl_to_standard_normal(u, s) if s_tok is None
-          else gaussian_kl_rows(u, s, hiermodel.prior_mean(s_tok, params)))
+    kl = (gaussian_kl_rows(u, s, prior_mean(s_tok, params)) if cfg.hierarchical
+          else kl_to_standard_normal(u, s))
     z = reparam_sample(u, s, eps_z)
     like = ad.add(
         _l1_sum(z, x.ids, params, css_l1, s_tok),
@@ -416,15 +441,15 @@ def batch_elbo(pairs, params: ParameterStore, cfg: ModelConfig, alpha: float,
     )
     weight = ad.constant(float(alpha))
     bound = ad.sub(like, ad.mul(weight, ad.total(kl)))
-    if eps_s is None:
+    if not cfg.hierarchical:
         return bound
     return ad.sub(bound, ad.mul(weight, ad.total(gaussian_kl_rows(u_k, s_k))))
 
 
 def elbo(pair: SentencePair, params: ParameterStore, cfg: ModelConfig,
          alpha: float, eps: np.ndarray, css_pair=None) -> Tensor:
-    """Single-sample bound for one sentence pair, without the sentence
-    latent: ``batch_elbo`` of a batch of one, with noise ``eps`` [m, d]."""
+    """Single-sample bound for one sentence pair of a flat model (no
+    sentence latent): ``batch_elbo`` of a batch of one, with noise ``eps`` [m, d]."""
     return batch_elbo([pair], params, cfg, alpha, eps, None, css_pair)
 
 
@@ -447,7 +472,7 @@ def posterior_params_np(x: Ragged, params: ParameterStore, cfg: ModelConfig):
     The numpy heads follow ``infer_posterior``'s operation order, so they
     equal it bit for bit; a hierarchical model conditions each token on its
     sentence's posterior mean (the location of
-    ``hiermodel.infer_sentence_posterior``). Weights too large for float64
+    ``infer_sentence_posterior``). Weights too large for float64
     raise ``NumericalError`` instead of a warning."""
     # numpy, not the tape-free autodiff heads: on hier-v30 dims those took a
     # one-sentence call from 53 to 95 us and align and embed ~30% slower

@@ -211,7 +211,10 @@ def fit(pairs, params: ParameterStore, train_cfg: TrainConfig, label: str, step,
     """The one training loop. Epoch e shuffles ``pairs`` into batches by the
     sub-seed ``{label}shuffle:{e}``; update n calls ``step(batch, n, adam)``,
     which returns a float, and after each epoch ``on_epoch(epoch, total, n)``
-    gets the epoch's sum of step values and the updates so far. Returns n."""
+    gets the epoch's sum of step values and the updates so far. Returns n.
+    An empty ``pairs`` raises ``ContractError``: there is nothing to fit."""
+    if not pairs:
+        raise ContractError("training needs at least one sentence pair, got none")
     adam = AdamState(lr=train_cfg.lr)
     n = 0
     for epoch in range(train_cfg.epochs):

@@ -335,3 +335,8 @@ class TestNibm:
         pairs, v1, v2 = load_parallel(tmp_path / "l1", tmp_path / "l2")
         with pytest.raises(ContractError, match=r"^epochs must be >= 0, got -2$"):
             train_nibm(pairs, v1, v2, NIBMConfig(encoder="bow", d_x=4), epochs=-2)
+
+    def test_empty_pair_list_refused_as_training_does(self):
+        vocab = Vocabulary(["a", "b"])
+        with pytest.raises(ContractError, match="at least one sentence pair"):
+            train_nibm([], vocab, vocab, NIBMConfig(encoder="bow", d_x=4), epochs=1)

@@ -558,6 +558,18 @@ class TestAlign:
         assert code == 2 and not (tmp_path / "out").exists()
         assert err.startswith(f"error: {table}:2: ") and len(err.splitlines()) == 1
 
+    def test_ibm1_duplicate_entry_exits_2_naming_both_lines(self, tmp_path, capsys):
+        table = tmp_path / "table.txt"
+        table.write_text("<null> x 0.5\na x 0.25\na y 0.75\na x 0.5\n", encoding="utf-8")
+        (tmp_path / "l1").write_text("a\n")
+        (tmp_path / "l2").write_text("x\n")
+        code, _, err = run(
+            capsys, "align", "--baseline", "ibm1", "--checkpoint", str(table),
+            str(tmp_path / "l1"), str(tmp_path / "l2"), str(tmp_path / "out"),
+        )
+        assert code == 2 and not (tmp_path / "out").exists()
+        assert err == f"error: {table}:4: entry 'a x' already given on line 2\n"
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         (tmp_path / "l1").write_text("a\n")
         (tmp_path / "l2").write_text("x\n")

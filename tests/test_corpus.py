@@ -166,8 +166,8 @@ class TestCssSupport:
         vocab = Vocabulary([f"w{k}" for k in range(3)])  # 5 ids with reserved
         batch = Batch([SentencePair((0, 2), (2,))])
         css = build_css_support(batch, vocab, "l1", n_neg=3, seed=0)
-        assert css.C == {0, 2}
-        assert css.N == {1, 3, 4}
+        assert set(css.c_ids) == {0, 2}
+        assert set(css.n_ids) == {1, 3, 4}
         assert css.kappa == 1.0
 
     def test_kappa_two(self):
@@ -175,21 +175,21 @@ class TestCssSupport:
         vocab = Vocabulary(tokens)
         batch = Batch([SentencePair((0, 2, 3), (2,)) for _ in range(2)])
         css = build_css_support(batch, vocab, "l1", n_neg=1000, seed=1)
-        assert len(vocab) - len(css.C) == 2007
+        assert len(vocab) - len(set(css.c_ids)) == 2007
         assert css.kappa == pytest.approx(2007 / 1000)
         # exact instantiation of kappa = 1e-3 * |complement| at complement 2000
         vocab2 = Vocabulary([f"v{k}" for k in range(2001)])
         batch2 = Batch([SentencePair((0, 2, 4), (2,)) for _ in range(1)])
         css2 = build_css_support(batch2, vocab2, "l1", n_neg=1000, seed=1)
-        assert len(vocab2) - len(css2.C) == 2000
+        assert len(vocab2) - len(set(css2.c_ids)) == 2000
         assert css2.kappa == 2.0
 
     def test_full_vocabulary_degenerate(self):
         vocab = Vocabulary(["a", "b"])
         batch = Batch([SentencePair((0, 1, 2, 3), (2, 3))])
         css = build_css_support(batch, vocab, "l1", n_neg=100, seed=0)
-        assert css.C == {0, 1, 2, 3}
-        assert css.N == frozenset()
+        assert set(css.c_ids) == {0, 1, 2, 3}
+        assert set(css.n_ids) == set()
         assert css.kappa == 1.0
 
     def test_invariants(self):
@@ -200,20 +200,21 @@ class TestCssSupport:
             batch = Batch([SentencePair((0, *row[:3]), tuple(row[3:])) for row in ids])
             for side in ("l1", "l2"):
                 css = build_css_support(batch, vocab, side, n_neg=10, seed=trial)
-                assert not (css.C & css.N)
+                c, n = set(css.c_ids), set(css.n_ids)
+                assert not (c & n)
                 observed = set()
                 for pair in batch:
                     observed.update(pair.x if side == "l1" else pair.y)
-                assert observed <= css.C or side == "l2"
+                assert observed <= c or side == "l2"
                 if side == "l2":
-                    assert observed <= css.C
-                if css.N:
-                    assert css.kappa * len(css.N) == len(vocab) - len(css.C)
+                    assert observed <= c
+                if n:
+                    assert css.kappa * len(n) == len(vocab) - len(c)
 
     def test_l1_always_contains_null(self):
         vocab = Vocabulary(["a"])
         batch = Batch([SentencePair((0, 2), (2,))])
-        assert NULL_ID in build_css_support(batch, vocab, "l1", 0, 0).C
+        assert NULL_ID in set(build_css_support(batch, vocab, "l1", 0, 0).c_ids)
 
     def test_deterministic_given_seed(self):
         vocab = Vocabulary([f"w{k}" for k in range(50)])

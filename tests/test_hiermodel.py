@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +10,20 @@ from alignvae.corpus import SentencePair
 from alignvae.errors import ContractError, DomainError
 from alignvae.hiermodel import (
     elbo_s,
-    infer_sentence_posterior,
     infer_word_posterior_conditioned,
     kl_diag_gaussian,
-    prior_mean,
     zero_sentence_pathways,
 )
-from alignvae.model import ModelConfig, Ragged, build_params, elbo, encode_bow, infer_posterior
+from alignvae.model import (
+    ModelConfig,
+    Ragged,
+    build_params,
+    elbo,
+    encode_bow,
+    infer_posterior,
+    infer_sentence_posterior,
+    prior_mean,
+)
 
 
 @pytest.fixture
@@ -141,12 +149,23 @@ class TestElboS:
 
     def test_zeroed_pathways_reduce_to_base(self, hier_setup):
         cfg, params, pairs, noise = hier_setup
+        flat = dataclasses.replace(cfg, hierarchical=False)
         zero_sentence_pathways(params)
         for pair, (eps_s, eps_z) in zip(pairs, noise):
             for alpha in (0.0, 0.3, 1.0):
                 hier = elbo_s(pair, params, cfg, alpha, eps_s, eps_z).item()
-                base = elbo(pair, params, cfg, alpha, eps_z).item()
+                base = elbo(pair, params, flat, alpha, eps_z).item()
                 assert hier == base  # bit-for-bit
+
+    def test_flat_bound_of_a_hierarchical_config_refused(self, hier_setup):
+        cfg, params, pairs, noise = hier_setup
+        with pytest.raises(ContractError, match="eps_s is missing"):
+            elbo(pairs[0], params, cfg, 0.5, noise[0][1])
+
+    def test_sentence_bound_of_a_flat_config_refused(self, hier_setup):
+        cfg, params, pairs, noise = hier_setup
+        with pytest.raises(ContractError, match="eps_s is given"):
+            elbo_s(pairs[0], params, dataclasses.replace(cfg, hierarchical=False), 0.5, *noise[0])
 
     def test_gradient(self, hier_setup):
         cfg, params, pairs, noise = hier_setup

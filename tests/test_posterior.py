@@ -14,8 +14,10 @@ from alignvae import alignment, semeval
 from alignvae import autodiff as ad
 from alignvae import model as model_mod
 from alignvae.corpus import NULL_ID, SentencePair, Vocabulary
-from alignvae.hiermodel import infer_sentence_posterior, kl_diag_gaussian
-from alignvae.model import ModelConfig, Ragged, build_params, encode, infer_posterior
+from alignvae.hiermodel import kl_diag_gaussian
+from alignvae.model import (
+    ModelConfig, Ragged, build_params, encode, infer_posterior, infer_sentence_posterior,
+)
 from alignvae.semeval import LexSubInstance, rank_candidates, sentence_embedding
 
 WORDS = ["cat", "dog", "bird", "sat", "ran", "fast"]

@@ -5,6 +5,8 @@ and the same ``Tape.backward`` gradients, bit for bit, inside the whole
 objective too; the evaluation posterior must match the blocks added to
 its base heads."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,10 @@ from alignvae import autodiff as ad
 from alignvae import model as model_mod
 from alignvae.autodiff import ParameterStore, Tape, Tensor
 from alignvae.corpus import NULL_ID, Batch, SentencePair, Vocabulary, build_css_support
-from alignvae.hiermodel import infer_sentence_posterior, prior_mean
-from alignvae.model import ModelConfig, Ragged, build_params, encode, reparam_sample
+from alignvae.model import (
+    ModelConfig, Ragged, build_params, encode, infer_sentence_posterior, prior_mean,
+    reparam_sample,
+)
 
 FIXED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 V = 9
@@ -127,7 +131,8 @@ class TestHeadMatchesReference:
         """The whole objective with the merged head equals it with the
         reference heads put in the merged head's place."""
         cfg, params, pairs, eps_z, eps_s = drawn
-        eps_s = eps_s if hierarchical else None
+        if not hierarchical:
+            cfg, eps_s = dataclasses.replace(cfg, hierarchical=False), None
         vocab = Vocabulary([f"w{k}" for k in range(V - 2)])  # V ids
         css_pair = tuple(build_css_support(Batch(pairs), vocab, side, n_neg=2, seed=3)
                          for side in ("l1", "l2")) if css else None

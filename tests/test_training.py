@@ -231,6 +231,11 @@ class TestTrain:
         with pytest.raises(ContractError, match="epochs"):
             train(pairs, v1, v2, ModelConfig(d=3, d_x=4), TrainConfig(epochs=-2))
 
+    def test_empty_pair_list_rejected(self, tiny_corpus):
+        _, v1, v2, _, _ = tiny_corpus
+        with pytest.raises(ContractError, match="at least one sentence pair"):
+            train([], v1, v2, ModelConfig(d=3, d_x=4), TrainConfig(epochs=1))
+
     def test_validation_aer_is_the_corpus_aer_of_one_pair_aligns(self, tiny_corpus):
         pairs, v1, v2, gold, _ = tiny_corpus
         mcfg = ModelConfig(d=3, d_x=4)

@@ -101,7 +101,12 @@ def glorot_init(shape, seed: int) -> np.ndarray:
 
 def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParameterStore:
     """A store holding every named shape: matrices get Glorot draws seeded
-    per parameter name, vectors start at zero."""
+    per parameter name, vectors start at zero. A shape with more float64
+    values than numpy can index in one array raises ``ContractError``."""
+    for name, shape in shapes.items():
+        if math.prod(shape) > np.iinfo(np.intp).max // 8:
+            raise ContractError(f"parameter {name} of shape {shape} is too large "
+                                "for one float64 array")
     store = ParameterStore()
     for name, shape in shapes.items():
         if len(shape) == 2:

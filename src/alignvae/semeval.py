@@ -1,9 +1,9 @@
 """Lexical substitution by density overlap, plus embedding extraction
 and the ranking/correlation metrics (GAP, cosine, Spearman).
 
-All of them read ``model.posterior_params_np``: embeddings encode a corpus
-in the chunks of ``model.eval_chunks``, lexsub each instance (the target
-sentence and its substituted copies) as one batch.
+All of them read ``model.posterior_params_np`` on the chunks of
+``model.eval_chunks``: embeddings encode a corpus, lexsub every target
+sentence and all of its substituted copies in one pass.
 
 Lexical-substitution input: one instance per line with four tab-separated
 fields: target token, 0-based target position, the space-tokenized
@@ -83,46 +83,53 @@ def parse_lexsub(path) -> list[LexSubInstance]:
     return instances
 
 
-def rank_candidates(instance: LexSubInstance, vocab: Vocabulary, params,
-                    cfg: ModelConfig, metric: str = "kl",
-                    reverse_kl: bool = False):
-    """Candidates ordered best-first by overlap with the target in context.
+def rank_candidates(instances, vocab: Vocabulary, params, cfg: ModelConfig,
+                    metric: str = "kl", reverse_kl: bool = False):
+    """Per instance of ``instances``, its candidates best-first by overlap
+    with the target in context, as (token, gold_weight, score) triples.
 
-    Each candidate is substituted into the target's slot; the target
-    sentence and every substituted copy are encoded as one batch. The
-    ranking is ascending KL(candidate || target) (flip with
-    ``reverse_kl``) or descending cosine of the posterior locations. The
-    sort is stable, so exact ties keep the original candidate order.
-    Tokens outside ``vocab`` read as UNK. Returns (token, gold_weight,
-    score) triples.
+    Each candidate is substituted into its target's slot; all target
+    sentences and substituted copies are encoded in the chunks of
+    ``model.eval_chunks``. The ranking is ascending KL(candidate || target)
+    (flip with ``reverse_kl``) or descending cosine of the posterior
+    locations. The sort is stable, so exact ties keep the original
+    candidate order. Tokens outside ``vocab`` read as UNK.
     """
     if metric not in ("kl", "cosine"):
         raise ContractError(f"metric must be 'kl' or 'cosine', got {metric!r}")
-    pos = instance.target_position
-    sentences = [instance.sentence]
-    for tok, _ in instance.candidates:
-        swapped = list(instance.sentence)
-        swapped[pos] = tok
-        sentences.append(swapped)
-    x = model_mod.Ragged([(NULL_ID, *vocab.encode(toks)) for toks in sentences])
-    u, s = model_mod.posterior_params_np(x, params, cfg)
-    at = x.starts + pos + 1  # +1 skips the NULL pad
-    u, s = u[at], s[at]  # row 0 is the target, row k + 1 candidate k
+    if not instances:
+        return []
+    sentences, slots = [], []  # per instance: the target sentence, then one copy per candidate
+    for inst in instances:
+        ids = (NULL_ID, *vocab.encode(inst.sentence))
+        at = inst.target_position + 1  # +1 skips the NULL pad
+        cand_ids = vocab.encode([tok for tok, _ in inst.candidates])
+        sentences += [ids, *(ids[:at] + (c,) + ids[at + 1:] for c in cand_ids)]
+        slots += [at] * (1 + len(cand_ids))
+    rows, lo = [], 0  # per chunk, the posterior at each sentence's slot
+    for x in model_mod.eval_chunks(sentences):
+        u, s = model_mod.posterior_params_np(x, params, cfg)
+        at = x.starts + slots[lo:lo + x.size]
+        rows.append((u[at], s[at]))
+        lo += x.size
+    u, s = (np.concatenate(parts) for parts in zip(*rows))
+    counts = np.array([len(inst.candidates) for inst in instances])
+    first = np.cumsum(counts + 1) - counts - 1  # each instance's target row
+    target, cand = np.repeat(first, counts), np.delete(np.arange(len(u)), first)
     if metric == "kl":
         if not s.min() > 0.0:  # softplus of a very negative pre-activation is exactly 0
             raise NumericalError("posterior scale underflowed to 0: the KL ranking "
                                  "needs positive scales")
-        # one call for all candidates; the target's [1, d] row broadcasts
-        target, cands = (u[:1], s[:1]), (u[1:], s[1:])
-        (q_u, q_s), (p_u, p_s) = (target, cands) if reverse_kl else (cands, target)
-        scores = model_mod.gaussian_kl_rows(ad.constant(q_u), ad.constant(q_s),
-                                            ad.constant(p_u), ad.constant(p_s)).data
+        # one call for every candidate of every instance, its target's row repeated
+        tgt, cands = (u[target], s[target]), (u[cand], s[cand])
+        (q_u, q_s), (p_u, p_s) = (tgt, cands) if reverse_kl else (cands, tgt)
+        scores = iter(model_mod.gaussian_kl_rows(ad.constant(q_u), ad.constant(q_s),
+                                                 ad.constant(p_u), ad.constant(p_s)).data)
     else:
-        scores = [cosine(cand_u, u[0]) for cand_u in u[1:]]
-    scored = [(tok, weight, float(score))
-              for (tok, weight), score in zip(instance.candidates, scores)]
+        scores = iter([cosine(u[c], u[t]) for c, t in zip(cand, target)])
     sign = 1.0 if metric == "kl" else -1.0  # best first: KL ascending, cosine descending
-    return sorted(scored, key=lambda item: sign * item[2])
+    return [sorted([(tok, weight, float(next(scores))) for tok, weight in inst.candidates],
+                   key=lambda item: sign * item[2]) for inst in instances]
 
 
 def gap(ranked_weights) -> float:
@@ -148,12 +155,10 @@ def gap(ranked_weights) -> float:
 def mean_gap(instances, vocab, params, cfg, metric: str = "kl",
              reverse_kl: bool = False) -> tuple[float, list[float]]:
     """Corpus mean GAP over instances, in ascending instance order."""
-    per_instance = []
-    for inst in instances:
-        ranked = rank_candidates(
-            inst, vocab, params, cfg, metric=metric, reverse_kl=reverse_kl
-        )
-        per_instance.append(gap([w for _, w, _ in ranked]))
+    rankings = rank_candidates(instances, vocab, params, cfg, metric=metric, reverse_kl=reverse_kl)
+    if not rankings:
+        raise MetricError("mean GAP undefined: no instances")
+    per_instance = [gap([w for _, w, _ in ranked]) for ranked in rankings]
     return float(np.mean(per_instance)), per_instance
 
 

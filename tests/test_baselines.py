@@ -246,7 +246,8 @@ class TestIbm1TableExport:
 class TestNibm:
     @pytest.mark.parametrize("encoder, d_x, message", [
         ("cnn", 4, r"^unknown encoder 'cnn'$"), ("bow", 0, r"^d_x must be >= 1, got 0$"),
-    ], ids=["unknown_encoder", "d_x_0"])
+        ("bow", 2**62, r"^parameter E of shape \(5, 4611686018427387904\) is too large"),
+    ], ids=["unknown_encoder", "d_x_0", "d_x_too_large"])
     def test_bad_encoder_config_rejected(self, encoder, d_x, message):
         with pytest.raises(ContractError, match=message):
             build_nibm_params(NIBMConfig(encoder=encoder, d_x=d_x), 5, 5, seed=0)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -423,6 +424,29 @@ class TestTrain:
         code, stdout, stderr = run(capsys, "train", "--config", str(cfg_path))
         line = f"error: out of memory: {text}\n" if text else "error: out of memory\n"
         assert (code, stdout, stderr) == (2, "", line)
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("model,name,shape", [
+        ({"d_x": 2**62}, "E", r"\(\d+, 4611686018427387904\)"),
+        ({"d": 2**62}, "M1", r"\(4611686018427387904, 128\)"),
+        ({"d_s": 2**62, "hierarchical": "true"}, "sent_Mu", r"\(4611686018427387904, 128\)"),
+    ])
+    def test_shape_numpy_cannot_hold_exits_2(self, synth_dir, tmp_path, capsys, model, name,
+                                             shape):
+        """A dimension whose parameter has more float64 values than one numpy
+        array can hold is refused by name before anything is allocated."""
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={"train_l1": synth_dir / "l1.txt", "train_l2": synth_dir / "l2.txt",
+                   "checkpoint": tmp_path / "out.txt", "metrics": tmp_path / "m.tsv"},
+            model=model,
+            training={"epochs": 1, "batch": 20},
+        )
+        code, stdout, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert (code, stdout) == (2, "")
+        assert re.fullmatch(f"error: parameter {name} of shape {shape} is too large "
+                            "for one float64 array\n", stderr)
         assert not (tmp_path / "out.txt").exists()
 
 

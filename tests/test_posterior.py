@@ -100,8 +100,8 @@ class TestOnePosteriorForEveryCommand:
                             record("align", model_mod.l2_head_log_probs, 0))
         monkeypatch.setattr(semeval, "cosine", record("lexsub", semeval.cosine, 1))
         alignment.viterbi_align(SentencePair(ids, (2, 3)), params, cfg)
-        rank_candidates(LexSubInstance(tokens, 2, [("ran", 1.0)]), vocab, params, cfg,
-                        metric="cosine")
+        rank_candidates([LexSubInstance(tokens, 2, [("ran", 1.0)])], vocab, params, cfg,
+                        metric="cosine")[0]
         monkeypatch.undo()
         embedded = sentence_embedding(ids, params, cfg)
 
@@ -121,7 +121,8 @@ class TestKlRanking:
             target_position=2,
             candidates=[("bird", 1.0), ("ran", 0.5), ("dog", 0.0), ("cat", 2.0), ("fast", 1.0)],
         )
-        ranked = rank_candidates(inst, vocab, params, cfg, metric="kl", reverse_kl=reverse_kl)
+        ranked = rank_candidates([inst], vocab, params, cfg, metric="kl",
+                                 reverse_kl=reverse_kl)[0]
 
         def posterior_at(tokens):
             x = Ragged([(NULL_ID, *vocab.encode(tokens))])
@@ -141,3 +142,48 @@ class TestKlRanking:
         assert [(t, w) for t, w, _ in ranked] == [(t, w) for t, w, _ in expected]
         np.testing.assert_allclose([s for _, _, s in ranked], [s for _, _, s in expected],
                                    rtol=1e-12, atol=1e-15)
+
+
+def mixed_instances(n_sentences, seed=0):
+    """Random lexsub instances of 1-7 distinct candidates each (the one OOV
+    word among them), until the target sentences and their substituted
+    copies number more than ``n_sentences``."""
+    rng = np.random.default_rng(seed)
+    pool = [*WORDS, "zebra"]
+    instances, total = [], 0
+    while total <= n_sentences:
+        sentence = list(rng.choice(WORDS, size=rng.integers(1, 7)))
+        picked = rng.choice(pool, size=rng.integers(1, 8), replace=False)
+        weights = [1.0] + list(rng.choice([0.0, 0.5, 2.0], size=len(picked) - 1))
+        instances.append(LexSubInstance(sentence, int(rng.integers(len(sentence))),
+                                        list(zip(picked.tolist(), weights))))
+        total += 1 + len(picked)
+    return instances
+
+
+class TestBatchedRanking:
+    @pytest.mark.parametrize("metric,reverse_kl", [("kl", False), ("kl", True), ("cosine", False)])
+    @pytest.mark.parametrize("encoder,hierarchical", KINDS)
+    def test_chunks_equal_one_instance_rankings(self, encoder, hierarchical, metric, reverse_kl,
+                                                monkeypatch):
+        cfg, vocab, params = random_model(encoder, hierarchical)
+        instances = mixed_instances(model_mod.EVAL_CHUNK + 40)
+        n_sentences = sum(1 + len(inst.candidates) for inst in instances)
+        expected = [rank_candidates([inst], vocab, params, cfg, metric=metric,
+                                    reverse_kl=reverse_kl)[0] for inst in instances]
+        sizes, kl_calls = [], []
+        posterior, kl_rows = model_mod.posterior_params_np, model_mod.gaussian_kl_rows
+        monkeypatch.setattr(model_mod, "posterior_params_np",
+                            lambda x, *a: sizes.append(x.size) or posterior(x, *a))
+        monkeypatch.setattr(model_mod, "gaussian_kl_rows",
+                            lambda *a: kl_calls.append(1) or kl_rows(*a))
+        ranked = rank_candidates(instances, vocab, params, cfg, metric=metric,
+                                 reverse_kl=reverse_kl)
+        # each chunk encoded once; one KL call for every candidate of every instance
+        assert sizes == [model_mod.EVAL_CHUNK, n_sentences - model_mod.EVAL_CHUNK]
+        assert len(kl_calls) == (metric == "kl")
+        assert len(ranked) == len(instances)
+        for got, want in zip(ranked, expected):
+            assert [(t, w) for t, w, _ in got] == [(t, w) for t, w, _ in want]
+            np.testing.assert_allclose([s for _, _, s in got], [s for _, _, s in want],
+                                       rtol=1e-12, atol=1e-15)

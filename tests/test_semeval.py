@@ -57,6 +57,11 @@ class TestKlDiag:
 
 
 class TestRankCandidates:
+    @pytest.mark.parametrize("metric", ["kl", "cosine"])
+    def test_no_instances(self, small_model, metric):
+        cfg, vocab, params = small_model
+        assert rank_candidates([], vocab, params, cfg, metric=metric) == []
+
     def test_self_substitution_ranks_first(self, small_model):
         cfg, vocab, params = small_model
         inst = LexSubInstance(
@@ -64,7 +69,7 @@ class TestRankCandidates:
             target_position=0,
             candidates=[("dog", 1.0), ("cat", 2.0), ("bird", 0.0)],
         )
-        ranked = rank_candidates(inst, vocab, params, cfg, metric="kl")
+        ranked = rank_candidates([inst], vocab, params, cfg, metric="kl")[0]
         assert ranked[0][0] == "cat"
         assert ranked[0][2] == pytest.approx(0.0, abs=1e-12)
 
@@ -75,7 +80,7 @@ class TestRankCandidates:
             target_position=0,
             candidates=[("bird", 1.0), ("dog", 1.0)],
         )
-        ranked = rank_candidates(inst, vocab, params, cfg, metric="cosine")
+        ranked = rank_candidates([inst], vocab, params, cfg, metric="cosine")[0]
         assert ranked[0][0] == "dog"
         assert ranked[0][2] == pytest.approx(1.0, abs=1e-12)
 
@@ -86,7 +91,7 @@ class TestRankCandidates:
             target_position=2,
             candidates=[("bird", 1.0), ("ran", 0.5), ("cat", 0.0), ("sat", 2.0)],
         )
-        ranked = rank_candidates(inst, vocab, params, cfg, metric="kl")
+        ranked = rank_candidates([inst], vocab, params, cfg, metric="kl")[0]
         # independent recomputation straight from posterior heads
         ids = encode_sentence(vocab, inst.sentence)
         tu, ts = posterior_params_np(Ragged([ids]), params, cfg)
@@ -111,7 +116,7 @@ class TestRankCandidates:
             inst = LexSubInstance(sentence=["cat"], target_position=0, candidates=[(tok, 1.0)])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                return rank_candidates(inst, vocab, params, cfg)
+                return rank_candidates([inst], vocab, params, cfg)[0]
 
         assert ranked("zebra")[0][2] == ranked(UNK_TOKEN)[0][2]
 
@@ -122,8 +127,8 @@ class TestRankCandidates:
             target_position=0,
             candidates=[("dog", 1.0), ("bird", 1.0)],
         )
-        fwd = rank_candidates(inst, vocab, params, cfg, metric="kl")
-        rev = rank_candidates(inst, vocab, params, cfg, metric="kl", reverse_kl=True)
+        fwd = rank_candidates([inst], vocab, params, cfg, metric="kl")[0]
+        rev = rank_candidates([inst], vocab, params, cfg, metric="kl", reverse_kl=True)[0]
         assert {t for t, _, _ in fwd} == {t for t, _, _ in rev}
         assert fwd[0][2] != pytest.approx(rev[0][2], rel=1e-6)
 
@@ -368,3 +373,8 @@ class TestParsers:
         score, per_instance = mean_gap(instances, vocab, params, cfg)
         assert len(per_instance) == 2
         assert score == pytest.approx(float(np.mean(per_instance)))
+
+    def test_mean_gap_of_no_instances_raises(self, small_model):
+        cfg, vocab, params = small_model
+        with pytest.raises(MetricError, match="no instances"):
+            mean_gap([], vocab, params, cfg)

@@ -366,6 +366,21 @@ def sum_rows(a) -> Tensor:
     return _emit("sum_rows", a.data.sum(axis=1), (a,), lambda g: (np.repeat(g[:, None], a.data.shape[1], axis=1),))
 
 
+def segment_mean(a, lengths) -> Tensor:
+    """Mean row of each run of ``lengths[b]`` consecutive rows, the runs tiling
+    the matrix ``a`` in order: [T, k] -> [B, k]. An empty run raises
+    ``ShapeError``, where ``np.add.reduceat`` would return the next row."""
+    a, n = _as_tensor(a), np.asarray(lengths, dtype=np.intp)
+    ends = n.cumsum()  # the method: a third of np.cumsum's cost on one sentence
+    if n.size and n.min() < 1:
+        raise ShapeError("segment_mean: empty run")
+    if a.data.ndim != 2 or (ends[-1] if n.size else 0) != len(a.data):
+        raise ShapeError(f"segment_mean: runs of {n.sum()} rows for a matrix of shape {a.shape}")
+    col = n[:, None]
+    data = np.add.reduceat(a.data, ends - n, axis=0) / col
+    return _emit("segment_mean", data, (a,), lambda g: (np.repeat(g / col, n, axis=0),))
+
+
 # ---------------------------------------------------------------------------
 # reductions in log space
 

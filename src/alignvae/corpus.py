@@ -89,16 +89,7 @@ class SentencePair:
         return len(self.y)
 
 
-@dataclass
-class Batch:
-    pairs: list[SentencePair]
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
+Batch = list[SentencePair]  # a batch is a plain list of pairs
 
 
 @dataclass
@@ -230,10 +221,7 @@ def make_batches(pairs, batch_size: int, seed: int) -> list[Batch]:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     order = np.random.default_rng(seed).permutation(len(pairs))
     shuffled = [pairs[i] for i in order]
-    return [
-        Batch(shuffled[i : i + batch_size])
-        for i in range(0, len(shuffled), batch_size)
-    ]
+    return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
 
 
 def build_css_support(batch, vocab, side: str, n_neg: int = 1000, seed: int = 0) -> CSSupport:

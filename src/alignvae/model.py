@@ -160,13 +160,6 @@ class Ragged:
         t = np.minimum(np.arange(self.lengths.max())[:, None], self.lengths - 1)
         return self.starts + (self.lengths - 1 - t if reverse else t)
 
-    def averaging(self) -> np.ndarray:
-        """[B, T] weights whose product with per-token rows [T, k] gives
-        every sentence's mean row [B, k]."""
-        weights = np.zeros((self.size, len(self.ids)))
-        weights[self.seg, np.arange(len(self.ids))] = 1.0 / self.lengths[self.seg]
-        return weights
-
 
 # ---------------------------------------------------------------------------
 # encoders
@@ -244,11 +237,11 @@ def infer_sentence_posterior(x: Ragged, params: ParameterStore):
     """Diagonal-Gaussian parameters of the sentence latent given x.
 
     Each sentence is summarized by the mean of its token embeddings (so
-    the result is order-invariant), taken as one constant averaging
-    matmul over the batch's tokens, then mapped by two affine heads.
+    the result is order-invariant), taken as one ``segment_mean`` over
+    the batch's tokens, then mapped by two affine heads.
     Returns [B, d_s] locations and [B, d_s] scales for the Ragged batch.
     """
-    pooled = ad.matmul(ad.constant(x.averaging()), ad.rows(params["E"], x.ids))
+    pooled = ad.segment_mean(ad.rows(params["E"], x.ids), x.lengths)
     u_k = ad.matmul(pooled, ad.transpose(params["sent_Mu"]), bias=params["sent_bu"])
     s_k = ad.softplus(ad.matmul(pooled, ad.transpose(params["sent_Ms"]), bias=params["sent_bs"]))
     return u_k, s_k
@@ -477,7 +470,8 @@ def posterior_params_np(x: Ragged, params: ParameterStore, cfg: ModelConfig):
     The numpy heads follow ``infer_posterior``'s operation order, so they
     equal it bit for bit; a hierarchical model conditions each token on its
     sentence's posterior mean (the location of
-    ``infer_sentence_posterior``). Weights too large for float64
+    ``infer_sentence_posterior``, pooled by the same ``ad.segment_mean``
+    off the tape). Weights too large for float64
     raise ``NumericalError`` instead of a warning."""
     # numpy, not the tape-free autodiff heads: on hier-v30 dims those took a
     # one-sentence call from 53 to 95 us and align and embed ~30% slower
@@ -488,9 +482,8 @@ def posterior_params_np(x: Ragged, params: ParameterStore, cfg: ModelConfig):
         s_pre = h @ params["M2"].data.T
         s_pre += params["d2"].data
         if cfg.hierarchical:
-            u_k = x.averaging() @ params["E"].data[x.ids] @ params["sent_Mu"].data.T
-            u_k += params["sent_bu"].data
-            s_tok = u_k[x.seg]
+            pooled = ad.segment_mean(params["E"].data[x.ids], x.lengths).data
+            s_tok = (pooled @ params["sent_Mu"].data.T + params["sent_bu"].data)[x.seg]
             u += s_tok @ params["N1"].data.T
             s_pre += s_tok @ params["N2"].data.T
         s = ad._softplus_values(s_pre)
@@ -535,7 +528,10 @@ def exact_log_marginal(pair: SentencePair, params: ParameterStore, cfg: ModelCon
     joint likelihood in log space, and reports the delta-method standard
     error of the log estimate. Intended for tiny instances (d <= 4,
     m <= 4); runs in plain numpy, independent of the autodiff path.
+    Flat models only: the sentence latent is not integrated.
     """
+    if cfg.hierarchical:
+        raise ContractError("exact_log_marginal covers flat models only, but cfg.hierarchical is True")
     rng = np.random.default_rng(seed)
     m, n = pair.m, pair.n
     d = cfg.d

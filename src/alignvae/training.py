@@ -23,7 +23,6 @@ from .autodiff import ParameterStore, Tape
 from .corpus import (
     NULL_TOKEN,
     UNK_TOKEN,
-    Batch,
     Vocabulary,
     build_css_support,
     derive_seed,
@@ -279,9 +278,9 @@ def train(
     return best
 
 
-def _batch_update(batch: Batch, params, model_cfg, train_cfg, vocab1, vocab2,
+def _batch_update(batch: list, params, model_cfg, train_cfg, vocab1, vocab2,
                   alpha, adam, batch_seed) -> float:
-    """Forward/backward/Adam for one batch; returns the summed ELBO value."""
+    """Forward/backward/Adam for one batch of pairs; returns the summed ELBO value."""
     css_pair = tuple(
         build_css_support(batch, vocab, side, train_cfg.n_neg,
                           derive_seed(batch_seed, f"css:{side}")) if train_cfg.css else None
@@ -295,7 +294,7 @@ def _batch_update(batch: Batch, params, model_cfg, train_cfg, vocab1, vocab2,
         if model_cfg.hierarchical:
             eps_s.append(noise.standard_normal(model_cfg.d_s))
     return ascent_step(lambda: model_mod.batch_elbo(
-        batch.pairs, params, model_cfg, alpha, np.concatenate(eps_z),
+        batch, params, model_cfg, alpha, np.concatenate(eps_z),
         np.stack(eps_s) if eps_s else None, css_pair,
     ), params, adam)
 

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 from alignvae import autodiff as ad
 from alignvae import model as model_mod
 from alignvae import training
-from alignvae.autodiff import Tape, gradient_check
+from alignvae.autodiff import ParameterStore, Tape, gradient_check
 from alignvae.baselines import (
     NIBMConfig,
     build_nibm_params,
     nibm_batch_log_likelihood,
 )
-from alignvae.corpus import Batch, SentencePair, Vocabulary, build_css_support, derive_seed
+from alignvae.corpus import SentencePair, Vocabulary, build_css_support, derive_seed
 from alignvae.errors import ShapeError
 from alignvae.hiermodel import elbo_s
 from alignvae.model import ModelConfig, Ragged, batch_elbo, build_params, elbo
@@ -37,7 +37,7 @@ RAGGED = [
 
 def supports(pairs, seed=0):
     vocab = Vocabulary([f"w{k}" for k in range(V - 2)])
-    batch = Batch(list(pairs))
+    batch = list(pairs)
     return (build_css_support(batch, vocab, "l1", n_neg=3, seed=seed),
             build_css_support(batch, vocab, "l2", n_neg=3, seed=seed + 1))
 
@@ -86,13 +86,6 @@ class TestRagged:
         np.testing.assert_array_equal(x.steps(reverse=False), [[0, 2, 3], [1, 2, 4], [1, 2, 5]])
         np.testing.assert_array_equal(x.steps(reverse=True), [[1, 2, 5], [0, 2, 4], [0, 2, 3]])
 
-    def test_averaging_gives_sentence_means(self):
-        x = Ragged([(0, 4, 4), (3,), (0, 5)])
-        table = np.random.default_rng(0).standard_normal((7, 2))
-        means = x.averaging() @ table[x.ids]
-        for b, seq in enumerate([(0, 4, 4), (3,), (0, 5)]):
-            np.testing.assert_allclose(means[b], table[list(seq)].mean(axis=0), rtol=1e-15)
-
     def test_birnn_batch_matches_numpy_lstm(self):
         cfg = ModelConfig(encoder="birnn", d=2, d_x=3)
         params = build_params(cfg, V, V, seed=6)
@@ -124,6 +117,40 @@ class TestRagged:
         params = build_params(ModelConfig(encoder="birnn", d=2, d_x=3), V, V, seed=0)
         with pytest.raises(ShapeError):
             model_mod.encode_birnn(Ragged([(0, 2), ()]), params)
+
+
+class TestSegmentMean:
+    """``ad.segment_mean``: the sentence mean of the hierarchical model."""
+
+    SEQS = [(0, 4, 4), (3,), (0, 5)]
+
+    def test_values_are_sentence_means(self):
+        x = Ragged(self.SEQS)
+        table = np.random.default_rng(0).standard_normal((7, 2))
+        means = ad.segment_mean(table[x.ids], x.lengths).data
+        ref = np.stack([table[list(seq)].mean(axis=0) for seq in self.SEQS])
+        assert np.abs(means - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(1)
+        store = ParameterStore()
+        table = store.add("E", rng.standard_normal((7, 3)))
+        weights = ad.constant(rng.standard_normal((len(self.SEQS), 3)))
+        x = Ragged(self.SEQS)
+
+        def loss():
+            return ad.total(ad.mul(ad.segment_mean(ad.rows(table, x.ids), x.lengths), weights))
+
+        assert gradient_check(loss, store).max_rel_err <= 1e-8
+
+    def test_empty_run_refused(self):
+        # reduceat would return the next row as the empty run's "mean"
+        with pytest.raises(ShapeError, match="empty run"):
+            ad.segment_mean(np.ones((3, 2)), [2, 0, 1])
+
+    def test_runs_must_tile_the_rows(self):
+        with pytest.raises(ShapeError):
+            ad.segment_mean(np.ones((3, 2)), [1, 1])
 
 
 class TestBatchEqualsSumOfPairs:
@@ -229,7 +256,7 @@ class TestBatchUpdateNoise:
 
         monkeypatch.setattr(model_mod, "batch_elbo", spy)
         value = training._batch_update(
-            Batch(list(RAGGED)), params, cfg, TrainConfig(css=False), vocab, vocab, 0.5,
+            list(RAGGED), params, cfg, TrainConfig(css=False), vocab, vocab, 0.5,
             AdamState(), batch_seed=77,
         )
         # the formula of the per-pair loop: eps_z of a pair, then its eps_s

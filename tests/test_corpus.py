@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from alignvae.corpus import (
     NULL_ID,
     UNK_ID,
-    Batch,
     CSSupport,
     SentencePair,
     Vocabulary,
@@ -142,18 +141,18 @@ class TestMakeBatches:
     def test_sizes(self):
         pairs = [SentencePair((0, 2), (2,))] * 250
         batches = make_batches(pairs, 100, seed=0)
-        assert [b.size for b in batches] == [100, 100, 50]
+        assert [len(b) for b in batches] == [100, 100, 50]
 
     def test_same_seed_identical(self):
         pairs = [SentencePair((0, 2 + i % 3), (2,)) for i in range(40)]
         a = make_batches(pairs, 7, seed=5)
         b = make_batches(pairs, 7, seed=5)
-        assert [x.pairs for x in a] == [x.pairs for x in b]
+        assert a == b
 
     def test_different_seeds_differ(self):
         pairs = [SentencePair((0, 2 + i), (2,)) for i in range(250)]
-        a = make_batches(pairs, 250, seed=1)[0].pairs
-        b = make_batches(pairs, 250, seed=2)[0].pairs
+        a = make_batches(pairs, 250, seed=1)[0]
+        b = make_batches(pairs, 250, seed=2)[0]
         assert a != b
 
     def test_bad_batch_size(self):
@@ -164,7 +163,7 @@ class TestMakeBatches:
 class TestCssSupport:
     def test_small_complement_fully_used(self):
         vocab = Vocabulary([f"w{k}" for k in range(3)])  # 5 ids with reserved
-        batch = Batch([SentencePair((0, 2), (2,))])
+        batch = [SentencePair((0, 2), (2,))]
         css = build_css_support(batch, vocab, "l1", n_neg=3, seed=0)
         assert set(css.c_ids) == {0, 2}
         assert set(css.n_ids) == {1, 3, 4}
@@ -173,20 +172,20 @@ class TestCssSupport:
     def test_kappa_two(self):
         tokens = [f"w{k}" for k in range(2008)]  # 2010 ids with reserved
         vocab = Vocabulary(tokens)
-        batch = Batch([SentencePair((0, 2, 3), (2,)) for _ in range(2)])
+        batch = [SentencePair((0, 2, 3), (2,)) for _ in range(2)]
         css = build_css_support(batch, vocab, "l1", n_neg=1000, seed=1)
         assert len(vocab) - len(set(css.c_ids)) == 2007
         assert css.kappa == pytest.approx(2007 / 1000)
         # exact instantiation of kappa = 1e-3 * |complement| at complement 2000
         vocab2 = Vocabulary([f"v{k}" for k in range(2001)])
-        batch2 = Batch([SentencePair((0, 2, 4), (2,)) for _ in range(1)])
+        batch2 = [SentencePair((0, 2, 4), (2,)) for _ in range(1)]
         css2 = build_css_support(batch2, vocab2, "l1", n_neg=1000, seed=1)
         assert len(vocab2) - len(set(css2.c_ids)) == 2000
         assert css2.kappa == 2.0
 
     def test_full_vocabulary_degenerate(self):
         vocab = Vocabulary(["a", "b"])
-        batch = Batch([SentencePair((0, 1, 2, 3), (2, 3))])
+        batch = [SentencePair((0, 1, 2, 3), (2, 3))]
         css = build_css_support(batch, vocab, "l1", n_neg=100, seed=0)
         assert set(css.c_ids) == {0, 1, 2, 3}
         assert set(css.n_ids) == set()
@@ -197,7 +196,7 @@ class TestCssSupport:
         vocab = Vocabulary([f"w{k}" for k in range(60)])
         for trial in range(20):
             ids = rng.integers(2, len(vocab), size=(4, 5))
-            batch = Batch([SentencePair((0, *row[:3]), tuple(row[3:])) for row in ids])
+            batch = [SentencePair((0, *row[:3]), tuple(row[3:])) for row in ids]
             for side in ("l1", "l2"):
                 css = build_css_support(batch, vocab, side, n_neg=10, seed=trial)
                 c, n = set(css.c_ids), set(css.n_ids)
@@ -213,12 +212,12 @@ class TestCssSupport:
 
     def test_l1_always_contains_null(self):
         vocab = Vocabulary(["a"])
-        batch = Batch([SentencePair((0, 2), (2,))])
+        batch = [SentencePair((0, 2), (2,))]
         assert NULL_ID in set(build_css_support(batch, vocab, "l1", 0, 0).c_ids)
 
     def test_deterministic_given_seed(self):
         vocab = Vocabulary([f"w{k}" for k in range(50)])
-        batch = Batch([SentencePair((0, 2, 3), (4, 5))])
+        batch = [SentencePair((0, 2, 3), (4, 5))]
         a = build_css_support(batch, vocab, "l2", n_neg=10, seed=9)
         b = build_css_support(batch, vocab, "l2", n_neg=10, seed=9)
         assert a.n_ids == b.n_ids

@@ -12,7 +12,6 @@ from alignvae.corpus import (
     NULL_ID,
     NULL_TOKEN,
     UNK_TOKEN,
-    Batch,
     SentencePair,
     Vocabulary,
     build_css_support,
@@ -93,7 +92,7 @@ def batches(draw):
     ids = st.integers(0, v - 1)
     pairs = draw(st.lists(st.tuples(st.lists(ids, max_size=6), st.lists(ids, max_size=6)),
                           min_size=1, max_size=4))
-    batch = Batch([SentencePair(tuple(x), tuple(y)) for x, y in pairs])
+    batch = [SentencePair(tuple(x), tuple(y)) for x, y in pairs]
     return batch, Vocabulary([f"w{k}" for k in range(v - 2)]), draw(st.integers(0, v + 2))
 
 
@@ -108,9 +107,9 @@ class TestSupportMatchesReference:
     @pytest.mark.parametrize("side", ["l1", "l2"])
     def test_full_vocabulary_and_empty_side(self, side):
         vocab = Vocabulary([f"w{k}" for k in range(4)])  # 6 ids
-        full = Batch([SentencePair((NULL_ID, 1, 2, 3), (0, 1, 4, 5)),
-                      SentencePair((NULL_ID, 4, 5), (2, 3))])
-        empty_l2 = Batch([SentencePair((NULL_ID, 3), ())])
+        full = [SentencePair((NULL_ID, 1, 2, 3), (0, 1, 4, 5)),
+                SentencePair((NULL_ID, 4, 5), (2, 3))]
+        empty_l2 = [SentencePair((NULL_ID, 3), ())]
         for batch in (full, empty_l2):
             css = build_css_support(batch, vocab, side, n_neg=3, seed=2)
             assert (css.c_ids, css.n_ids, css.kappa) == reference_css(batch, vocab, side, 3, 2)
@@ -120,7 +119,7 @@ class TestSupportMatchesReference:
     @pytest.mark.parametrize("side", ["l1", "l2"])
     def test_out_of_range_id_is_a_contract_error(self, side, bad):
         vocab = Vocabulary([f"w{k}" for k in range(4)])  # 6 ids
-        batch = Batch([SentencePair((NULL_ID, 2, bad), (1, bad))])
+        batch = [SentencePair((NULL_ID, 2, bad), (1, bad))]
         with pytest.raises(ContractError, match="outside the vocabulary of 6 ids"):
             build_css_support(batch, vocab, side, n_neg=2, seed=0)
 

@@ -62,7 +62,7 @@ def reference_train(pairs, v1, v2, mcfg, tcfg):
                     eps_s.append(noise.standard_normal(mcfg.d_s))
             with Tape() as tape:
                 loss = ad.neg(batch_elbo(
-                    batch.pairs, params, mcfg, anneal_alpha(n), np.concatenate(eps_z),
+                    batch, params, mcfg, anneal_alpha(n), np.concatenate(eps_z),
                     np.stack(eps_s) if eps_s else None, css_pair,
                 ))
             adam_step(params, tape.backward(loss, params=params), adam)

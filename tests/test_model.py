@@ -5,7 +5,7 @@ import pytest
 
 from alignvae import autodiff as ad
 from alignvae.autodiff import ParameterStore, gradient_check
-from alignvae.corpus import Batch, CSSupport, SentencePair, Vocabulary, build_css_support
+from alignvae.corpus import CSSupport, SentencePair, Vocabulary, build_css_support
 from alignvae.errors import ContractError
 from alignvae.model import (
     ModelConfig,
@@ -233,7 +233,7 @@ class TestCssLogNormalizer:
         w = store.add("w", rng.uniform(-1, 1, size=(v, d)))
         b = store.add("b", rng.uniform(-1, 1, size=v))
         vocab = Vocabulary([f"w{k}" for k in range(v - 2)])
-        batch = Batch([SentencePair((0, 2, 3), (4, 5, 6))])
+        batch = [SentencePair((0, 2, 3), (4, 5, 6))]
         z = rng.uniform(-1, 1, size=d)
         exact = float(np.exp(w.data @ z + b.data).sum())
         draws = 10_000
@@ -438,6 +438,14 @@ class TestExactLogMarginal:
         estimate, se = exact_log_marginal(pair, params, cfg, n_draws=200_000, seed=10)
         assert abs(estimate - expected) <= 3 * max(se, 1e-12)
 
+    def test_hierarchical_config_refused(self):
+        # the oracle integrates z under N(0, I) only: for a hierarchical
+        # model it would silently return the flat model's marginal
+        cfg = ModelConfig(d=2, d_x=3, hierarchical=True, d_s=2)
+        params = build_params(cfg, 5, 5, seed=0)
+        with pytest.raises(ContractError, match="hierarchical"):
+            exact_log_marginal(SentencePair((0, 2), (3,)), params, cfg, n_draws=10)
+
     def test_bound_on_twenty_random_models(self):
         rng = np.random.default_rng(30)
         for trial in range(20):
@@ -476,7 +484,7 @@ class TestFullElboGradient:
     def test_css_gradient_matches_finite_differences(self, toy_setup):
         cfg, params, pairs, noise = toy_setup
         vocab = Vocabulary([f"w{k}" for k in range(8)])
-        batch = Batch(pairs)
+        batch = pairs
         css_pair = (
             build_css_support(batch, vocab, "l1", n_neg=2, seed=1),
             build_css_support(batch, vocab, "l2", n_neg=2, seed=2),

@@ -167,7 +167,7 @@ def build_nibm_params(cfg: NIBMConfig, v_x: int, v_y: int, seed: int) -> Paramet
 def _nibm_repr(x: model_mod.Ragged, params: ParameterStore, cfg: NIBMConfig) -> Tensor:
     """Per-token representations [T, d_x] of a Ragged batch: MLP over
     embeddings or states."""
-    base = model_mod.encode(x, params, cfg)
+    base = model_mod.encode(ad.rows(params["E"], x.ids), x, params, cfg)
     return ad.tanh(ad.matmul(base, ad.transpose(params["mlp_W"]), bias=params["mlp_b"]))
 
 

@@ -204,6 +204,8 @@ def _eval_aer(args) -> int:
 
 
 def _eval_lexsub(args) -> int:
+    if not args.checkpoint and (args.reverse_kl or args.metric):
+        raise AlignvaeError("--metric and --reverse-kl need --checkpoint")
     instances = semeval.parse_lexsub(args.data)
     if args.checkpoint:
         ckpt, params, vocab1, _ = _load_model(args.checkpoint)
@@ -214,7 +216,7 @@ def _eval_lexsub(args) -> int:
                               "vocabulary as UNK")
         score, per_instance = semeval.mean_gap(
             instances, vocab1, params, ckpt.model_cfg,
-            metric=args.metric, reverse_kl=args.reverse_kl,
+            metric=args.metric or "kl", reverse_kl=args.reverse_kl,
         )
     else:
         # no model: score the candidates in file order
@@ -230,6 +232,8 @@ def _eval_lexsub(args) -> int:
 
 
 def _eval_wordsim(args) -> int:
+    if args.corpus and not args.checkpoint:
+        raise AlignvaeError("--corpus needs --checkpoint")
     rows = semeval.parse_wordsim(args.data)
     if args.checkpoint:
         ckpt, params, vocab1, _ = _load_model(args.checkpoint)
@@ -326,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = kinds.add_parser("lexsub")
     q.add_argument("data")
     q.add_argument("--checkpoint", default=None)
-    q.add_argument("--metric", choices=["kl", "cosine"], default="kl")
+    q.add_argument("--metric", choices=["kl", "cosine"], default=None,
+                   help="candidate score (default kl); needs --checkpoint")
     q.add_argument("--reverse-kl", action="store_true",
                    help="rank by divergence from target to candidate")
     q.add_argument("--per-instance", default=None, help="write per-instance GAP here")

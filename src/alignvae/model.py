@@ -165,11 +165,6 @@ class Ragged:
 # encoders
 
 
-def encode_bow(x: Ragged, params: ParameterStore) -> Tensor:
-    """Per-token table lookup; h_i depends only on x_i."""
-    return ad.rows(params["E"], x.ids)
-
-
 def _lstm_states(inputs: Tensor, steps: np.ndarray, params, direction: str) -> Tensor:
     """Hidden states of one LSTM direction, scanned over all sentences at once.
 
@@ -204,8 +199,8 @@ def _lstm_states(inputs: Tensor, steps: np.ndarray, params, direction: str) -> T
     return ad.reshape(ad.stack(states), (len(states) * steps.shape[1], -1))
 
 
-def encode_birnn(x: Ragged, params: ParameterStore) -> Tensor:
-    """Elementwise sum of forward and backward LSTM states per position.
+def encode_birnn(emb: Tensor, x: Ragged, params: ParameterStore) -> Tensor:
+    """Per-position sum of forward and backward LSTM states over ``emb`` [T, d_x].
 
     Both directions run on left-aligned sentences, the backward one
     reversed within each sentence, so padding steps only ever follow a
@@ -214,34 +209,34 @@ def encode_birnn(x: Ragged, params: ParameterStore) -> Tensor:
     """
     if x.lengths.min() < 1:
         raise ShapeError("encode_birnn: empty sentence")
-    inputs = ad.rows(params["E"], x.ids)
     pos = x.positions()
-    fwd = _lstm_states(inputs, x.steps(reverse=False), params, "fwd")
-    bwd = _lstm_states(inputs, x.steps(reverse=True), params, "bwd")
+    fwd = _lstm_states(emb, x.steps(reverse=False), params, "fwd")
+    bwd = _lstm_states(emb, x.steps(reverse=True), params, "bwd")
     return ad.add(
         ad.rows(fwd, pos * x.size + x.seg),
         ad.rows(bwd, (x.lengths[x.seg] - 1 - pos) * x.size + x.seg),
     )
 
 
-def encode(x: Ragged, params: ParameterStore, cfg: ModelConfig) -> Tensor:
-    """Token encodings [T, d_x] of a Ragged batch."""
-    return encode_birnn(x, params) if cfg.encoder == "birnn" else encode_bow(x, params)
+def encode(emb: Tensor, x: Ragged, params: ParameterStore, cfg: ModelConfig) -> Tensor:
+    """Token encodings [T, d_x] from the token embeddings ``emb`` (the rows of
+    E at ``x.ids``): bow returns them as they are, birnn runs ``encode_birnn``."""
+    return encode_birnn(emb, x, params) if cfg.encoder == "birnn" else emb
 
 
 # ---------------------------------------------------------------------------
 # posterior and sampling
 
 
-def infer_sentence_posterior(x: Ragged, params: ParameterStore):
+def infer_sentence_posterior(emb: Tensor, x: Ragged, params: ParameterStore):
     """Diagonal-Gaussian parameters of the sentence latent given x.
 
-    Each sentence is summarized by the mean of its token embeddings (so
-    the result is order-invariant), taken as one ``segment_mean`` over
-    the batch's tokens, then mapped by two affine heads.
+    Each sentence is summarized by the mean of its token embeddings ``emb``
+    [T, d_x], the rows the encoder reads (so the result is order-invariant),
+    taken as one ``segment_mean``, then mapped by two affine heads.
     Returns [B, d_s] locations and [B, d_s] scales for the Ragged batch.
     """
-    pooled = ad.segment_mean(ad.rows(params["E"], x.ids), x.lengths)
+    pooled = ad.segment_mean(emb, x.lengths)
     u_k = ad.matmul(pooled, ad.transpose(params["sent_Mu"]), bias=params["sent_bu"])
     s_k = ad.softplus(ad.matmul(pooled, ad.transpose(params["sent_Ms"]), bias=params["sent_bs"]))
     return u_k, s_k
@@ -300,13 +295,6 @@ def _head_logits(z: Tensor, weights: Tensor, bias: Tensor, css: CSSupport | None
     return logits
 
 
-def _log_normalizers(logits: Tensor, css: CSSupport | None) -> Tensor:
-    """Per-row log normalizer [m]; sampled supports add log-kappa offsets."""
-    if css is None or not css.n_ids:
-        return ad.logsumexp_rows(logits)
-    return ad.logsumexp_rows(logits, shift=css.log_weights)
-
-
 def css_log_normalizer(z, css: CSSupport, weights, bias) -> Tensor:
     """Sampled-support estimate of log sum_x exp(z . w_x + b_x) for one
     latent ``z`` [d], as a scalar.
@@ -317,7 +305,8 @@ def css_log_normalizer(z, css: CSSupport, weights, bias) -> Tensor:
     if not css.c_ids:
         raise ContractError("CSS support has empty explicit class set C")
     zrow = ad.reshape(ad.constant(z), (1, -1))
-    return ad.total(_log_normalizers(_head_logits(zrow, weights, bias, css), css))
+    logits = _head_logits(zrow, weights, bias, css)
+    return ad.total(ad.logsumexp_rows(logits, shift=css.log_weights))
 
 
 def l1_log_prob(z_i, x_i: int, params: ParameterStore, css: CSSupport | None = None) -> Tensor:
@@ -330,11 +319,13 @@ def _cell_log_probs(z: Tensor, zrow, ids, weights: Tensor, bias: Tensor,
     """log P(ids | z[zrow]) cell by cell; ``zrow`` and ``ids`` broadcast to
     the result's shape. Each cell picks its logit from the flattened logits
     (at its support position under a CSSupport) and subtracts its row's log
-    normalizer; ``s_block`` and ``s`` are as in ``_head_logits``."""
+    normalizer, sampled negatives weighted by kappa; ``s_block`` and ``s``
+    are as in ``_head_logits``."""
     logits = _head_logits(z, weights, bias, css, s_block, s)
     cols = np.asarray(ids, dtype=np.intp) if css is None else css.columns(ids)
     picked = ad.rows(ad.reshape(logits, (-1,)), zrow * logits.shape[1] + cols)
-    return ad.sub(picked, ad.rows(_log_normalizers(logits, css), zrow))
+    norm = ad.logsumexp_rows(logits, shift=None if css is None else css.log_weights)
+    return ad.sub(picked, ad.rows(norm, zrow))
 
 
 def _l1_sum(z: Tensor, x_ids, params: ParameterStore, css: CSSupport | None,
@@ -424,10 +415,11 @@ def batch_elbo(pairs, params: ParameterStore, cfg: ModelConfig, alpha: float,
     css_l1, css_l2 = css_pair if css_pair is not None else (None, None)
     x = Ragged([p.x for p in pairs])
     y = Ragged([p.y for p in pairs])
-    h = encode(x, params, cfg)
+    emb = ad.rows(params["E"], x.ids)  # the one gather of E: encoder and sentence mean
+    h = encode(emb, x, params, cfg)
     s_tok = None
     if cfg.hierarchical:
-        u_k, s_k = infer_sentence_posterior(x, params)
+        u_k, s_k = infer_sentence_posterior(emb, x, params)
         s_tok = ad.rows(reparam_sample(u_k, s_k, eps_s), x.seg)
     u, s = infer_posterior(h, params, s_tok)
     kl = (gaussian_kl_rows(u, s, prior_mean(s_tok, params)) if cfg.hierarchical
@@ -468,21 +460,22 @@ def posterior_params_np(x: Ragged, params: ParameterStore, cfg: ModelConfig):
     """(locations, scales) [T, d] of the token posteriors of a Ragged batch:
     the one posterior that every evaluation command reads.
     The numpy heads follow ``infer_posterior``'s operation order, so they
-    equal it bit for bit; a hierarchical model conditions each token on its
-    sentence's posterior mean (the location of
-    ``infer_sentence_posterior``, pooled by the same ``ad.segment_mean``
-    off the tape). Weights too large for float64
-    raise ``NumericalError`` instead of a warning."""
+    equal it bit for bit; one numpy gather of E feeds the encoder and, in a
+    hierarchical model, the sentence mean: each token is conditioned on its
+    sentence's posterior mean (the location of ``infer_sentence_posterior``,
+    pooled by the same ``ad.segment_mean`` off the tape). Weights too large
+    for float64 raise ``NumericalError`` instead of a warning."""
     # numpy, not the tape-free autodiff heads: on hier-v30 dims those took a
     # one-sentence call from 53 to 95 us and align and embed ~30% slower
     with np.errstate(all="ignore"):
-        h = encode(x, params, cfg).data
+        emb = params["E"].data[x.ids]
+        h = encode(ad.constant(emb), x, params, cfg).data
         u = h @ params["M1"].data.T
         u += params["d1"].data
         s_pre = h @ params["M2"].data.T
         s_pre += params["d2"].data
         if cfg.hierarchical:
-            pooled = ad.segment_mean(params["E"].data[x.ids], x.lengths).data
+            pooled = ad.segment_mean(emb, x.lengths).data
             s_tok = (pooled @ params["sent_Mu"].data.T + params["sent_bu"].data)[x.seg]
             u += s_tok @ params["N1"].data.T
             s_pre += s_tok @ params["N2"].data.T

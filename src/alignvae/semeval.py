@@ -91,12 +91,14 @@ def rank_candidates(instances, vocab: Vocabulary, params, cfg: ModelConfig,
     Each candidate is substituted into its target's slot; all target
     sentences and substituted copies are encoded in the chunks of
     ``model.eval_chunks``. The ranking is ascending KL(candidate || target)
-    (flip with ``reverse_kl``) or descending cosine of the posterior
-    locations. The sort is stable, so exact ties keep the original
-    candidate order. Tokens outside ``vocab`` read as UNK.
+    (flip with ``reverse_kl``; ``ContractError`` with cosine) or descending
+    cosine of the posterior locations. The sort is stable, so exact ties
+    keep the original candidate order. Tokens outside ``vocab`` read as UNK.
     """
     if metric not in ("kl", "cosine"):
         raise ContractError(f"metric must be 'kl' or 'cosine', got {metric!r}")
+    if reverse_kl and metric != "kl":
+        raise ContractError("reverse KL ranking applies only to the kl metric")
     if not instances:
         return []
     sentences, slots = [], []  # per instance: the target sentence, then one copy per candidate

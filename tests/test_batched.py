@@ -106,7 +106,8 @@ class TestRagged:
             return np.array(out)
 
         seqs = [p.x for p in RAGGED]
-        got = model_mod.encode_birnn(Ragged(seqs), params).data
+        x = Ragged(seqs)
+        got = model_mod.encode_birnn(ad.rows(params["E"], x.ids), x, params).data
         want = np.concatenate([
             lstm(p["E"][list(x)], "fwd") + lstm(p["E"][list(x)][::-1], "bwd")[::-1]
             for x in seqs
@@ -116,7 +117,8 @@ class TestRagged:
     def test_empty_sentence_rejected_by_birnn(self):
         params = build_params(ModelConfig(encoder="birnn", d=2, d_x=3), V, V, seed=0)
         with pytest.raises(ShapeError):
-            model_mod.encode_birnn(Ragged([(0, 2), ()]), params)
+            x = Ragged([(0, 2), ()])
+            model_mod.encode_birnn(ad.rows(params["E"], x.ids), x, params)
 
 
 class TestSegmentMean:
@@ -217,6 +219,28 @@ class TestBatchEqualsSumOfPairs:
                            np.zeros((sum(p.m for p in pairs), cfg.d)))
             sizes.append(len(tape.nodes))
         assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize("encoder", ["bow", "birnn"])
+    @pytest.mark.parametrize("model", ["flat", "hierarchical", "nibm"])
+    def test_one_gather_of_E(self, encoder, model):
+        """One ``rows`` node reads E per batch graph: the encoder and the
+        sentence mean share its rows."""
+        if model == "nibm":
+            cfg = NIBMConfig(encoder=encoder, d_x=3)
+            params = build_nibm_params(cfg, V, V, seed=4)
+            with Tape() as tape:
+                nibm_batch_log_likelihood(RAGGED, params, cfg, supports(RAGGED)[1])
+        else:
+            cfg = ModelConfig(encoder=encoder, d=3, d_x=4, hierarchical=model == "hierarchical",
+                              d_s=2)
+            params = build_params(cfg, V, V, seed=1)
+            eps_z, eps_s = noise_for(RAGGED, cfg, 2)
+            with Tape() as tape:
+                batch_elbo(RAGGED, params, cfg, 0.7, np.concatenate(eps_z),
+                           np.stack(eps_s) if cfg.hierarchical else None, supports(RAGGED))
+        gathers = [node for node in tape.nodes
+                   if node.kind == "rows" and node.parents[0] is params["E"]]
+        assert len(gathers) == 1
 
     def test_noise_shape_checked(self):
         cfg = ModelConfig(d=3, d_x=4)

@@ -812,6 +812,25 @@ class TestEval:
         assert lines[0].startswith("0\t")
         assert lines[-1].startswith("mean\t")
 
+    @pytest.mark.parametrize("kind,flags,message", [
+        ("lexsub", ["--checkpoint", "{ckpt}", "--metric", "cosine", "--reverse-kl"],
+         "reverse KL ranking applies only to the kl metric"),
+        ("lexsub", ["--reverse-kl"], "--metric and --reverse-kl need --checkpoint"),
+        ("lexsub", ["--metric", "cosine"], "--metric and --reverse-kl need --checkpoint"),
+        ("lexsub", ["--metric", "kl"], "--metric and --reverse-kl need --checkpoint"),
+        ("wordsim", ["--corpus", "{text}"], "--corpus needs --checkpoint"),
+    ], ids=["cosine-reverse-kl", "reverse-kl-no-model", "cosine-no-model", "kl-no-model",
+            "corpus-no-model"])
+    def test_option_that_would_do_nothing_exits_2(self, tmp_path, capsys, kind, flags, message):
+        """Each of these options once ran and was silently ignored; the data
+        would score without them, so only the option is refused."""
+        ckpt, text = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        data = tmp_path / "data.txt"
+        data.write_text("bb\t1\taa bb\tcc:1;aa:0\n" if kind == "lexsub" else "aa bb 1 4\nbb cc 2 3\n")
+        argv = [arg.format(ckpt=ckpt, text=text) for arg in flags]
+        code, stdout, err = run(capsys, "eval", kind, str(data), *argv)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("kind,text", [
         ("lexsub", "w\t0\tw x\ta:2;b:lots\n"),
         ("lexsub", "w\tfirst\tw x\ta:2;b:0\n"),

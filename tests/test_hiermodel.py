@@ -19,7 +19,6 @@ from alignvae.model import (
     Ragged,
     build_params,
     elbo,
-    encode_bow,
     infer_posterior,
     infer_sentence_posterior,
     prior_mean,
@@ -47,14 +46,15 @@ class TestSentencePosterior:
         cfg, params, pairs, _ = hier_setup
         for name in ("sent_Mu", "sent_bu", "sent_Ms", "sent_bs"):
             params[name].data = np.zeros_like(params[name].data)
-        u_k, s_k = infer_sentence_posterior(Ragged([pairs[0].x]), params)
+        x = Ragged([pairs[0].x])
+        u_k, s_k = infer_sentence_posterior(ad.rows(params["E"], x.ids), x, params)
         np.testing.assert_array_equal(u_k.data, np.zeros((1, cfg.d_s)))
         np.testing.assert_allclose(s_k.data, math.log(2), atol=1e-15)
 
     def test_permutation_invariance(self, hier_setup):
         _, params, _, _ = hier_setup
-        a = infer_sentence_posterior(Ragged([(0, 2, 3, 4)]), params)
-        b = infer_sentence_posterior(Ragged([(0, 4, 2, 3)]), params)
+        a, b = (infer_sentence_posterior(ad.rows(params["E"], x.ids), x, params)
+                for x in (Ragged([(0, 2, 3, 4)]), Ragged([(0, 4, 2, 3)])))
         np.testing.assert_allclose(a[0].data, b[0].data, atol=1e-15)
         np.testing.assert_allclose(a[1].data, b[1].data, atol=1e-15)
 
@@ -62,7 +62,8 @@ class TestSentencePosterior:
         _, params, pairs, _ = hier_setup
 
         def loss():
-            u_k, s_k = infer_sentence_posterior(Ragged([pairs[0].x]), params)
+            x = Ragged([pairs[0].x])
+            u_k, s_k = infer_sentence_posterior(ad.rows(params["E"], x.ids), x, params)
             return ad.add(ad.total(ad.mul(u_k, u_k)), ad.total(s_k))
 
         assert gradient_check(loss, params, step=1e-5).max_rel_err <= 1e-4
@@ -90,7 +91,7 @@ class TestConditionedWordPosterior:
         cfg, params, pairs, _ = hier_setup
         params["N1"].data = np.zeros_like(params["N1"].data)
         params["N2"].data = np.zeros_like(params["N2"].data)
-        h = encode_bow(Ragged([pairs[0].x]), params)
+        h = ad.rows(params["E"], Ragged([pairs[0].x]).ids)
         s = ad.constant(np.random.default_rng(3).standard_normal((pairs[0].m, cfg.d_s)))
         l, r = infer_word_posterior_conditioned(s, h, params)
         u, sc = infer_posterior(h, params)

@@ -16,7 +16,6 @@ from alignvae.model import (
     css_log_normalizer,
     elbo,
     encode_birnn,
-    encode_bow,
     exact_log_marginal,
     infer_posterior,
     kl_to_standard_normal,
@@ -46,21 +45,21 @@ class TestEncodeBow:
     def test_identical_tokens_identical_rows(self):
         cfg = ModelConfig(d=3, d_x=5)
         params = build_params(cfg, 6, 6, seed=0)
-        h = encode_bow(Ragged([(0, 2, 2)]), params)
+        h = ad.rows(params["E"], Ragged([(0, 2, 2)]).ids)
         np.testing.assert_array_equal(h.data[1], h.data[2])
 
     def test_zero_table(self):
         cfg = ModelConfig(d=3, d_x=5)
         params = build_params(cfg, 6, 6, seed=0)
         params["E"].data = np.zeros_like(params["E"].data)
-        h = encode_bow(Ragged([(0, 3, 4)]), params)
+        h = ad.rows(params["E"], Ragged([(0, 3, 4)]).ids)
         np.testing.assert_array_equal(h.data, np.zeros((3, 5)))
 
     def test_context_independence(self):
         cfg = ModelConfig(d=3, d_x=5)
         params = build_params(cfg, 8, 8, seed=1)
-        h1 = encode_bow(Ragged([(0, 4, 2)]), params)
-        h2 = encode_bow(Ragged([(0, 7, 4, 3)]), params)
+        h1 = ad.rows(params["E"], Ragged([(0, 4, 2)]).ids)
+        h2 = ad.rows(params["E"], Ragged([(0, 7, 4, 3)]).ids)
         np.testing.assert_array_equal(h1.data[1], h2.data[2])
 
 
@@ -70,21 +69,24 @@ class TestEncodeBirnn:
         params = build_params(cfg, 5, 5, seed=0)
         for name in params.names():
             params[name].data = np.zeros_like(params[name].data)
-        h = encode_birnn(Ragged([(0, 2, 3)]), params)
+        x = Ragged([(0, 2, 3)])
+        h = encode_birnn(ad.rows(params["E"], x.ids), x, params)
         np.testing.assert_array_equal(h.data, np.zeros((3, 3)))
 
     def test_reversal_symmetry(self):
         cfg = ModelConfig(encoder="birnn", d=2, d_x=4)
         params = build_params(cfg, 7, 7, seed=3)
         ids = (0, 2, 3, 4, 2)
-        h = encode_birnn(Ragged([ids]), params).data
+        x = Ragged([ids])
+        h = encode_birnn(ad.rows(params["E"], x.ids), x, params).data
         # swap the two directions' parameter sets
         for gate in "ifoc":
             for kind in "WUb":
                 a = f"lstm_fwd_{kind}{gate}"
                 b = f"lstm_bwd_{kind}{gate}"
                 params[a].data, params[b].data = params[b].data, params[a].data
-        h_rev = encode_birnn(Ragged([tuple(reversed(ids))]), params).data
+        x = Ragged([tuple(reversed(ids))])
+        h_rev = encode_birnn(ad.rows(params["E"], x.ids), x, params).data
         np.testing.assert_allclose(h_rev, h[::-1], atol=1e-12)
 
     def test_gradient_vs_finite_differences(self):
@@ -93,7 +95,8 @@ class TestEncodeBirnn:
         ids = (0, 2, 3)
 
         def loss():
-            return ad.total(encode_birnn(Ragged([ids]), params))
+            x = Ragged([ids])
+            return ad.total(encode_birnn(ad.rows(params["E"], x.ids), x, params))
 
         report = gradient_check(loss, params, step=1e-5)
         assert report.max_rel_err <= 1e-4
@@ -371,7 +374,7 @@ class TestElbo:
         kl = float(
             ad.total(
                 kl_to_standard_normal(
-                    *infer_posterior(encode_bow(Ragged([pairs[0].x]), params), params)
+                    *infer_posterior(ad.rows(params["E"], Ragged([pairs[0].x]).ids), params)
                 )
             ).data
         )

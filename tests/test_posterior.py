@@ -39,8 +39,9 @@ def random_model(encoder, hierarchical, seed=5):
 
 def hier_reference(x, params, cfg):
     """The conditioned autodiff heads at every sentence's posterior mean."""
-    u_k, _ = infer_sentence_posterior(x, params)
-    u, s = infer_posterior(encode(x, params, cfg), params, ad.rows(u_k, x.seg))
+    emb = ad.rows(params["E"], x.ids)
+    u_k, _ = infer_sentence_posterior(emb, x, params)
+    u, s = infer_posterior(encode(emb, x, params, cfg), params, ad.rows(u_k, x.seg))
     return u.data, s.data
 
 
@@ -49,7 +50,8 @@ class TestPosteriorParamsNp:
     def test_equals_autodiff_heads_bit_for_bit(self, encoder):
         cfg, _, params = random_model(encoder, False)
         for x in (Ragged(SENTENCES[:1]), Ragged(SENTENCES)):
-            ref_u, ref_s = infer_posterior(encode(x, params, cfg), params)
+            ref_u, ref_s = infer_posterior(encode(ad.rows(params["E"], x.ids), x, params, cfg),
+                                           params)
             u, s = model_mod.posterior_params_np(x, params, cfg)
             assert u.tobytes() == ref_u.data.tobytes()
             assert s.tobytes() == ref_s.data.tobytes()
@@ -63,7 +65,7 @@ class TestPosteriorParamsNp:
         assert u.tobytes() == ref_u.tobytes()
         assert s.tobytes() == ref_s.tobytes()
         # the conditioning is real: the unconditioned heads differ
-        base_u, _ = infer_posterior(encode(x, params, cfg), params)
+        base_u, _ = infer_posterior(encode(ad.rows(params["E"], x.ids), x, params, cfg), params)
         assert np.abs(base_u.data - u).max() > 0.1
 
     @pytest.mark.parametrize("encoder,hierarchical", KINDS)

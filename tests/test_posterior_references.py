@@ -9,7 +9,12 @@ matrix; it is now ``ad.segment_mean``, which rounds differently. The
 dense form is kept here as the reference for the sentence posterior and
 for the evaluation's sentence blocks: the objective, its gradients and
 the evaluation posterior must match it within ``TOL`` of each array's
-largest magnitude."""
+largest magnitude.
+
+The sentence posterior once gathered the rows of E itself, a second
+``rows`` node beside the encoder's; it now pools the encoder's rows, so
+E's gradient sums each token's two uses before the per-id reduction.
+That two-gather graph is kept here too, at the same ``TOL``."""
 
 import dataclasses
 
@@ -39,8 +44,18 @@ def dense_averaging(x):
     return weights
 
 
-def reference_sentence_posterior(x, params: ParameterStore):
-    pooled = ad.matmul(ad.constant(dense_averaging(x)), ad.rows(params["E"], x.ids))
+def reference_sentence_posterior(emb, x, params: ParameterStore):
+    pooled = ad.matmul(ad.constant(dense_averaging(x)), emb)
+    u_k = ad.matmul(pooled, ad.transpose(params["sent_Mu"]), bias=params["sent_bu"])
+    s_k = ad.softplus(ad.matmul(pooled, ad.transpose(params["sent_Ms"]), bias=params["sent_bs"]))
+    return u_k, s_k
+
+
+def two_gather_sentence_posterior(emb, x, params: ParameterStore):
+    """The sentence posterior over its own gather of E, ignoring the
+    encoder's rows ``emb``: in ``batch_elbo`` it makes the graph that read
+    E twice, once for the encoder and once for the sentence mean."""
+    pooled = ad.segment_mean(ad.rows(params["E"], x.ids), x.lengths)
     u_k = ad.matmul(pooled, ad.transpose(params["sent_Mu"]), bias=params["sent_bu"])
     s_k = ad.softplus(ad.matmul(pooled, ad.transpose(params["sent_Ms"]), bias=params["sent_bs"]))
     return u_k, s_k
@@ -70,7 +85,7 @@ def reference_sentence_blocks_np(x, params: ParameterStore):
 def reference_posterior_params_np(x, params, cfg):
     """The hierarchical evaluation posterior as the base numpy heads plus
     ``reference_sentence_blocks_np``."""
-    h = encode(x, params, cfg).data
+    h = encode(ad.rows(params["E"], x.ids), x, params, cfg).data
     u = h @ params["M1"].data.T
     u += params["d1"].data
     s_pre = h @ params["M2"].data.T
@@ -132,9 +147,10 @@ class TestHeadMatchesReference:
 
         def objective(head):
             def run():
-                u_k, s_k = infer_sentence_posterior(x, params)
+                emb = ad.rows(params["E"], x.ids)
+                u_k, s_k = infer_sentence_posterior(emb, x, params)
                 s_tok = ad.rows(reparam_sample(u_k, s_k, eps_s), x.seg)
-                u, s = head(encode(x, params, cfg), params, s_tok)
+                u, s = head(encode(emb, x, params, cfg), params, s_tok)
                 kl = model_mod.gaussian_kl_rows(u, s, prior_mean(s_tok, params))
                 return ad.add(ad.total(kl), ad.total(ad.mul(u, s)))
             return run
@@ -149,7 +165,10 @@ class TestHeadMatchesReference:
         x = Ragged([p.x for p in pairs])
 
         def objective(head):
-            return lambda: ad.total(ad.mul(*head(encode(x, params, cfg), params)))
+            def run():
+                h = encode(ad.rows(params["E"], x.ids), x, params, cfg)
+                return ad.total(ad.mul(*head(h, params)))
+            return run
 
         assert (values_and_grads(objective(model_mod.infer_posterior), params)
                 == values_and_grads(objective(reference_head), params))
@@ -179,30 +198,45 @@ class TestHeadMatchesReference:
         assert merged == reference
 
 
+def hier_elbo_against(reference, drawn, css):
+    """The hierarchical objective's value and gradients, as arrays by name,
+    with ``model.infer_sentence_posterior`` and then with ``reference`` in
+    its place: (model's, reference's)."""
+    cfg, params, pairs, eps_z, eps_s = drawn
+    vocab = Vocabulary([f"w{k}" for k in range(V - 2)])  # V ids
+    css_pair = tuple(build_css_support(pairs, vocab, side, n_neg=2, seed=3)
+                     for side in ("l1", "l2")) if css else None
+
+    def run():
+        with Tape() as tape:
+            root = model_mod.batch_elbo(pairs, params, cfg, 0.7, eps_z, eps_s, css_pair)
+        return {"elbo": root.data, **tape.backward(root, params)}
+
+    ours = run()
+    original = model_mod.infer_sentence_posterior  # by hand: hypothesis refuses function fixtures
+    model_mod.infer_sentence_posterior = reference
+    try:
+        return ours, run()
+    finally:
+        model_mod.infer_sentence_posterior = original
+
+
 class TestSegmentMeanMatchesDenseReference:
     @FIXED
     @given(models(), st.booleans())
     def test_batch_elbo_values_and_gradients(self, drawn, css):
         """The hierarchical objective with ``ad.segment_mean`` against it
         with the dense averaging matmul in the sentence posterior."""
-        cfg, params, pairs, eps_z, eps_s = drawn
-        vocab = Vocabulary([f"w{k}" for k in range(V - 2)])  # V ids
-        css_pair = tuple(build_css_support(pairs, vocab, side, n_neg=2, seed=3)
-                         for side in ("l1", "l2")) if css else None
+        assert_close_per_array(*hier_elbo_against(reference_sentence_posterior, drawn, css))
 
-        def run():
-            with Tape() as tape:
-                root = model_mod.batch_elbo(pairs, params, cfg, 0.7, eps_z, eps_s, css_pair)
-            return {"elbo": root.data, **tape.backward(root, params)}
 
-        segment = run()
-        original = model_mod.infer_sentence_posterior  # by hand: hypothesis refuses function fixtures
-        model_mod.infer_sentence_posterior = reference_sentence_posterior
-        try:
-            dense = run()
-        finally:
-            model_mod.infer_sentence_posterior = original
-        assert_close_per_array(segment, dense)
+class TestOneGatherMatchesTwoGatherReference:
+    @FIXED
+    @given(models(), st.booleans())
+    def test_batch_elbo_values_and_gradients(self, drawn, css):
+        """The hierarchical objective whose sentence mean pools the encoder's
+        rows of E against the one whose sentence posterior gathers E again."""
+        assert_close_per_array(*hier_elbo_against(two_gather_sentence_posterior, drawn, css))
 
 
 class TestEvaluationBlockMatchesReference:

@@ -133,6 +133,13 @@ class TestRankCandidates:
         assert fwd[0][2] != pytest.approx(rev[0][2], rel=1e-6)
 
 
+    def test_reverse_kl_with_cosine_rejected(self, small_model):
+        cfg, vocab, params = small_model
+        inst = LexSubInstance(["cat", "sat"], 0, [("dog", 1.0), ("bird", 0.0)])
+        with pytest.raises(ContractError):
+            rank_candidates([inst], vocab, params, cfg, metric="cosine", reverse_kl=True)
+
+
 class TestGap:
     def test_saturated(self):
         for order in ([1.0, 1.0, 1.0], [2.0, 2.0]):

@@ -264,39 +264,34 @@ def neg(a) -> Tensor:
 # linear algebra and structure
 
 
-def matmul(a, b, bias=None) -> Tensor:
-    """``a @ b`` of two matrices, plus ``bias`` (broadcast to the product's
-    shape) if given.
+def linear(x, weight, bias=None) -> Tensor:
+    """The affine map ``x @ weight.T`` of x [m, k] by weight [n, k], plus
+    ``bias`` (broadcast to [m, n]) if given.
 
-    The bias is added into the product in place, so ``matmul(a, b, bias)``
-    equals ``add(matmul(a, b), bias)`` bit for bit, gradients included,
+    The bias is added into the product in place, so ``linear(x, w, bias)``
+    equals ``add(linear(x, w), bias)`` bit for bit, gradients included,
     with one array and one tape node fewer.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: operands must be 2-d, got {a.shape} and {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data @ b.data
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    if x.data.ndim != 2 or weight.data.ndim != 2:
+        raise ShapeError(f"linear: operands must be 2-d, got {x.shape} and {weight.shape}")
+    if x.data.shape[1] != weight.data.shape[1]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} and {weight.shape}")
+    data = x.data @ weight.data.T
     if bias is not None:
         bias = _as_tensor(bias)
         try:  # numpy refuses a bias that would grow the product
             data += bias.data
         except ValueError:
-            raise ShapeError(f"matmul: bias {bias.shape} does not broadcast to {data.shape}") from None
+            raise ShapeError(f"linear: bias {bias.shape} does not broadcast to {data.shape}") from None
 
     def bwd(g):
-        grads = g @ b.data.T, a.data.T @ g
+        # (x.T @ g).T, not g.T @ x, which BLAS may round differently
+        grads = g @ weight.data, (x.data.T @ g).T
         return grads if bias is None else grads + (_unbroadcast(g, bias.data.shape),)
 
-    return _emit("matmul", data, (a, b) if bias is None else (a, b, bias), bwd)
-
-
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-    return _emit("transpose", a.data.T, (a,), lambda g: (g.T,))
+    # recorded as "matmul", the op kind the benchmark's per-op metrics name
+    return _emit("matmul", data, (x, weight) if bias is None else (x, weight, bias), bwd)
 
 
 def reshape(a, shape) -> Tensor:

@@ -168,7 +168,7 @@ def _nibm_repr(x: model_mod.Ragged, params: ParameterStore, cfg: NIBMConfig) -> 
     """Per-token representations [T, d_x] of a Ragged batch: MLP over
     embeddings or states."""
     base = model_mod.encode(ad.rows(params["E"], x.ids), x, params, cfg)
-    return ad.tanh(ad.matmul(base, ad.transpose(params["mlp_W"]), bias=params["mlp_b"]))
+    return ad.tanh(ad.linear(base, params["mlp_W"], params["mlp_b"]))
 
 
 def nibm_batch_log_likelihood(pairs, params: ParameterStore, cfg: NIBMConfig,

@@ -289,6 +289,8 @@ def synth_corpus(
         )
     if n_pairs < 1:
         raise DataError("empty corpus requested")
+    if seed < 0:
+        raise ContractError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     l1_types = [f"s{k:02d}" for k in range(v1)]
     l2_types = [f"t{k:02d}" for k in range(v2)]

@@ -179,13 +179,11 @@ def _lstm_states(inputs: Tensor, steps: np.ndarray, params, direction: str) -> T
         return params[f"lstm_{direction}_{tag}"]
 
     # input projections of every token at once; the recurrent part per step
-    proj = {g: ad.matmul(inputs, ad.transpose(p(f"W{g}")), bias=p(f"b{g}"))
-            for g in _LSTM_GATES}
-    recur = {g: ad.transpose(p(f"U{g}")) for g in _LSTM_GATES}
+    proj = {g: ad.linear(inputs, p(f"W{g}"), p(f"b{g}")) for g in _LSTM_GATES}
 
     def pre(g, idx, h):
         x_g = ad.rows(proj[g], idx)
-        return x_g if h is None else ad.matmul(h, recur[g], bias=x_g)
+        return x_g if h is None else ad.linear(h, p(f"U{g}"), x_g)
 
     h = c = None  # zero initial states: the first step skips U h and f * c
     states = []
@@ -237,16 +235,16 @@ def infer_sentence_posterior(emb: Tensor, x: Ragged, params: ParameterStore):
     Returns [B, d_s] locations and [B, d_s] scales for the Ragged batch.
     """
     pooled = ad.segment_mean(emb, x.lengths)
-    u_k = ad.matmul(pooled, ad.transpose(params["sent_Mu"]), bias=params["sent_bu"])
-    s_k = ad.softplus(ad.matmul(pooled, ad.transpose(params["sent_Ms"]), bias=params["sent_bs"]))
+    u_k = ad.linear(pooled, params["sent_Mu"], params["sent_bu"])
+    s_k = ad.softplus(ad.linear(pooled, params["sent_Ms"], params["sent_bs"]))
     return u_k, s_k
 
 
 def prior_mean(s: Tensor, params: ParameterStore) -> Tensor:
     """Conditional prior mean for token embeddings: one tanh hidden layer.
     ``s`` [T, d_s] holds the sentence draw of each token, one row per row."""
-    hidden = ad.tanh(ad.matmul(s, ad.transpose(params["prior_V1"]), bias=params["prior_c1"]))
-    return ad.matmul(hidden, ad.transpose(params["prior_V2"]), bias=params["prior_c2"])
+    hidden = ad.tanh(ad.linear(s, params["prior_V1"], params["prior_c1"]))
+    return ad.linear(hidden, params["prior_V2"], params["prior_c2"])
 
 
 def infer_posterior(h: Tensor, params: ParameterStore, s_tok: Tensor | None = None):
@@ -257,11 +255,11 @@ def infer_posterior(h: Tensor, params: ParameterStore, s_tok: Tensor | None = No
     additive blocks ``N1``/``N2`` before the softplus, so zeroed blocks
     give the unconditioned posterior exactly.
     """
-    u = ad.matmul(h, ad.transpose(params["M1"]), bias=params["d1"])
-    s_pre = ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"])
+    u = ad.linear(h, params["M1"], params["d1"])
+    s_pre = ad.linear(h, params["M2"], params["d2"])
     if s_tok is not None:
-        u = ad.add(u, ad.matmul(s_tok, ad.transpose(params["N1"])))
-        s_pre = ad.add(s_pre, ad.matmul(s_tok, ad.transpose(params["N2"])))
+        u = ad.add(u, ad.linear(s_tok, params["N1"]))
+        s_pre = ad.add(s_pre, ad.linear(s_tok, params["N2"]))
     return u, ad.softplus(s_pre)
 
 
@@ -289,9 +287,9 @@ def _head_logits(z: Tensor, weights: Tensor, bias: Tensor, css: CSSupport | None
         weights, bias = ad.rows(weights, css.support_ids), ad.rows(bias, css.support_ids)
         if s is not None:
             s_block = ad.rows(s_block, css.support_ids)
-    logits = ad.matmul(z, ad.transpose(weights), bias=bias)
+    logits = ad.linear(z, weights, bias)
     if s is not None:
-        logits = ad.add(logits, ad.matmul(s, ad.transpose(s_block)))
+        logits = ad.add(logits, ad.linear(s, s_block))
     return logits
 
 

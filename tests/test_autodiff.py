@@ -21,37 +21,55 @@ from alignvae.errors import (
 
 
 
-class TestMatmulBias:
+class TestLinear:
     def test_identity(self):
-        out = ad.matmul(ad.constant(np.eye(2)), ad.constant([[3.0], [4.0]]),
-                        bias=ad.constant([0.0]))
+        out = ad.linear(ad.constant(np.eye(2)), ad.constant([[3.0, 4.0]]), ad.constant([0.0]))
         np.testing.assert_array_equal(out.data, [[3.0], [4.0]])
 
     def test_direct_formula(self):
-        out = ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[1.0], [1.0]]),
-                        bias=ad.constant([5.0]))
+        out = ad.linear(ad.constant([[1.0, 2.0]]), ad.constant([[1.0, 1.0]]), ad.constant([5.0]))
         np.testing.assert_array_equal(out.data, [[8.0]])
 
     def test_shape_mismatch_names_operands(self):
-        with pytest.raises(ShapeError, match=r"matmul"):
-            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 1))),
-                      bias=ad.constant(np.ones(1)))
+        with pytest.raises(ShapeError, match=r"linear: incompatible shapes \(2, 3\) and \(1, 2\)"):
+            ad.linear(ad.constant(np.ones((2, 3))), ad.constant(np.ones((1, 2))),
+                      ad.constant(np.ones(1)))
         with pytest.raises(ShapeError, match=r"bias"):
-            ad.matmul(ad.constant(np.ones((1, 3))), ad.constant(np.ones((3, 1))),
-                      bias=ad.constant(np.ones(3)))
+            ad.linear(ad.constant(np.ones((1, 3))), ad.constant(np.ones((1, 3))),
+                      ad.constant(np.ones(3)))
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(0)
         store = ParameterStore()
         w = store.add("w", rng.uniform(-2, 2, size=(3, 4)))
-        x = store.add("x", rng.uniform(-2, 2, size=(4, 1)))
+        x = store.add("x", rng.uniform(-2, 2, size=(1, 4)))
         b = store.add("b", rng.uniform(-2, 2, size=(3, 1)))
 
         def loss():
-            return ad.total(ad.matmul(w, x, bias=b))
+            return ad.total(ad.linear(w, x, b))
 
         report = gradient_check(loss, store, step=1e-5)
         assert report.max_rel_err <= 1e-6
+
+    @pytest.mark.parametrize("shapes", [((5, 3), (4, 3)), ((1, 7), (6, 7)), ((9, 2), (1, 2))])
+    def test_bytes_of_the_transpose_then_matmul_pair(self, shapes):
+        """Value and every gradient part are those of ``x @ w.T + b``, the
+        product the former transpose and matmul nodes computed."""
+        rng = np.random.default_rng(6)
+        store = ParameterStore()
+        x = store.add("x", rng.standard_normal(shapes[0]))
+        w = store.add("w", rng.standard_normal(shapes[1]))
+        b = store.add("b", rng.standard_normal(shapes[1][0]))
+        g = rng.standard_normal((shapes[0][0], shapes[1][0]))
+        with Tape() as tape:
+            out = ad.linear(x, w, b)
+            loss = ad.total(ad.mul(out, ad.constant(g)))
+        grads = tape.backward(loss, params=store)
+        xd, wd = x.data, w.data
+        assert out.data.tobytes() == (xd @ wd.T + b.data).tobytes()
+        assert grads["x"].tobytes() == (g @ wd).tobytes()
+        assert grads["w"].tobytes() == (xd.T @ g).T.tobytes()
+        assert grads["b"].tobytes() == g.sum(0).tobytes()
 
 
 class TestNonlinearities:
@@ -157,8 +175,8 @@ class TestBackward:
         x = rng.uniform(-2, 2, size=(1, 4))
 
         def loss():
-            hidden = ad.tanh(ad.matmul(ad.constant(x), ad.transpose(w1), bias=b1))
-            out = ad.sigmoid(ad.matmul(hidden, ad.transpose(w2), bias=b2))
+            hidden = ad.tanh(ad.linear(ad.constant(x), w1, b1))
+            out = ad.sigmoid(ad.linear(hidden, w2, b2))
             return ad.total(ad.mul(out, out))
 
         assert gradient_check(loss, store).max_rel_err <= 1e-4
@@ -279,11 +297,11 @@ class TestGradientCheck:
         features = rng.uniform(-1, 1, size=(12, 3))
         targets = rng.uniform(-1, 1, size=(12, 1))
         store = ParameterStore()
-        w = store.add("w", rng.uniform(-1, 1, size=(3, 1)))
+        w = store.add("w", rng.uniform(-1, 1, size=(1, 3)))
         b = store.add("b", 0.0)
 
         def loss():
-            pred = ad.add(ad.matmul(ad.constant(features), w), b)
+            pred = ad.add(ad.linear(ad.constant(features), w), b)
             err = ad.sub(pred, ad.constant(targets))
             return ad.total(ad.mul(err, err))
 
@@ -330,7 +348,6 @@ class TestStructuralOps:
         [
             lambda p: ad.total(ad.mul(p, p)),
             lambda p: ad.total(ad.div(ad.constant(np.ones((4, 3))), ad.add(ad.mul(p, p), ad.constant(1.0)))),
-            lambda p: ad.total(ad.matmul(p, ad.transpose(p))),
             lambda p: ad.total(ad.logsumexp_rows(p)),
             lambda p: ad.total(ad.sum_rows(ad.mul(p, p))),
             lambda p: ad.total(ad.rows(ad.reshape(p, (-1,)), np.array([0 * 3 + 1, 3 * 3 + 2]))),
@@ -347,18 +364,18 @@ class TestStructuralOps:
         p = store.add("p", rng.uniform(-2, 2, size=(4, 3)))
         assert gradient_check(lambda: builder(p), store).max_rel_err <= 1e-4
 
-    def test_matmul_shape_errors(self):
+    def test_linear_shape_errors(self):
         with pytest.raises(ShapeError):
-            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
+            ad.linear(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 2))))
 
     @pytest.mark.parametrize(
         "a_shape, b_shape",
-        [((3,), (3, 4)), ((5, 3), (3,)), ((3,), (3,)), ((), (1, 2)), ((2, 1), ()),
-         ((2, 2, 3), (3, 4))],
+        [((3,), (4, 3)), ((5, 3), (3,)), ((3,), (3,)), ((), (2, 1)), ((2, 1), ()),
+         ((2, 2, 3), (4, 3))],
     )
-    def test_matmul_takes_matrices_only(self, a_shape, b_shape):
+    def test_linear_takes_matrices_only(self, a_shape, b_shape):
         with pytest.raises(ShapeError, match="must be 2-d"):
-            ad.matmul(ad.constant(np.ones(a_shape)), ad.constant(np.ones(b_shape)))
+            ad.linear(ad.constant(np.ones(a_shape)), ad.constant(np.ones(b_shape)))
 
 
 def _dense_use_grad(use, table_shape):
@@ -369,8 +386,8 @@ def _dense_use_grad(use, table_shape):
         z = np.zeros(table_shape)
         np.add.at(z, arg, coef)
         return z
-    if kind == "matmul":
-        return arg.T @ coef
+    if kind == "linear":
+        return (arg.T @ coef).T
     return coef  # elementwise
 
 
@@ -386,9 +403,9 @@ def _sparse_case(table_shape, uses, via_nonleaf, seed):
     for kind, arg in uses:
         if kind == "rows":
             shape = (len(arg),) + table_shape[1:]
-        elif kind == "matmul":
-            arg = rng.standard_normal((3, table_shape[0]))
-            shape = (3,) + table_shape[1:]
+        elif kind == "linear":
+            arg = rng.standard_normal((3,) + table_shape[1:])
+            shape = (3, table_shape[0])
         else:
             shape = table_shape
         coef = rng.standard_normal(shape)
@@ -400,8 +417,8 @@ def _sparse_case(table_shape, uses, via_nonleaf, seed):
         for kind, arg, coef in filled:
             if kind == "rows":
                 out = ad.rows(base, arg)
-            elif kind == "matmul":
-                out = ad.matmul(ad.constant(arg), base)
+            elif kind == "linear":
+                out = ad.linear(ad.constant(arg), base)
             else:
                 out = base
             term = ad.total(ad.mul(out, ad.constant(coef)))
@@ -421,7 +438,7 @@ class TestRowSparseGradients:
         ((5, 3), [("rows", [3, 1, 3, 3, 0])]),  # repeated ids in one op
         ((5,), [("rows", [3, 1, 3, 3, 0])]),
         ((5, 8), [("rows", [2, 4]), ("rows", [2, 0, 2]), ("rows", [1, 2])]),  # several gathers
-        ((5, 3), [("matmul", None), ("rows", [1, 1, 4])]),  # gather visited before the matmul
+        ((5, 3), [("linear", None), ("rows", [1, 1, 4])]),  # gather visited before the linear
         ((5, 3), [("rows", [1, 1, 4]), ("dense", None)]),  # dense gradient visited first
         ((5, 8), [("dense", None), ("rows", [2, 4, 2]), ("rows", [4, 2])]),
         ((5, 3), [("rows", [0, 4, 0]), ("dense", None), ("rows", [2, 4])]),
@@ -445,7 +462,7 @@ class TestRowSparseGradients:
         uses=st.lists(
             st.one_of(
                 st.tuples(st.just("rows"), st.lists(st.integers(0, 6), min_size=1, max_size=9)),
-                st.tuples(st.sampled_from(["dense", "matmul"]), st.none()),
+                st.tuples(st.sampled_from(["dense", "linear"]), st.none()),
             ),
             min_size=1, max_size=5,
         ),
@@ -523,24 +540,24 @@ def _value_and_grads(build, arrays):
 
 
 class TestFusedForms:
-    """``matmul(a, b, bias)`` and ``logsumexp_rows(a, shift)`` equal the
+    """``linear(x, w, bias)`` and ``logsumexp_rows(a, shift)`` equal the
     unfused graphs bit for bit, values and gradients."""
 
     @pytest.mark.parametrize(
         "shapes",
-        [((5, 3), (3, 4), (4,)), ((5, 3), (3, 4), (5, 4)), ((1, 3), (3, 4), (4,)),
-         ((5, 3), (3, 1), (5, 1)), ((1, 3), (3, 1), ())],
+        [((5, 3), (4, 3), (4,)), ((5, 3), (4, 3), (5, 4)), ((1, 3), (4, 3), (4,)),
+         ((5, 3), (1, 3), (5, 1)), ((1, 3), (1, 3), ())],
     )
-    def test_matmul_bias_equals_add(self, shapes):
+    def test_linear_bias_equals_add(self, shapes):
         rng = np.random.default_rng(3)
         arrays = [rng.standard_normal(s) for s in shapes]
-        weight = rng.standard_normal((arrays[0] @ arrays[1]).shape)
+        weight = rng.standard_normal((arrays[0] @ arrays[1].T).shape)
 
         def fused(a, b, c):
-            return ad.total(ad.mul(ad.matmul(a, b, bias=c), ad.constant(weight)))
+            return ad.total(ad.mul(ad.linear(a, b, c), ad.constant(weight)))
 
         def unfused(a, b, c):
-            return ad.total(ad.mul(ad.add(ad.matmul(a, b), c), ad.constant(weight)))
+            return ad.total(ad.mul(ad.add(ad.linear(a, b), c), ad.constant(weight)))
 
         got, got_grads = _value_and_grads(fused, arrays)
         want, want_grads = _value_and_grads(unfused, arrays)
@@ -548,21 +565,21 @@ class TestFusedForms:
         for name in want_grads:
             assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
 
-    def test_matmul_bias_gradients(self):
+    def test_linear_bias_gradients(self):
         rng = np.random.default_rng(4)
         store = ParameterStore()
         a = store.add("a", rng.standard_normal((4, 3)))
         w = store.add("w", rng.standard_normal((5, 3)))
         b = store.add("b", rng.standard_normal(5))
         report = gradient_check(
-            lambda: ad.total(ad.tanh(ad.matmul(a, ad.transpose(w), bias=b))), store
+            lambda: ad.total(ad.tanh(ad.linear(a, w, b))), store
         )
         assert report.max_rel_err <= 1e-6
 
-    def test_matmul_bias_shape_error(self):
+    def test_linear_bias_shape_error(self):
         with pytest.raises(ShapeError, match="bias"):
-            ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 4))),
-                      bias=ad.constant(np.ones(3)))
+            ad.linear(ad.constant(np.ones((2, 3))), ad.constant(np.ones((4, 3))),
+                      ad.constant(np.ones(3)))
 
     @pytest.mark.parametrize("shift_shape", [(6,), (4, 6), (1, 6)])
     def test_logsumexp_shift_equals_add(self, shift_shape):

@@ -49,6 +49,24 @@ def noise_for(pairs, cfg, seed):
     return eps_z, eps_s
 
 
+def batch_graph(encoder, model):
+    """The parameters and the tape of one ``RAGGED`` batch graph: the ELBO of
+    a flat or hierarchical model, or the NIBM log-likelihood."""
+    if model == "nibm":
+        cfg = NIBMConfig(encoder=encoder, d_x=3)
+        params = build_nibm_params(cfg, V, V, seed=4)
+        with Tape() as tape:
+            nibm_batch_log_likelihood(RAGGED, params, cfg, supports(RAGGED)[1])
+        return params, tape
+    cfg = ModelConfig(encoder=encoder, d=3, d_x=4, hierarchical=model == "hierarchical", d_s=2)
+    params = build_params(cfg, V, V, seed=1)
+    eps_z, eps_s = noise_for(RAGGED, cfg, 2)
+    with Tape() as tape:
+        batch_elbo(RAGGED, params, cfg, 0.7, np.concatenate(eps_z),
+                   np.stack(eps_s) if cfg.hierarchical else None, supports(RAGGED))
+    return params, tape
+
+
 def value_and_grads(build, params):
     with Tape() as tape:
         value = build()
@@ -225,22 +243,22 @@ class TestBatchEqualsSumOfPairs:
     def test_one_gather_of_E(self, encoder, model):
         """One ``rows`` node reads E per batch graph: the encoder and the
         sentence mean share its rows."""
-        if model == "nibm":
-            cfg = NIBMConfig(encoder=encoder, d_x=3)
-            params = build_nibm_params(cfg, V, V, seed=4)
-            with Tape() as tape:
-                nibm_batch_log_likelihood(RAGGED, params, cfg, supports(RAGGED)[1])
-        else:
-            cfg = ModelConfig(encoder=encoder, d=3, d_x=4, hierarchical=model == "hierarchical",
-                              d_s=2)
-            params = build_params(cfg, V, V, seed=1)
-            eps_z, eps_s = noise_for(RAGGED, cfg, 2)
-            with Tape() as tape:
-                batch_elbo(RAGGED, params, cfg, 0.7, np.concatenate(eps_z),
-                           np.stack(eps_s) if cfg.hierarchical else None, supports(RAGGED))
+        params, tape = batch_graph(encoder, model)
         gathers = [node for node in tape.nodes
                    if node.kind == "rows" and node.parents[0] is params["E"]]
         assert len(gathers) == 1
+
+    @pytest.mark.parametrize("encoder,model,n_affine", [
+        ("bow", "flat", 4), ("bow", "hierarchical", 11), ("bow", "nibm", 2),
+        ("birnn", "flat", 36), ("birnn", "hierarchical", 43), ("birnn", "nibm", 34),
+    ])
+    def test_one_node_per_affine_layer(self, encoder, model, n_affine):
+        """Each affine layer is one ``linear`` node, recorded as ``matmul``,
+        with no transpose of its weight on the tape."""
+        _, tape = batch_graph(encoder, model)
+        kinds = [node.kind for node in tape.nodes]
+        assert "transpose" not in kinds
+        assert kinds.count("matmul") == n_affine
 
     def test_noise_shape_checked(self):
         cfg = ModelConfig(d=3, d_x=4)

@@ -106,6 +106,14 @@ class TestSynth:
         assert code == 2
         assert "empty corpus" in stderr
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        code, stdout, stderr = run(capsys, "synth", "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.splitlines() == ["error: seed must be non-negative, got -1"]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_smoke_one_epoch(self, synth_dir, tmp_path, capsys):

@@ -44,10 +44,18 @@ def dense_averaging(x):
     return weights
 
 
+def dense_mean(emb, x):
+    """Every sentence's mean row of ``emb`` [T, k] as one product with
+    ``dense_averaging(x)``, on the tape as its own node: ``ad.linear``
+    contracts the last axis of both operands, not the rows of ``emb``."""
+    weights = dense_averaging(x)
+    return ad._emit("matmul", weights @ emb.data, (emb,), lambda g: (weights.T @ g,))
+
+
 def reference_sentence_posterior(emb, x, params: ParameterStore):
-    pooled = ad.matmul(ad.constant(dense_averaging(x)), emb)
-    u_k = ad.matmul(pooled, ad.transpose(params["sent_Mu"]), bias=params["sent_bu"])
-    s_k = ad.softplus(ad.matmul(pooled, ad.transpose(params["sent_Ms"]), bias=params["sent_bs"]))
+    pooled = dense_mean(emb, x)
+    u_k = ad.linear(pooled, params["sent_Mu"], params["sent_bu"])
+    s_k = ad.softplus(ad.linear(pooled, params["sent_Ms"], params["sent_bs"]))
     return u_k, s_k
 
 
@@ -56,22 +64,22 @@ def two_gather_sentence_posterior(emb, x, params: ParameterStore):
     encoder's rows ``emb``: in ``batch_elbo`` it makes the graph that read
     E twice, once for the encoder and once for the sentence mean."""
     pooled = ad.segment_mean(ad.rows(params["E"], x.ids), x.lengths)
-    u_k = ad.matmul(pooled, ad.transpose(params["sent_Mu"]), bias=params["sent_bu"])
-    s_k = ad.softplus(ad.matmul(pooled, ad.transpose(params["sent_Ms"]), bias=params["sent_bs"]))
+    u_k = ad.linear(pooled, params["sent_Mu"], params["sent_bu"])
+    s_k = ad.softplus(ad.linear(pooled, params["sent_Ms"], params["sent_bs"]))
     return u_k, s_k
 
 
 def reference_flat(h: Tensor, params: ParameterStore):
-    u = ad.matmul(h, ad.transpose(params["M1"]), bias=params["d1"])
-    s = ad.softplus(ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"]))
+    u = ad.linear(h, params["M1"], params["d1"])
+    s = ad.softplus(ad.linear(h, params["M2"], params["d2"]))
     return u, s
 
 
 def reference_conditioned(s: Tensor, h: Tensor, params: ParameterStore):
-    base_u = ad.matmul(h, ad.transpose(params["M1"]), bias=params["d1"])
-    base_s_pre = ad.matmul(h, ad.transpose(params["M2"]), bias=params["d2"])
-    l = ad.add(base_u, ad.matmul(s, ad.transpose(params["N1"])))
-    r = ad.softplus(ad.add(base_s_pre, ad.matmul(s, ad.transpose(params["N2"]))))
+    base_u = ad.linear(h, params["M1"], params["d1"])
+    base_s_pre = ad.linear(h, params["M2"], params["d2"])
+    l = ad.add(base_u, ad.linear(s, params["N1"]))
+    r = ad.softplus(ad.add(base_s_pre, ad.linear(s, params["N2"])))
     return l, r
 
 

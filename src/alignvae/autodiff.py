@@ -242,19 +242,6 @@ def mul(a, b) -> Tensor:
     return _emit("mul", data, (a, b), bwd)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data / b.data
-
-    def bwd(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    return _emit("div", data, (a, b), bwd)
-
-
 def neg(a) -> Tensor:
     a = _as_tensor(a)
     return _emit("neg", -a.data, (a,), lambda g: (-g,))
@@ -353,14 +340,6 @@ def total(a) -> Tensor:
     return _emit("total", a.data.sum(), (a,), lambda g: (np.full(shape, g),))
 
 
-def sum_rows(a) -> Tensor:
-    """Per-row sum of a matrix: [m, k] -> [m]."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"sum_rows: expected a matrix, got shape {a.shape}")
-    return _emit("sum_rows", a.data.sum(axis=1), (a,), lambda g: (np.repeat(g[:, None], a.data.shape[1], axis=1),))
-
-
 def segment_mean(a, lengths) -> Tensor:
     """Mean row of each run of ``lengths[b]`` consecutive rows, the runs tiling
     the matrix ``a`` in order: [T, k] -> [B, k]. An empty run raises
@@ -448,11 +427,37 @@ def softplus(x) -> Tensor:
     return _emit("softplus", y, (x,), lambda g: (g * s,))
 
 
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    if np.any(x.data <= 0.0):
-        raise DomainError("log: input has non-positive entries")
-    return _emit("log", np.log(x.data), (x,), lambda g: (g / x.data,))
+# ---------------------------------------------------------------------------
+# divergences
+
+
+def gaussian_kl(u, s, mu, sigma) -> Tensor:
+    """Per-row KL[N(u, s^2) || N(mu, sigma^2)] between diagonal Gaussians, in
+    the closed form of Kingma & Welling (2014): u, s [m, k] -> [m], with mu
+    and sigma broadcast to [m, k]. A non-positive scale raises ``DomainError``."""
+    u, s, mu, sigma = (_as_tensor(t) for t in (u, s, mu, sigma))
+    try:
+        fits = u.data.ndim == 2 and s.shape == u.shape == np.broadcast_shapes(u.shape, mu.shape, sigma.shape)
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"gaussian_kl: means and scales {u.shape}, {s.shape}, {mu.shape} "
+                         f"and {sigma.shape} do not broadcast to one [m, k] matrix")
+    if np.any(s.data <= 0.0) or np.any(sigma.data <= 0.0):
+        raise DomainError("gaussian_kl: scales must be positive")
+    diff = u.data - mu.data
+    var = sigma.data * sigma.data
+    quad = (s.data * s.data + diff * diff) / (2.0 * var)
+    data = ((np.log(sigma.data) - np.log(s.data)) + (quad - 0.5)).sum(axis=1)
+
+    def bwd(g):
+        g = g[:, None]
+        du = g * diff / var
+        dsigma = g * (1.0 / sigma.data - 2.0 * quad / sigma.data)
+        return (du, g * (s.data / var - 1.0 / s.data), _unbroadcast(-du, mu.data.shape),
+                _unbroadcast(dsigma, sigma.data.shape))
+
+    return _emit("gaussian_kl", data, (u, s, mu, sigma), bwd)
 
 
 # ---------------------------------------------------------------------------

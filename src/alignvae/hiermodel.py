@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model as model_mod
 from .autodiff import ParameterStore, Tensor
 from .corpus import SentencePair
@@ -31,18 +30,13 @@ def infer_word_posterior_conditioned(s: Tensor, h: Tensor, params: ParameterStor
 def kl_diag_gaussian(q_mean, q_scale, p_mean, p_scale) -> float:
     """KL[N(q_mean, q_scale^2) || N(p_mean, p_scale^2)] for diagonal Gaussians.
 
-    Accepts plain vectors; the underlying graph is the one shared with
-    the training objective, so a non-positive scale raises its
-    ``DomainError``.
+    Accepts plain vectors; the training objective's one KL op computes it,
+    so a non-positive scale raises its ``DomainError``.
     """
     q_mean, q_scale, p_mean, p_scale = (np.atleast_1d(np.asarray(v, dtype=np.float64))
                                         for v in (q_mean, q_scale, p_mean, p_scale))
-    value = model_mod.gaussian_kl_rows(
-        ad.constant(q_mean.reshape(1, -1)),
-        ad.constant(q_scale.reshape(1, -1)),
-        ad.constant(p_mean),
-        ad.constant(p_scale),
-    )
+    value = model_mod.gaussian_kl_rows(q_mean.reshape(1, -1), q_scale.reshape(1, -1),
+                                       p_mean, p_scale)
     return float(value.data[0])
 
 

@@ -358,26 +358,17 @@ def _l2_log_marginals(z: Tensor, x: Ragged, y: Ragged, weights: Tensor, bias: Te
 # divergences
 
 
-def gaussian_kl_rows(u: Tensor, s: Tensor, mu: Tensor | None = None,
-                     sigma: Tensor | None = None) -> Tensor:
+def gaussian_kl_rows(u, s, mu=None, sigma=None) -> Tensor:
     """Per-row KL[N(u, s^2) || N(mu, sigma^2)] for diagonal Gaussians.
 
-    ``u`` and ``s`` are [m, d]; ``mu``/``sigma`` broadcast and default to
-    the standard normal. This single graph shape is shared by every KL in
-    the package so that equal inputs give bit-equal outputs.
+    ``u`` and ``s`` are [m, d] tensors or arrays; ``mu``/``sigma`` broadcast
+    and default to the standard normal. Every KL in the package is this one
+    op, ``ad.gaussian_kl``, so equal inputs give bit-equal outputs; a
+    non-positive scale raises its ``DomainError``.
     """
-    if mu is None:
-        mu = ad.constant(np.zeros(u.data.shape[1]))
-    if sigma is None:
-        sigma = ad.constant(np.ones(u.data.shape[1]))
-    t1 = ad.sub(ad.log(sigma), ad.log(s))
-    diff = ad.sub(u, mu)
-    quad = ad.div(
-        ad.add(ad.mul(s, s), ad.mul(diff, diff)),
-        ad.mul(ad.constant(2.0), ad.mul(sigma, sigma)),
-    )
-    per_dim = ad.add(t1, ad.sub(quad, ad.constant(0.5)))
-    return ad.sum_rows(per_dim)
+    d = u.shape[-1:]
+    return ad.gaussian_kl(u, s, np.zeros(d) if mu is None else mu,
+                          np.ones(d) if sigma is None else sigma)
 
 
 def kl_to_standard_normal(u: Tensor, s: Tensor) -> Tensor:

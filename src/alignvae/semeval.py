@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model as model_mod
 from .corpus import NULL_ID, Vocabulary, read_text
 from .errors import ContractError, DataError, DomainError, MetricError, NumericalError
@@ -125,8 +124,7 @@ def rank_candidates(instances, vocab: Vocabulary, params, cfg: ModelConfig,
         # one call for every candidate of every instance, its target's row repeated
         tgt, cands = (u[target], s[target]), (u[cand], s[cand])
         (q_u, q_s), (p_u, p_s) = (tgt, cands) if reverse_kl else (cands, tgt)
-        scores = iter(model_mod.gaussian_kl_rows(ad.constant(q_u), ad.constant(q_s),
-                                                 ad.constant(p_u), ad.constant(p_s)).data)
+        scores = iter(model_mod.gaussian_kl_rows(q_u, q_s, p_u, p_s).data)
     else:
         scores = iter([cosine(u[c], u[t]) for c, t in zip(cand, target)])
     sign = 1.0 if metric == "kl" else -1.0  # best first: KL ascending, cosine descending

@@ -29,7 +29,7 @@ from .corpus import (
     make_batches,
     write_text,
 )
-from .errors import CheckpointError, ContractError, DataError, TrainingError
+from .errors import CheckpointError, ContractError, DataError, DomainError, TrainingError
 from .model import ModelConfig
 
 ANNEAL_STEP = 1e-3
@@ -195,13 +195,21 @@ def _validation_aer(val_pairs, val_gold, params, cfg) -> float:
 
 def ascent_step(objective, params: ParameterStore, adam: AdamState) -> float:
     """One Adam step up the scalar ``objective()``, recorded on its own tape;
-    returns its value. A non-finite loss raises ``TrainingError`` first."""
-    with Tape() as tape:
-        value = objective()
-        loss = ad.neg(value)
-    if not np.isfinite(loss.data):
-        raise TrainingError(f"non-finite batch loss: {float(loss.data)}")
-    adam_step(params, tape.backward(loss, params=params), adam)
+    returns its value. Overflow in the pass raises no warning: a non-finite
+    loss, or a posterior scale that a diverging run drove to 0 (every scale
+    is a softplus output, so the objective's ``DomainError`` means that),
+    raises ``TrainingError`` first."""
+    with np.errstate(all="ignore"):
+        with Tape() as tape:
+            try:
+                value = objective()
+            except DomainError:
+                raise TrainingError("posterior scale underflowed to 0: training diverged") from None
+            loss = ad.neg(value)
+        if not np.isfinite(loss.data):
+            raise TrainingError(f"non-finite batch loss: {float(loss.data)}")
+        grads = tape.backward(loss, params=params)
+    adam_step(params, grads, adam)
     return float(value.data)
 
 

@@ -260,6 +260,20 @@ class TestBatchEqualsSumOfPairs:
         assert "transpose" not in kinds
         assert kinds.count("matmul") == n_affine
 
+    @pytest.mark.parametrize("encoder,model,n_nodes,n_kl", [
+        ("bow", "flat", 31, 1), ("bow", "hierarchical", 52, 2), ("bow", "nibm", 14, 0),
+        ("birnn", "flat", 166, 1), ("birnn", "hierarchical", 187, 2), ("birnn", "nibm", 149, 0),
+    ])
+    def test_one_node_per_kl_term(self, encoder, model, n_nodes, n_kl):
+        """Each KL term (the token KL, and the sentence KL of the hierarchical
+        bound) is one ``gaussian_kl`` node; the generic ops its 13-node chain
+        used are gone from the tape, 12 nodes fewer per term."""
+        _, tape = batch_graph(encoder, model)
+        kinds = [node.kind for node in tape.nodes]
+        assert not {"div", "log", "sum_rows"} & set(kinds)
+        assert kinds.count("gaussian_kl") == n_kl
+        assert len(kinds) == n_nodes
+
     def test_noise_shape_checked(self):
         cfg = ModelConfig(d=3, d_x=4)
         params = build_params(cfg, V, V, seed=1)

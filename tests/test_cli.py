@@ -1112,3 +1112,44 @@ class TestNumericalFailure:
                            str(text), str(tmp_path))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestDivergingTraining:
+    """A learning rate so large that training diverges ends ``train`` with
+    exit 3 and one ``error:`` line, for every model."""
+
+    @pytest.fixture
+    def data(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code, _, _ = run(capsys, "synth", "--seed", "1", "--v1", "12", "--v2", "12",
+                         "--pairs", "60", "--len", "3", "6", "--out", str(out))
+        assert code == 0
+        return out
+
+    def train(self, data, tmp_path, capsys, lr, model):
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={"train_l1": data / "l1.txt", "train_l2": data / "l2.txt",
+                   "checkpoint": tmp_path / "ckpt.json", "metrics": tmp_path / "m.tsv"},
+            model={"d": 4, "d_x": 6, **model},
+            training={"epochs": 1, "batch": 20, "lr": lr},
+        )
+        return run(capsys, "train", "--config", str(cfg_path))
+
+    @pytest.mark.parametrize("model", [{}, {"hierarchical": "true"}, {"encoder": "birnn"}],
+                             ids=["bow", "hierarchical", "birnn"])
+    def test_underflowed_scale_exits_3(self, data, tmp_path, capsys, model):
+        """lr = 1e3 drives a softplus scale to exactly 0 within the first epoch."""
+        code, _, err = self.train(data, tmp_path, capsys, "1e3", model)
+        assert (code, err) == (3, "error: posterior scale underflowed to 0: training diverged\n")
+        assert not (tmp_path / "ckpt.json").exists()
+
+    @pytest.mark.parametrize("model", [{}, {"hierarchical": "true"}, {"encoder": "birnn"}],
+                             ids=["bow", "hierarchical", "birnn"])
+    def test_overflow_raises_no_warning(self, data, tmp_path, capsys, model):
+        """lr = 1e300 overflows float64 in the forward pass; this suite turns
+        a ``RuntimeWarning`` into an error, so none may escape."""
+        code, _, err = self.train(data, tmp_path, capsys, "1e300", model)
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -14,7 +14,14 @@ largest magnitude.
 The sentence posterior once gathered the rows of E itself, a second
 ``rows`` node beside the encoder's; it now pools the encoder's rows, so
 E's gradient sums each token's two uses before the per-id reduction.
-That two-gather graph is kept here too, at the same ``TOL``."""
+That two-gather graph is kept here too, at the same ``TOL``.
+
+Every KL was once a 13-node chain of generic ops (``log``, ``sub``,
+``mul``, ``add``, ``div``, ``sum_rows``); it is now the one op
+``ad.gaussian_kl``, with the chain's forward expressions and a
+hand-written backward. The chain is kept here over test-only copies of
+the three ops that left autodiff: the objective must equal it bit for
+bit, and its gradients must match within ``TOL``."""
 
 import dataclasses
 
@@ -26,6 +33,7 @@ from alignvae import autodiff as ad
 from alignvae import model as model_mod
 from alignvae.autodiff import ParameterStore, Tape, Tensor
 from alignvae.corpus import NULL_ID, SentencePair, Vocabulary, build_css_support
+from alignvae.errors import DomainError
 from alignvae.model import (
     ModelConfig, Ragged, build_params, encode, infer_sentence_posterior, prior_mean,
     reparam_sample,
@@ -107,6 +115,40 @@ def reference_posterior_params_np(x, params, cfg):
 def reference_head(h, params, s_tok=None):
     """``model.infer_posterior``'s signature over the two reference heads."""
     return reference_flat(h, params) if s_tok is None else reference_conditioned(s_tok, h, params)
+
+
+def reference_log(x):
+    if np.any(x.data <= 0.0):
+        raise DomainError("log: input has non-positive entries")
+    return ad._emit("log", np.log(x.data), (x,), lambda g: (g / x.data,))
+
+
+def reference_div(a, b):
+    def bwd(g):
+        return (ad._unbroadcast(g / b.data, a.data.shape),
+                ad._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return ad._emit("div", a.data / b.data, (a, b), bwd)
+
+
+def reference_sum_rows(a):
+    k = a.data.shape[1]
+    return ad._emit("sum_rows", a.data.sum(axis=1), (a,), lambda g: (np.repeat(g[:, None], k, axis=1),))
+
+
+def reference_gaussian_kl_rows(u, s, mu=None, sigma=None):
+    """``model.gaussian_kl_rows`` as the 13-node chain ``ad.gaussian_kl`` replaced."""
+    if mu is None:
+        mu = ad.constant(np.zeros(u.data.shape[1]))
+    if sigma is None:
+        sigma = ad.constant(np.ones(u.data.shape[1]))
+    t1 = ad.sub(reference_log(sigma), reference_log(s))
+    diff = ad.sub(u, mu)
+    quad = reference_div(
+        ad.add(ad.mul(s, s), ad.mul(diff, diff)),
+        ad.mul(ad.constant(2.0), ad.mul(sigma, sigma)),
+    )
+    return reference_sum_rows(ad.add(t1, ad.sub(quad, ad.constant(0.5))))
 
 
 @st.composite
@@ -206,11 +248,13 @@ class TestHeadMatchesReference:
         assert merged == reference
 
 
-def hier_elbo_against(reference, drawn, css):
-    """The hierarchical objective's value and gradients, as arrays by name,
-    with ``model.infer_sentence_posterior`` and then with ``reference`` in
-    its place: (model's, reference's)."""
+def elbo_against(name, reference, drawn, css, hierarchical=True):
+    """The objective's value and gradients, as arrays by name, with
+    ``model.<name>`` and then with ``reference`` in its place: (model's,
+    reference's). ``hierarchical`` picks the bound."""
     cfg, params, pairs, eps_z, eps_s = drawn
+    if not hierarchical:
+        cfg, eps_s = dataclasses.replace(cfg, hierarchical=False), None
     vocab = Vocabulary([f"w{k}" for k in range(V - 2)])  # V ids
     css_pair = tuple(build_css_support(pairs, vocab, side, n_neg=2, seed=3)
                      for side in ("l1", "l2")) if css else None
@@ -221,12 +265,12 @@ def hier_elbo_against(reference, drawn, css):
         return {"elbo": root.data, **tape.backward(root, params)}
 
     ours = run()
-    original = model_mod.infer_sentence_posterior  # by hand: hypothesis refuses function fixtures
-    model_mod.infer_sentence_posterior = reference
+    original = getattr(model_mod, name)  # by hand: hypothesis refuses function fixtures
+    setattr(model_mod, name, reference)
     try:
         return ours, run()
     finally:
-        model_mod.infer_sentence_posterior = original
+        setattr(model_mod, name, original)
 
 
 class TestSegmentMeanMatchesDenseReference:
@@ -235,7 +279,8 @@ class TestSegmentMeanMatchesDenseReference:
     def test_batch_elbo_values_and_gradients(self, drawn, css):
         """The hierarchical objective with ``ad.segment_mean`` against it
         with the dense averaging matmul in the sentence posterior."""
-        assert_close_per_array(*hier_elbo_against(reference_sentence_posterior, drawn, css))
+        assert_close_per_array(*elbo_against("infer_sentence_posterior",
+                                             reference_sentence_posterior, drawn, css))
 
 
 class TestOneGatherMatchesTwoGatherReference:
@@ -244,7 +289,21 @@ class TestOneGatherMatchesTwoGatherReference:
     def test_batch_elbo_values_and_gradients(self, drawn, css):
         """The hierarchical objective whose sentence mean pools the encoder's
         rows of E against the one whose sentence posterior gathers E again."""
-        assert_close_per_array(*hier_elbo_against(two_gather_sentence_posterior, drawn, css))
+        assert_close_per_array(*elbo_against("infer_sentence_posterior",
+                                             two_gather_sentence_posterior, drawn, css))
+
+
+class TestKLOpMatchesChainReference:
+    @FIXED
+    @given(models(), st.booleans(), st.booleans())
+    def test_batch_elbo_values_and_gradients(self, drawn, hierarchical, css):
+        """The objective with ``ad.gaussian_kl`` against it with the 13-node
+        chain in every KL: bow and birnn, flat and hierarchical, CSS and
+        exact softmax, at alpha 0.7 so the KL gradients reach the parameters."""
+        ours, chain = elbo_against("gaussian_kl_rows", reference_gaussian_kl_rows,
+                                   drawn, css, hierarchical)
+        assert ours["elbo"].tobytes() == chain["elbo"].tobytes()
+        assert_close_per_array(ours, chain)
 
 
 class TestEvaluationBlockMatchesReference:

@@ -85,7 +85,7 @@ def viterbi_align(pair: SentencePair, params, cfg: ModelConfig) -> set:
 
 
 # bench/tracer.py looks this name up to time ``alignment.posterior``
-# (ROADMAP item 3); nothing in the package calls it
+# (ROADMAP item 4); nothing in the package calls it
 _hier_posterior_means = model_mod.posterior_means
 
 

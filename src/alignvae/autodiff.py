@@ -10,19 +10,17 @@ of ``params``. Outside an active tape the same operations simply compute
 values, which keeps evaluation-time code cheap.
 
 Gradients are dense arrays, except that the backward of :func:`rows`
-returns a :class:`RowGrad`: the unique gathered row ids and one value
-row per id, so a gather from a [V, d] table costs in proportion to the
-rows it touched, not to V. ``backward`` has one accumulation rule: each
-gradient part is added into its node's gradient as it arrives, a dense
-part as ``acc + part`` and a row part scattered into ``acc[ids]``. A
-scatter writes in place only into a buffer that a scatter of this pass
-made. Any other buffer is first copied as ``acc + 0.0``: a buffer an
-op's backward handed over may be shared with another parent, and the
-copy turns -0.0 into 0.0 as adding a zero row would, so the result is
-bit-identical to summing one dense ``np.add.at`` table per gather in
-arrival order. A node's gradient is released as soon as its own
-backward has run, so a pass holds only the gradients still waiting to
-be consumed.
+returns a :class:`RowGrad`: the gathered ids, repeats and order kept,
+and the upstream gradient row of each, so a gather from a [V, d] table
+costs in proportion to the rows it read, not to V. ``backward`` adds
+each gradient part into its node's gradient as it arrives: a dense part
+as ``acc + part``, and a row part by one flat ``np.add.at``, each
+gathered row added into its table's gradient in the order the gather
+read it. A scatter writes in place only into a buffer that a scatter of
+this pass made; any other buffer, which an op's backward may share with
+another parent, is first copied. A node's gradient is released as soon
+as its own backward has run, so a pass holds only the gradients still
+waiting to be consumed.
 
 Tapes nest: operations are recorded on the innermost active tape only.
 Values produced under one tape are treated as constants when used under
@@ -31,6 +29,7 @@ another.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +92,8 @@ class ParameterStore:
 
 
 class RowGrad:
-    """Row-sparse gradient of a table: ``values[k]`` is the gradient of
-    row ``ids[k]``; every other row's gradient is zero. ``ids`` ascend strictly."""
+    """Row-sparse gradient of a table: the sum over k of ``values[k]`` added
+    into row ``ids[k]``; ids may repeat, and rows no id names get zero."""
 
     __slots__ = ("ids", "values")
 
@@ -151,7 +150,7 @@ class Tape:
         # Keyed by id(tensor), stable because the nodes keep every tensor they
         # name alive; nodes recorded after the root never receive a gradient.
         grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
-        owned: set[int] = set()  # ids whose gradient a scatter made: private, no -0.0
+        owned: set[int] = set()  # ids whose gradient a scatter made: private, C order
         for node in reversed(self.nodes):
             g = grads.pop(id(node.tensor), None)  # read by nothing after its own backward
             if g is None:
@@ -162,10 +161,13 @@ class Tape:
                 acc = grads.get(id(p))
                 if type(part) is RowGrad:
                     if acc is None:
-                        acc = np.zeros_like(p.data)
+                        acc = np.zeros(p.data.shape)
                     elif id(p) not in owned:
-                        acc = acc + 0.0
-                    acc[part.ids] += part.values
+                        acc = acc.copy()  # C order: linear's weight gradient is F-ordered
+                    # one flat add.at over (row, entry) cells: faster than a row-wise one
+                    width = math.prod(acc.shape[1:])
+                    cells = part.ids[:, None] * width + np.arange(width)
+                    np.add.at(acc.reshape(-1), cells.reshape(-1), part.values.reshape(-1))
                     owned.add(id(p))
                 else:
                     acc = part if acc is None else acc + part
@@ -290,8 +292,8 @@ def reshape(a, shape) -> Tensor:
 def rows(table, ids) -> Tensor:
     """Gather rows ``table[ids]``; repeated ids accumulate gradient.
 
-    The gradient is a :class:`RowGrad` over the sorted unique ids; the
-    row of a repeated id sums its occurrences in the order they occur.
+    The gradient is a :class:`RowGrad` of the ids as gathered, flattened,
+    and the upstream gradient row of each.
     """
     table = _as_tensor(table)
     idx = np.asarray(ids, dtype=np.intp)
@@ -302,20 +304,7 @@ def rows(table, ids) -> Tensor:
     data = table.data[idx]
 
     def bwd(g):
-        flat = idx.reshape(-1)
-        order = np.argsort(flat, kind="stable")  # equal ids keep occurrence order
-        ids = flat[order]
-        g = np.reshape(g, (flat.size,) + table.data.shape[1:])[order]
-        first = np.ones(ids.size, dtype=bool)
-        np.not_equal(ids[1:], ids[:-1], out=first[1:])
-        if first.all():
-            return (RowGrad(ids, g),)
-        # one flat add.at over (row, entry) cells: faster than a row-wise one, same order
-        n, width = np.count_nonzero(first), int(np.prod(g.shape[1:]))
-        cells = (np.cumsum(first)[:, None] - 1) * width + np.arange(width)
-        values = np.zeros(n * width)
-        np.add.at(values, cells.reshape(-1), g.reshape(-1))
-        return (RowGrad(ids[first], values.reshape((n,) + g.shape[1:])),)
+        return (RowGrad(idx.reshape(-1), np.reshape(g, (idx.size,) + table.data.shape[1:])),)
 
     return _emit("rows", data, (table,), bwd)
 

@@ -76,7 +76,10 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
     ``v = b2*v + (1-b2)*(g*g)`` and ``w = w - lr * m_hat / (sqrt(v_hat) +
     eps)``, with b1, b2 and eps the ``ADAM_*`` constants. Each parameter
     keeps its array object, so a caller that needs the values from before
-    the step must take them with ``params.copy_values()``.
+    the step must take them with ``params.copy_values()``. An operation
+    that overflows float64 (a learning rate near its limit) raises
+    ``TrainingError`` naming the parameter before its step is applied;
+    the blocks updated before it keep their new values.
     """
     for name in params.names():
         if not np.all(np.isfinite(grads[name])):
@@ -92,22 +95,26 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
         w, g, m, v = np.atleast_1d(tensor.data, grads[name], state.m[name], state.v[name])
         block_shape = (min(len(w), _ADAM_BLOCK_ROWS), *w.shape[1:])
         buf_rows, step_rows = np.empty(block_shape), np.empty(block_shape)
-        for lo in range(0, len(w), _ADAM_BLOCK_ROWS):
-            rows = slice(lo, lo + _ADAM_BLOCK_ROWS)  # the last block may be shorter
-            wb, gb, mb, vb = w[rows], g[rows], m[rows], v[rows]
-            buf, step = buf_rows[: len(wb)], step_rows[: len(wb)]
-            mb *= ADAM_BETA1
-            mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
-            vb *= ADAM_BETA2
-            np.multiply(gb, gb, out=buf)
-            vb += np.multiply(buf, 1.0 - ADAM_BETA2, out=buf)
-            np.divide(mb, c1, out=step)
-            step *= state.lr
-            np.divide(vb, c2, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += ADAM_EPS
-            step /= buf
-            wb -= step
+        try:  # the inputs are finite, so only an overflow can make inf or NaN
+            with np.errstate(over="raise", invalid="raise"):
+                for lo in range(0, len(w), _ADAM_BLOCK_ROWS):
+                    rows = slice(lo, lo + _ADAM_BLOCK_ROWS)  # the last block may be shorter
+                    wb, gb, mb, vb = w[rows], g[rows], m[rows], v[rows]
+                    buf, step = buf_rows[: len(wb)], step_rows[: len(wb)]
+                    mb *= ADAM_BETA1
+                    mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
+                    vb *= ADAM_BETA2
+                    np.multiply(gb, gb, out=buf)
+                    vb += np.multiply(buf, 1.0 - ADAM_BETA2, out=buf)
+                    np.divide(mb, c1, out=step)
+                    step *= state.lr
+                    np.divide(vb, c2, out=buf)
+                    np.sqrt(buf, out=buf)
+                    buf += ADAM_EPS
+                    step /= buf
+                    wb -= step
+        except FloatingPointError:
+            raise TrainingError(f"Adam update of parameter {name!r} overflowed: training diverged") from None
     return state
 
 

@@ -418,22 +418,22 @@ class TestStructuralOps:
             ad.linear(ad.constant(np.ones(a_shape)), ad.constant(np.ones(b_shape)))
 
 
-def _dense_use_grad(use, table_shape):
-    """The dense gradient one use hands the table, as the reference
-    backward builds it: one zero table per gather, filled by ``np.add.at``."""
+def _add_use_grad(ref, use, table_shape):
+    """``ref`` (None before the first use) plus the gradient one use hands
+    the table, as the reference backward adds it: a gather by ``np.add.at``
+    of its rows into a copy of the running sum, another use densely."""
     kind, arg, coef = use
     if kind == "rows":
-        z = np.zeros(table_shape)
-        np.add.at(z, arg, coef)
-        return z
-    if kind == "linear":
-        return (arg.T @ coef).T
-    return coef  # elementwise
+        out = np.zeros(table_shape) if ref is None else ref.copy()
+        np.add.at(out, arg, coef)
+        return out
+    dense = (arg.T @ coef).T if kind == "linear" else coef  # else elementwise
+    return dense if ref is None else ref + dense
 
 
 def _sparse_case(table_shape, uses, via_nonleaf, seed):
     """Backward of sum_k total(use_k(base) * coef_k) for one table, and the
-    reference: dense per-use gradients summed left to right in the order
+    reference: each use's gradient added into the running sum in the order
     backward visits them (last use first)."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
@@ -466,8 +466,7 @@ def _sparse_case(table_shape, uses, via_nonleaf, seed):
     got = tape.backward(loss, params=store)["T"]
     ref = None
     for use in reversed(filled):
-        z = _dense_use_grad(use, table_shape)
-        ref = z if ref is None else ref + z
+        ref = _add_use_grad(ref, use, table_shape)
     if via_nonleaf:
         ref = ref * scale
     return got, ref
@@ -488,6 +487,9 @@ class TestRowSparseGradients:
         ((5, 8), [("rows", [1, 4]), ("rows", [4, 1]), ("dense", None)]),
         # a gather after two dense uses, whose sum holds -0.0 where both do
         ((5, 8), [("rows", [1, 4]), ("dense", None), ("dense", None)]),
+        # linear's F-ordered weight gradient arrives first: the gather must scatter
+        # into a C-order copy, whose flat view writes through
+        ((4, 5), [("rows", [3, 0, 3]), ("linear", None)]),
     ])
     @pytest.mark.parametrize("via_nonleaf", [False, True])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -534,11 +536,26 @@ class TestRowSparseGradients:
             first = builds[0]()  # recorded first, so visited last
             loss = ad.add(first, builds[1]())
         grads = tape.backward(loss, params=store)
-        z = np.zeros((5, 3))
-        np.add.at(z, ids, k_rows)
-        ref_t = k_add + z if gather_first else z + k_add  # in the order backward visits
+        if gather_first:  # in the order backward visits: the gather's rows go last
+            ref_t = k_add.copy()
+            np.add.at(ref_t, ids, k_rows)
+        else:
+            ref_t = np.zeros((5, 3))
+            np.add.at(ref_t, ids, k_rows)
+            ref_t = ref_t + k_add
         assert grads["C"].tobytes() == k_add.tobytes()
         assert grads["T"].tobytes() == ref_t.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,)])
+    def test_empty_gather_has_zero_gradient(self, shape):
+        store = ParameterStore()
+        table = store.add("T", np.ones(shape))
+        with Tape() as tape:
+            out = ad.rows(table, [])
+            loss = ad.total(out)
+        assert out.shape == (0, *shape[1:])
+        grad = tape.backward(loss, params=store)["T"]
+        assert grad.shape == shape and not np.any(grad)
 
     def test_rows_backward_is_row_sparse(self):
         table = ad.constant(np.zeros((1000, 4)))
@@ -547,8 +564,8 @@ class TestRowSparseGradients:
         parts = tape.nodes[-1].bwd(np.arange(12.0).reshape(3, 4))
         (part,) = parts
         assert isinstance(part, ad.RowGrad)
-        np.testing.assert_array_equal(part.ids, [3, 7])
-        np.testing.assert_array_equal(part.values, [[4.0, 5.0, 6.0, 7.0], [8.0, 10.0, 12.0, 14.0]])
+        np.testing.assert_array_equal(part.ids, [7, 3, 7])
+        np.testing.assert_array_equal(part.values, np.arange(12.0).reshape(3, 4))
         assert part.nbytes == part.ids.nbytes + part.values.nbytes
         assert out.data.shape == (3, 4)
 

@@ -49,22 +49,24 @@ def noise_for(pairs, cfg, seed):
     return eps_z, eps_s
 
 
-def batch_graph(encoder, model):
-    """The parameters and the tape of one ``RAGGED`` batch graph: the ELBO of
-    a flat or hierarchical model, or the NIBM log-likelihood."""
+def batch_graph(encoder, model, css=True, alpha=0.7):
+    """The parameters, the tape and the root of one ``RAGGED`` batch graph:
+    the ELBO of a flat or hierarchical model, or the NIBM log-likelihood,
+    with sampled supports if ``css``."""
+    css_pair = supports(RAGGED) if css else (None, None)
     if model == "nibm":
         cfg = NIBMConfig(encoder=encoder, d_x=3)
         params = build_nibm_params(cfg, V, V, seed=4)
         with Tape() as tape:
-            nibm_batch_log_likelihood(RAGGED, params, cfg, supports(RAGGED)[1])
-        return params, tape
+            root = nibm_batch_log_likelihood(RAGGED, params, cfg, css_pair[1])
+        return params, tape, root
     cfg = ModelConfig(encoder=encoder, d=3, d_x=4, hierarchical=model == "hierarchical", d_s=2)
     params = build_params(cfg, V, V, seed=1)
     eps_z, eps_s = noise_for(RAGGED, cfg, 2)
     with Tape() as tape:
-        batch_elbo(RAGGED, params, cfg, 0.7, np.concatenate(eps_z),
-                   np.stack(eps_s) if cfg.hierarchical else None, supports(RAGGED))
-    return params, tape
+        root = batch_elbo(RAGGED, params, cfg, alpha, np.concatenate(eps_z),
+                          np.stack(eps_s) if cfg.hierarchical else None, css_pair)
+    return params, tape, root
 
 
 def value_and_grads(build, params):
@@ -79,6 +81,26 @@ def assert_close(batched, summed):
     for name, ref in sg.items():
         scale = max(np.abs(ref).max(), np.abs(bg[name]).max())
         assert np.abs(bg[name] - ref).max() <= 1e-12 * scale, name
+
+
+def dense_table_backward(tape, root, params):
+    """``Tape.backward`` by its former rule, kept here as the reference:
+    every ``RowGrad`` part becomes a zero table filled by ``np.add.at``,
+    and every part is added into its node's gradient in arrival order."""
+    grads = {id(root): np.ones(())}
+    for node in reversed(tape.nodes):
+        g = grads.pop(id(node.tensor), None)
+        if g is None:
+            continue
+        for p, part in zip(node.parents, node.bwd(g)):
+            if type(part) is ad.RowGrad:
+                table = np.zeros(p.data.shape)
+                np.add.at(table, part.ids, part.values)
+                part = table
+            if part is not None:
+                acc = grads.get(id(p))
+                grads[id(p)] = part if acc is None else acc + part
+    return {name: grads.get(id(t), np.zeros_like(t.data)) for name, t in params.items()}
 
 
 def summed_pairs(pairs, one_pair):
@@ -243,7 +265,7 @@ class TestBatchEqualsSumOfPairs:
     def test_one_gather_of_E(self, encoder, model):
         """One ``rows`` node reads E per batch graph: the encoder and the
         sentence mean share its rows."""
-        params, tape = batch_graph(encoder, model)
+        params, tape, _ = batch_graph(encoder, model)
         gathers = [node for node in tape.nodes
                    if node.kind == "rows" and node.parents[0] is params["E"]]
         assert len(gathers) == 1
@@ -255,7 +277,7 @@ class TestBatchEqualsSumOfPairs:
     def test_one_node_per_affine_layer(self, encoder, model, n_affine):
         """Each affine layer is one ``linear`` node, recorded as ``matmul``,
         with no transpose of its weight on the tape."""
-        _, tape = batch_graph(encoder, model)
+        _, tape, _ = batch_graph(encoder, model)
         kinds = [node.kind for node in tape.nodes]
         assert "transpose" not in kinds
         assert kinds.count("matmul") == n_affine
@@ -268,11 +290,28 @@ class TestBatchEqualsSumOfPairs:
         """Each KL term (the token KL, and the sentence KL of the hierarchical
         bound) is one ``gaussian_kl`` node; the generic ops its 13-node chain
         used are gone from the tape, 12 nodes fewer per term."""
-        _, tape = batch_graph(encoder, model)
+        _, tape, _ = batch_graph(encoder, model)
         kinds = [node.kind for node in tape.nodes]
         assert not {"div", "log", "sum_rows"} & set(kinds)
         assert kinds.count("gaussian_kl") == n_kl
         assert len(kinds) == n_nodes
+
+    @pytest.mark.parametrize("encoder", ["bow", "birnn"])
+    @pytest.mark.parametrize("model", ["flat", "hierarchical", "nibm"])
+    @pytest.mark.parametrize("css", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_scattered_rows_match_dense_tables(self, encoder, model, css, alpha):
+        """``Tape.backward`` adds each gathered row into its table's gradient;
+        its gradients of the training loss equal, byte for byte, those of
+        the rule it replaced: one dense ``np.add.at`` table per gather,
+        summed with the other parts in arrival order."""
+        params, tape, root = batch_graph(encoder, model, css, alpha)
+        with tape:
+            loss = ad.neg(root)
+        ref = dense_table_backward(tape, loss, params)
+        got = tape.backward(loss, params=params)
+        for name, g in got.items():
+            assert g.tobytes() == ref[name].tobytes(), name
 
     def test_noise_shape_checked(self):
         cfg = ModelConfig(d=3, d_x=4)

@@ -1153,3 +1153,14 @@ class TestDivergingTraining:
         code, _, err = self.train(data, tmp_path, capsys, "1e300", model)
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("model", [{}, {"hierarchical": "true"}, {"encoder": "birnn"}],
+                             ids=["bow", "hierarchical", "birnn"])
+    def test_adam_overflow_exits_3(self, data, tmp_path, capsys, model):
+        """lr = 1e308 overflows Adam's first step, lr times the first moment;
+        the update refuses it, naming the parameter, before it is applied."""
+        code, _, err = self.train(data, tmp_path, capsys, "1e308", model)
+        assert code == 3
+        assert err.startswith("error: Adam update of parameter ") and err.count("\n") == 1
+        assert err.endswith("overflowed: training diverged\n")
+        assert not (tmp_path / "ckpt.json").exists()

@@ -158,6 +158,19 @@ class TestAdamStep:
             assert state.m[name].tobytes() == m[name].tobytes()
             assert state.v[name].tobytes() == v[name].tobytes()
 
+    @pytest.mark.parametrize("lr,g_b", [(1e308, 10.0), (1e-3, 1e160)],
+                             ids=["step", "second-moment"])
+    def test_overflow_names_the_parameter_before_its_step(self, lr, g_b):
+        # lr * m_hat overflows, or g * g does; "a" steps by a finite amount first
+        store = ParameterStore()
+        store.add("a", np.zeros(2))
+        store.add("b", np.array([1.0, -1.0]))
+        with pytest.raises(TrainingError, match="Adam update of parameter 'b' overflowed"):
+            adam_step(store, {"a": np.array([1e-12, 0.0]), "b": np.array([g_b, 0.5])},
+                      AdamState(lr=lr))
+        assert np.all(np.isfinite(store["a"].data)) and store["a"].data[0] != 0.0
+        np.testing.assert_array_equal(store["b"].data, [1.0, -1.0])
+
     def test_updates_each_parameter_array_in_place(self):
         store = ParameterStore()
         store.add("w", np.ones((1500, 2)))

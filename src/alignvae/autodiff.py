@@ -156,8 +156,6 @@ class Tape:
             if g is None:
                 continue
             for p, part in zip(node.parents, node.bwd(g)):
-                if part is None:
-                    continue
                 acc = grads.get(id(p))
                 if type(part) is RowGrad:
                     if acc is None:
@@ -409,11 +407,10 @@ def _softplus_values(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(x) -> Tensor:
-    """ln(1 + e^x), returning x itself above the overflow cutoff."""
+    """ln(1 + e^x), x itself above the overflow cutoff; backward computes the sigmoid."""
     x = _as_tensor(x)
     y = _softplus_values(x.data)
-    s = _sigmoid_values(x.data)
-    return _emit("softplus", y, (x,), lambda g: (g * s,))
+    return _emit("softplus", y, (x,), lambda g: (g * _sigmoid_values(x.data),))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +100,31 @@ def glorot_init(shape, seed: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def host_memory_bytes() -> int | None:
+    """The host's physical memory in bytes, or None where the platform does
+    not report it. A cgroup or container limit below it is not seen."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no os.sysconf, or no such name
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
 def init_params(shapes: dict[str, tuple[int, ...]], seed: int) -> ParameterStore:
     """A store holding every named shape: matrices get Glorot draws seeded
-    per parameter name, vectors start at zero. A shape with more float64
-    values than numpy can index in one array raises ``ContractError``."""
+    per parameter name, vectors start at zero. Before anything is allocated,
+    a shape with more float64 values than numpy can index in one array
+    raises ``ContractError``, and so does a model whose training state, 32
+    bytes per value (the value, its gradient, Adam's m and v), exceeds
+    ``host_memory_bytes()``."""
     for name, shape in shapes.items():
         if math.prod(shape) > np.iinfo(np.intp).max // 8:
             raise ContractError(f"parameter {name} of shape {shape} is too large "
                                 "for one float64 array")
+    need, have = 32 * sum(math.prod(shape) for shape in shapes.values()), host_memory_bytes()
+    if have is not None and need > have:
+        raise ContractError(f"training this model needs {need:,} bytes (32 per parameter "
+                            f"value), more than the host's {have:,} bytes of memory")
     store = ParameterStore()
     for name, shape in shapes.items():
         if len(shape) == 2:
@@ -251,15 +269,15 @@ def infer_posterior(h: Tensor, params: ParameterStore, s_tok: Tensor | None = No
     """Location and scale heads over the shared encoding h [T, d_x]: [T, d] each.
 
     With the sentence draw of each token ``s_tok`` [T, d_s] (hierarchical
-    model), the affine map over [s ; h_t] is the base head plus the
-    additive blocks ``N1``/``N2`` before the softplus, so zeroed blocks
-    give the unconditioned posterior exactly.
+    model), the affine map over [s ; h_t] adds the blocks ``N1``/``N2``
+    before the softplus, each a ``linear`` of ``s_tok`` whose bias is the
+    base head, so zeroed blocks give the unconditioned posterior exactly.
     """
     u = ad.linear(h, params["M1"], params["d1"])
     s_pre = ad.linear(h, params["M2"], params["d2"])
     if s_tok is not None:
-        u = ad.add(u, ad.linear(s_tok, params["N1"]))
-        s_pre = ad.add(s_pre, ad.linear(s_tok, params["N2"]))
+        u = ad.linear(s_tok, params["N1"], u)
+        s_pre = ad.linear(s_tok, params["N2"], s_pre)
     return u, ad.softplus(s_pre)
 
 
@@ -280,17 +298,15 @@ def _head_logits(z: Tensor, weights: Tensor, bias: Tensor, css: CSSupport | None
     """Unnormalized class scores [m, support] for latents z [m, d].
 
     With a CSSupport, scores cover only C followed by N (in support order);
-    otherwise the full vocabulary. ``s_block`` [V, d_s] adds a per-class
-    contribution from the sentence draw ``s`` [m, d_s], one row per row of z.
+    otherwise the full vocabulary. The sentence draw ``s`` [m, d_s], one row
+    per row of z, adds ``s @ s_block.T`` as one ``linear`` biased by the logits.
     """
     if css is not None:
         weights, bias = ad.rows(weights, css.support_ids), ad.rows(bias, css.support_ids)
         if s is not None:
             s_block = ad.rows(s_block, css.support_ids)
     logits = ad.linear(z, weights, bias)
-    if s is not None:
-        logits = ad.add(logits, ad.linear(s, s_block))
-    return logits
+    return logits if s is None else ad.linear(s, s_block, logits)
 
 
 def css_log_normalizer(z, css: CSSupport, weights, bias) -> Tensor:

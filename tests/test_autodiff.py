@@ -83,6 +83,31 @@ class TestNonlinearities:
         assert ad.softplus(ad.constant(1000.0)).item() == 1000.0
         assert ad.softplus(ad.constant(31.0)).item() == 31.0
 
+    # across the cutoff at +-30, and so far below it that the sigmoid is
+    # subnormal (-740) or underflows to 0 (-745.5, -1000)
+    SOFTPLUS_INPUTS = np.array([-1000.0, -745.5, -740.0, -40.0, -30.5, -30.0, -29.5, -1.0, 0.0,
+                                1.0, 29.5, 30.0, 30.5, 40.0, 1000.0])
+
+    def test_softplus_gradient_is_the_sigmoid_of_its_input(self):
+        store = ParameterStore()
+        x = store.add("x", self.SOFTPLUS_INPUTS)
+        g = np.linspace(-2.0, 2.0, x.data.size)  # the upstream gradient softplus receives
+        with Tape() as tape:
+            root = ad.total(ad.mul(ad.softplus(x), ad.constant(g)))
+        (node,) = [node for node in tape.nodes if node.kind == "softplus"]
+        # its backward holds the input, not an array the forward computed for it
+        assert [c.cell_contents for c in node.bwd.__closure__] == [x]
+        grad = tape.backward(root, store)["x"]
+        assert grad.tobytes() == (g * ad._sigmoid_values(self.SOFTPLUS_INPUTS)).tobytes()
+
+    def test_softplus_off_the_tape_computes_no_sigmoid(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("sigmoid computed with no tape")
+
+        monkeypatch.setattr(ad, "_sigmoid_values", refuse)
+        out = ad.softplus(self.SOFTPLUS_INPUTS)
+        assert out.data.tobytes() == ad._softplus_values(self.SOFTPLUS_INPUTS).tobytes()
+
     @pytest.mark.parametrize("kind", ["tanh", "sigmoid", "softplus"])
     def test_gradients(self, kind):
         rng = np.random.default_rng(3)

@@ -282,9 +282,20 @@ class TestBatchEqualsSumOfPairs:
         assert "transpose" not in kinds
         assert kinds.count("matmul") == n_affine
 
+    @pytest.mark.parametrize("encoder,model,n_add", [
+        ("bow", "flat", 2), ("bow", "hierarchical", 3), ("bow", "nibm", 0),
+        ("birnn", "flat", 9), ("birnn", "hierarchical", 10), ("birnn", "nibm", 7),
+    ])
+    def test_sentence_blocks_are_linear_biases(self, encoder, model, n_add):
+        """The sentence blocks ``N1``, ``N2`` and ``G1`` each take their base
+        head as the bias of their ``linear``, so a hierarchical graph records
+        no more ``add`` nodes than the flat one plus the sentence draw's."""
+        _, tape, _ = batch_graph(encoder, model)
+        assert [node.kind for node in tape.nodes].count("add") == n_add
+
     @pytest.mark.parametrize("encoder,model,n_nodes,n_kl", [
-        ("bow", "flat", 31, 1), ("bow", "hierarchical", 52, 2), ("bow", "nibm", 14, 0),
-        ("birnn", "flat", 166, 1), ("birnn", "hierarchical", 187, 2), ("birnn", "nibm", 149, 0),
+        ("bow", "flat", 31, 1), ("bow", "hierarchical", 49, 2), ("bow", "nibm", 14, 0),
+        ("birnn", "flat", 166, 1), ("birnn", "hierarchical", 184, 2), ("birnn", "nibm", 149, 0),
     ])
     def test_one_node_per_kl_term(self, encoder, model, n_nodes, n_kl):
         """Each KL term (the token KL, and the sentence KL of the hierarchical

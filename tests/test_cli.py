@@ -434,6 +434,31 @@ class TestTrain:
         assert (code, stdout, stderr) == (2, "", line)
         assert not (tmp_path / "out.txt").exists()
 
+    def test_training_state_past_host_memory_exits_2(self, synth_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        """A model whose parameters, gradients and Adam moments would not fit
+        the host's memory (here made small) is refused in one line before any
+        parameter array is allocated."""
+        def refuse(shape, seed):
+            raise AssertionError(f"allocated {shape}")
+
+        monkeypatch.setattr(model_mod, "host_memory_bytes", lambda: 1000)
+        monkeypatch.setattr(model_mod, "glorot_init", refuse)
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={"train_l1": synth_dir / "l1.txt", "train_l2": synth_dir / "l2.txt",
+                   "checkpoint": tmp_path / "out.txt", "metrics": tmp_path / "m.tsv"},
+            model={"d": 4, "d_x": 6},
+            training={"epochs": 1, "batch": 20},
+        )
+        code, stdout, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert (code, stdout) == (2, "")
+        assert re.fullmatch(r"error: training this model needs [\d,]+ bytes \(32 per parameter "
+                            r"value\), more than the host's 1,000 bytes of memory\n", stderr)
+        assert not (tmp_path / "out.txt").exists()
+        assert not (tmp_path / "m.tsv").exists()
+
     @pytest.mark.parametrize("model,name,shape", [
         ({"d_x": 2**62}, "E", r"\(\d+, 4611686018427387904\)"),
         ({"d": 2**62}, "M1", r"\(4611686018427387904, 128\)"),

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from alignvae import autodiff as ad
+from alignvae import model as model_mod
 from alignvae.autodiff import ParameterStore, gradient_check
+from alignvae.baselines import NIBMConfig, build_nibm_params
 from alignvae.corpus import CSSupport, SentencePair, Vocabulary, build_css_support
 from alignvae.errors import ContractError
 from alignvae.model import (
@@ -20,6 +22,7 @@ from alignvae.model import (
     infer_posterior,
     kl_to_standard_normal,
     l1_log_prob,
+    param_shapes,
     reparam_sample,
 )
 
@@ -502,3 +505,65 @@ class TestFullElboGradient:
 
         report = gradient_check(loss, params, step=1e-5)
         assert report.max_rel_err <= 1e-4
+
+
+class TestBuildParams:
+    CFG = ModelConfig(d=3, d_x=4, hierarchical=True, d_s=2)
+
+    @staticmethod
+    def need(shapes):
+        """Bytes of training state: 32 per value (the value, its gradient, Adam's m and v)."""
+        return 32 * sum(math.prod(shape) for shape in shapes.values())
+
+    @staticmethod
+    def no_allocation(monkeypatch):
+        def refuse(shape, seed):
+            raise AssertionError(f"allocated {shape}")
+
+        monkeypatch.setattr(model_mod, "glorot_init", refuse)
+
+    def test_refuses_training_state_past_host_memory(self, monkeypatch):
+        """Refused before any array is made, naming both sizes."""
+        need = self.need(param_shapes(self.CFG, 6, 7))
+        monkeypatch.setattr(model_mod, "host_memory_bytes", lambda: need - 1)
+        self.no_allocation(monkeypatch)
+        with pytest.raises(ContractError, match=f"^training this model needs {need:,} bytes "
+                                                 fr"\(32 per parameter value\), more than the "
+                                                 f"host's {need - 1:,} bytes of memory$"):
+            build_params(self.CFG, 6, 7, seed=0)
+
+    def test_nibm_builder_refuses_too(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "host_memory_bytes", lambda: 1)
+        self.no_allocation(monkeypatch)
+        with pytest.raises(ContractError, match="^training this model needs 2,528 bytes"):
+            build_nibm_params(NIBMConfig(d_x=4), 6, 7, seed=0)  # 79 values
+
+    def test_builds_at_exactly_host_memory(self, monkeypatch):
+        shapes = param_shapes(self.CFG, 6, 7)
+        monkeypatch.setattr(model_mod, "host_memory_bytes", lambda: self.need(shapes))
+        assert build_params(self.CFG, 6, 7, seed=0).names() == list(shapes)
+
+    def test_unknown_host_memory_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "host_memory_bytes", lambda: None)
+        assert len(build_params(self.CFG, 6, 7, seed=0)) == len(param_shapes(self.CFG, 6, 7))
+
+    def test_array_limit_is_checked_first(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "host_memory_bytes", lambda: 1)
+        self.no_allocation(monkeypatch)
+        with pytest.raises(ContractError, match=r"^parameter E of shape \(6, 4611686018427387904\) "
+                                                 "is too large for one float64 array$"):
+            build_params(ModelConfig(d_x=2**62), 6, 7, seed=0)
+
+    def test_host_memory_probe(self, monkeypatch):
+        have = model_mod.host_memory_bytes()
+        assert have is None or (type(have) is int and have > 0)
+
+        def unknown(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(model_mod.os, "sysconf", unknown)
+        assert model_mod.host_memory_bytes() is None
+        monkeypatch.setattr(model_mod.os, "sysconf", lambda name: -1)  # not determined
+        assert model_mod.host_memory_bytes() is None
+        monkeypatch.delattr(model_mod.os, "sysconf")  # a platform with no sysconf
+        assert model_mod.host_memory_bytes() is None

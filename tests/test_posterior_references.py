@@ -21,11 +21,17 @@ Every KL was once a 13-node chain of generic ops (``log``, ``sub``,
 ``ad.gaussian_kl``, with the chain's forward expressions and a
 hand-written backward. The chain is kept here over test-only copies of
 the three ops that left autodiff: the objective must equal it bit for
-bit, and its gradients must match within ``TOL``."""
+bit, and its gradients must match within ``TOL``.
+
+The L1 head's sentence block ``G1`` was once a product of its own added
+to the logits by an ``add`` node; it is now a ``linear`` whose bias is
+the logits. That add form is kept here, and the objective and its
+gradients must equal it bit for bit."""
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +123,20 @@ def reference_head(h, params, s_tok=None):
     return reference_flat(h, params) if s_tok is None else reference_conditioned(s_tok, h, params)
 
 
+def add_form_head_logits(z, weights, bias, css, s_block=None, s=None):
+    """``model._head_logits`` with the ``G1`` sentence block as a product of
+    its own and one ``add`` node, as before the block became the bias slot
+    of its ``linear``."""
+    if css is not None:
+        weights, bias = ad.rows(weights, css.support_ids), ad.rows(bias, css.support_ids)
+        if s is not None:
+            s_block = ad.rows(s_block, css.support_ids)
+    logits = ad.linear(z, weights, bias)
+    if s is not None:
+        logits = ad.add(logits, ad.linear(s, s_block))
+    return logits
+
+
 def reference_log(x):
     if np.any(x.data <= 0.0):
         raise DomainError("log: input has non-positive entries")
@@ -152,10 +172,10 @@ def reference_gaussian_kl_rows(u, s, mu=None, sigma=None):
 
 
 @st.composite
-def models(draw):
-    """A hierarchical bow or birnn model with every parameter drawn standard
-    normal, a batch of 1-3 pairs, and noise for both latents."""
-    cfg = ModelConfig(encoder=draw(st.sampled_from(["bow", "birnn"])), d=draw(st.integers(4, 8)),
+def models(draw, encoders=("bow", "birnn")):
+    """A hierarchical model with one of ``encoders`` and every parameter drawn
+    standard normal, a batch of 1-3 pairs, and noise for both latents."""
+    cfg = ModelConfig(encoder=draw(st.sampled_from(encoders)), d=draw(st.integers(4, 8)),
                       d_x=draw(st.integers(3, 6)), hierarchical=True, d_s=draw(st.integers(2, 4)))
     seed = draw(st.integers(0, 2**32 - 1))
     params = build_params(cfg, V, V, seed=0)
@@ -248,10 +268,10 @@ class TestHeadMatchesReference:
         assert merged == reference
 
 
-def elbo_against(name, reference, drawn, css, hierarchical=True):
+def elbo_against(name, reference, drawn, css, hierarchical=True, alpha=0.7):
     """The objective's value and gradients, as arrays by name, with
     ``model.<name>`` and then with ``reference`` in its place: (model's,
-    reference's). ``hierarchical`` picks the bound."""
+    reference's). ``hierarchical`` picks the bound, ``alpha`` weights the KL."""
     cfg, params, pairs, eps_z, eps_s = drawn
     if not hierarchical:
         cfg, eps_s = dataclasses.replace(cfg, hierarchical=False), None
@@ -261,7 +281,7 @@ def elbo_against(name, reference, drawn, css, hierarchical=True):
 
     def run():
         with Tape() as tape:
-            root = model_mod.batch_elbo(pairs, params, cfg, 0.7, eps_z, eps_s, css_pair)
+            root = model_mod.batch_elbo(pairs, params, cfg, alpha, eps_z, eps_s, css_pair)
         return {"elbo": root.data, **tape.backward(root, params)}
 
     ours = run()
@@ -271,6 +291,23 @@ def elbo_against(name, reference, drawn, css, hierarchical=True):
         return ours, run()
     finally:
         setattr(model_mod, name, original)
+
+
+class TestHeadLogitsMatchAddReference:
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("css", [True, False])
+    @pytest.mark.parametrize("encoder", ["bow", "birnn"])
+    @FIXED
+    @given(data=st.data())
+    def test_batch_elbo_values_and_gradients(self, encoder, css, alpha, data):
+        """The hierarchical objective whose L1 head takes its logits as the
+        bias of the ``G1`` block's ``linear`` equals it, bit for bit, with
+        the block added by its own ``add`` node."""
+        ours, ref = elbo_against("_head_logits", add_form_head_logits,
+                                 data.draw(models(encoders=(encoder,))), css, alpha=alpha)
+        assert ours.keys() == ref.keys()
+        for name, array in ours.items():
+            assert array.tobytes() == ref[name].tobytes(), name
 
 
 class TestSegmentMeanMatchesDenseReference:

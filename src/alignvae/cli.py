@@ -130,8 +130,19 @@ def cmd_train(args) -> int:
         raise AlignvaeError(
             f"validation needs val_l1, val_l2 and gold together; [paths] lacks {', '.join(missing)}"
         )
-    model_cfg = ModelConfig(**cfg["model"])
-    section = cfg["training"]
+    model_keys, section = cfg["model"], cfg["training"]
+    # each key that the chosen run never reads, and what would read it
+    if args.baseline:  # IBM1 reads em_iters and max_vocab only
+        needs = {key: "the joint model, without --baseline" for key in [*model_keys, *section]
+                 if key not in ("em_iters", "max_vocab")}
+    else:
+        needs = {"em_iters": "--baseline ibm1"}
+        if not model_keys.get("hierarchical"):
+            needs["d_s"] = "hierarchical = true"
+    for name, keys in (("model", model_keys), ("training", section)):
+        if key := next((k for k in keys if k in needs), None):
+            raise AlignvaeError(f"config key {key!r} in [{name}] needs {needs[key]}")
+    model_cfg = ModelConfig(**model_keys)
     em_iters = {"iterations": section.pop("em_iters")} if "em_iters" in section else {}
     max_vocab = section.pop("max_vocab", None)
     # every other [training] key is a TrainConfig field; batch is its batch_size

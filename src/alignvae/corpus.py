@@ -166,10 +166,20 @@ def write_text(path, pieces) -> None:
         raise
 
 
+def refuse_reserved(tokens, path, lineno: int) -> None:
+    """``DataError`` naming ``path:lineno`` if ``tokens`` holds a reserved token."""
+    if clash := next((tok for tok in tokens if tok in _RESERVED), None):
+        raise DataError(f"{path}:{lineno}: reserved token {clash!r}")
+
+
 def read_sentences(path) -> list[list[str]]:
-    """One token list per line of ``path``; only ``\\n`` ends a line."""
+    """One token list per line of ``path``; only ``\\n`` ends a line. A
+    reserved token raises ``DataError`` naming its line."""
     lines = read_text(path).split("\n")
-    return [line.split() for line in (lines[:-1] if lines[-1] == "" else lines)]
+    sentences = [line.split() for line in (lines[:-1] if lines[-1] == "" else lines)]
+    for lineno, toks in enumerate(sentences, start=1):
+        refuse_reserved(toks, path, lineno)
+    return sentences
 
 
 def read_parallel(l1_path, l2_path) -> tuple[list[list[str]], list[list[str]]]:

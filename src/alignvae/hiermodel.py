@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import model as model_mod
+from . import autodiff as ad, model as model_mod
 from .autodiff import ParameterStore, Tensor
 from .corpus import SentencePair
 # the graph's own names, held here for the spans of bench/tracer.py
@@ -54,20 +54,15 @@ def elbo_s(pair: SentencePair, params: ParameterStore, cfg: ModelConfig,
     return model_mod.batch_elbo([pair], params, cfg, alpha, eps_z, eps_s, css_pair)
 
 
-def _softplus_preimage(target: float = 1.0) -> float:
-    """Float x with softplus(x) == target exactly under our softplus."""
-    x = math.log(math.expm1(target))
-    probe = x
-    for _ in range(64):
-        if float(np.log1p(np.exp(probe))) == target:
-            return probe
-        probe = np.nextafter(probe, math.inf)
-    probe = np.nextafter(x, -math.inf)
-    for _ in range(64):
-        if float(np.log1p(np.exp(probe))) == target:
-            return float(probe)
-        probe = np.nextafter(probe, -math.inf)
-    raise AssertionError("no exact softplus preimage found")
+def _softplus_preimage() -> float:
+    """Float x with softplus(x) == 1.0 exactly under ``ad._softplus_values``: from
+    log(e - 1), up while the value is below 1, then down while it is above 1."""
+    x = math.log(math.expm1(1.0))
+    while ad._softplus_values(x) < 1.0:
+        x = np.nextafter(x, math.inf)
+    while ad._softplus_values(x) > 1.0:
+        x = np.nextafter(x, -math.inf)
+    return float(x)
 
 
 def zero_sentence_pathways(params: ParameterStore) -> None:
@@ -83,6 +78,4 @@ def zero_sentence_pathways(params: ParameterStore) -> None:
     flat = model_mod.param_shapes(ModelConfig(), 1, 1)
     for name in model_mod.param_shapes(ModelConfig(hierarchical=True), 1, 1).keys() - flat:
         params[name].data = np.zeros_like(params[name].data)
-    params["sent_bs"].data = np.full_like(
-        params["sent_bs"].data, _softplus_preimage(1.0)
-    )
+    params["sent_bs"].data = np.full_like(params["sent_bs"].data, _softplus_preimage())

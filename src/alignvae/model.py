@@ -183,12 +183,12 @@ class Ragged:
 # encoders
 
 
-def _lstm_states(inputs: Tensor, steps: np.ndarray, params, direction: str) -> Tensor:
+def _lstm_states(inputs: Tensor, steps: np.ndarray, params, direction: str) -> list[Tensor]:
     """Hidden states of one LSTM direction, scanned over all sentences at once.
 
     ``inputs`` [T, d_x] are the token inputs in flat order and ``steps``
     [m_max, B] the token each sentence feeds at each step (see
-    ``Ragged.steps``). Returns the states as [m_max * B, d_x], step-major.
+    ``Ragged.steps``). Returns the m_max step states, each [B, d_x].
     Standard gated cell: sigmoid input/forget/output gates, tanh
     candidate, zero initial states, no peepholes, forget bias 0.
     """
@@ -212,7 +212,7 @@ def _lstm_states(inputs: Tensor, steps: np.ndarray, params, direction: str) -> T
         c = new if c is None else ad.add(ad.mul(ad.sigmoid(pre("f", idx, h)), c), new)
         h = ad.mul(gate_o, ad.tanh(c))
         states.append(h)
-    return ad.reshape(ad.stack(states), (len(states) * steps.shape[1], -1))
+    return states
 
 
 def encode_birnn(emb: Tensor, x: Ragged, params: ParameterStore) -> Tensor:
@@ -220,18 +220,17 @@ def encode_birnn(emb: Tensor, x: Ragged, params: ParameterStore) -> Tensor:
 
     Both directions run on left-aligned sentences, the backward one
     reversed within each sentence, so padding steps only ever follow a
-    sentence's real steps and need no mask; the states are gathered back
-    into flat token order.
+    sentence's real steps and need no mask; one step-major table of both
+    directions' states [2 * m_max * B, d_x] is gathered twice into flat order.
     """
     if x.lengths.min() < 1:
         raise ShapeError("encode_birnn: empty sentence")
-    pos = x.positions()
-    fwd = _lstm_states(emb, x.steps(reverse=False), params, "fwd")
-    bwd = _lstm_states(emb, x.steps(reverse=True), params, "bwd")
-    return ad.add(
-        ad.rows(fwd, pos * x.size + x.seg),
-        ad.rows(bwd, (x.lengths[x.seg] - 1 - pos) * x.size + x.seg),
-    )
+    m_max, pos = x.lengths.max(), x.positions()
+    states = (_lstm_states(emb, x.steps(reverse=False), params, "fwd")
+              + _lstm_states(emb, x.steps(reverse=True), params, "bwd"))
+    table = ad.reshape(ad.stack(states), (2 * m_max * x.size, -1))
+    bwd_step = m_max + x.lengths[x.seg] - 1 - pos  # the backward steps follow the forward ones
+    return ad.add(ad.rows(table, pos * x.size + x.seg), ad.rows(table, bwd_step * x.size + x.seg))
 
 
 def encode(emb: Tensor, x: Ragged, params: ParameterStore, cfg: ModelConfig) -> Tensor:
@@ -318,36 +317,35 @@ def css_log_normalizer(z, css: CSSupport, weights, bias) -> Tensor:
     """
     if not css.c_ids:
         raise ContractError("CSS support has empty explicit class set C")
-    zrow = ad.reshape(ad.constant(z), (1, -1))
-    logits = _head_logits(zrow, weights, bias, css)
+    logits = _head_logits(ad.constant(np.reshape(z, (1, -1))), weights, bias, css)
     return ad.total(ad.logsumexp_rows(logits, shift=css.log_weights))
 
 
 def l1_log_prob(z_i, x_i: int, params: ParameterStore, css: CSSupport | None = None) -> Tensor:
     """Log probability of one L1 token given its latent embedding [d]."""
-    return _l1_sum(ad.reshape(ad.constant(z_i), (1, -1)), [x_i], params, css)
+    return _l1_sum(ad.constant(np.reshape(z_i, (1, -1))), [x_i], params, css)
 
 
 def _cell_log_probs(z: Tensor, zrow, ids, weights: Tensor, bias: Tensor,
-                    css: CSSupport | None, s_block=None, s: Tensor | None = None) -> Tensor:
-    """log P(ids | z[zrow]) cell by cell; ``zrow`` and ``ids`` broadcast to
-    the result's shape. Each cell picks its logit from the flattened logits
-    (at its support position under a CSSupport) and subtracts its row's log
-    normalizer, sampled negatives weighted by kappa; ``s_block`` and ``s``
-    are as in ``_head_logits``."""
+                    css: CSSupport | None, s_block=None, s: Tensor | None = None):
+    """log P(ids | z[zrow]) as (picked, norm), for the caller to subtract
+    ``norm[zrow]``: each cell's logit, picked from the flattened logits (at
+    its support position under a CSSupport) in the shape ``zrow`` and ``ids``
+    broadcast to, and the log normalizer [m] of each row of z, sampled
+    negatives weighted by kappa; ``s_block`` and ``s`` are as in ``_head_logits``."""
     logits = _head_logits(z, weights, bias, css, s_block, s)
     cols = np.asarray(ids, dtype=np.intp) if css is None else css.columns(ids)
     picked = ad.rows(ad.reshape(logits, (-1,)), zrow * logits.shape[1] + cols)
-    norm = ad.logsumexp_rows(logits, shift=None if css is None else css.log_weights)
-    return ad.sub(picked, ad.rows(norm, zrow))
+    return picked, ad.logsumexp_rows(logits, shift=None if css is None else css.log_weights)
 
 
 def _l1_sum(z: Tensor, x_ids, params: ParameterStore, css: CSSupport | None,
             s: Tensor | None = None) -> Tensor:
-    """Sum over tokens of log P(x_t | z_t): ``x_ids`` [T] in the rows'
-    order; ``s`` is the sentence draw per row [T, d_s], if any."""
-    return ad.total(_cell_log_probs(z, np.arange(len(x_ids)), x_ids, params["W1"], params["b1"],
-                                    css, params["G1"] if s is not None else None, s))
+    """Sum over tokens of log P(x_t | z_t), row t's normalizer as computed:
+    ``x_ids`` [T] in the rows' order; ``s`` is the sentence draw per row [T, d_s], if any."""
+    picked, norm = _cell_log_probs(z, np.arange(len(x_ids)), x_ids, params["W1"], params["b1"],
+                                   css, params["G1"] if s is not None else None, s)
+    return ad.total(ad.sub(picked, norm))
 
 
 def _l2_log_marginals(z: Tensor, x: Ragged, y: Ragged, weights: Tensor, bias: Tensor,
@@ -365,7 +363,8 @@ def _l2_log_marginals(z: Tensor, x: Ragged, y: Ragged, weights: Tensor, bias: Te
     cell = np.arange(x.lengths.max())
     real = cell < m[:, None]
     zrow = x.starts[y.seg][:, None] + np.where(real, cell, 0)  # [N, m_max]
-    logp = _cell_log_probs(z, zrow, y.ids[:, None], weights, bias, css)
+    picked, norm = _cell_log_probs(z, zrow, y.ids[:, None], weights, bias, css)
+    logp = ad.sub(picked, ad.rows(norm, zrow))
     per_j = ad.logsumexp_rows(logp, shift=np.where(real, 0.0, -np.inf))
     return ad.sub(per_j, ad.constant(np.log(m.astype(np.float64))))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as model_mod
-from .corpus import NULL_ID, Vocabulary, read_text
+from .corpus import NULL_ID, Vocabulary, read_text, refuse_reserved
 from .errors import ContractError, DataError, DomainError, MetricError, NumericalError
 from .model import ModelConfig
 
@@ -73,6 +73,7 @@ def parse_lexsub(path) -> list[LexSubInstance]:
                 raise DataError(f"{path}:{lineno}: bad candidate {chunk!r}")
             candidates.append((tok, _parse_number(float, weight, path, lineno)))
         position = _parse_number(int, pos, path, lineno)
+        refuse_reserved([*sentence.split(), *(tok for tok, _ in candidates)], path, lineno)
         try:
             instances.append(LexSubInstance(sentence.split(), position, candidates))
         except DataError as e:
@@ -260,5 +261,6 @@ def parse_wordsim(path):
                 f"{path}:{lineno}: expected 'token1 token2 gold [sys]', got {line!r}"
             )
         scores = [_parse_number(float, text, path, lineno) for text in parts[2:]]
+        refuse_reserved(parts[:2], path, lineno)
         rows.append((parts[0], parts[1], scores[0], scores[1] if len(scores) == 2 else None))
     return rows

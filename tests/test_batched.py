@@ -294,8 +294,8 @@ class TestBatchEqualsSumOfPairs:
         assert [node.kind for node in tape.nodes].count("add") == n_add
 
     @pytest.mark.parametrize("encoder,model,n_nodes,n_kl", [
-        ("bow", "flat", 31, 1), ("bow", "hierarchical", 49, 2), ("bow", "nibm", 14, 0),
-        ("birnn", "flat", 166, 1), ("birnn", "hierarchical", 184, 2), ("birnn", "nibm", 149, 0),
+        ("bow", "flat", 30, 1), ("bow", "hierarchical", 48, 2), ("bow", "nibm", 14, 0),
+        ("birnn", "flat", 163, 1), ("birnn", "hierarchical", 181, 2), ("birnn", "nibm", 147, 0),
     ])
     def test_one_node_per_kl_term(self, encoder, model, n_nodes, n_kl):
         """Each KL term (the token KL, and the sentence KL of the hierarchical
@@ -306,6 +306,19 @@ class TestBatchEqualsSumOfPairs:
         assert not {"div", "log", "sum_rows"} & set(kinds)
         assert kinds.count("gaussian_kl") == n_kl
         assert len(kinds) == n_nodes
+
+    @pytest.mark.parametrize("encoder", ["bow", "birnn"])
+    @pytest.mark.parametrize("model", ["flat", "hierarchical", "nibm"])
+    def test_normalizers_gathered_only_for_the_l2_grid(self, encoder, model):
+        """The L1 head subtracts its row normalizers as computed; only the L2
+        marginal gathers its normalizers into the [N, m_max] grid. A birnn
+        graph stacks both directions' states into one table."""
+        _, tape, _ = batch_graph(encoder, model)
+        kinds = {id(node.tensor): node.kind for node in tape.nodes}
+        gathers = [node for node in tape.nodes if node.kind == "rows"
+                   and kinds.get(id(node.parents[0])) == "logsumexp_rows"]
+        assert len(gathers) == 1
+        assert [node.kind for node in tape.nodes].count("stack") == (encoder == "birnn")
 
     @pytest.mark.parametrize("encoder", ["bow", "birnn"])
     @pytest.mark.parametrize("model", ["flat", "hierarchical", "nibm"])

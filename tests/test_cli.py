@@ -311,8 +311,9 @@ class TestTrain:
                 "checkpoint": tmp_path / "out.txt",
                 "metrics": tmp_path / "m.tsv",
             },
-            model={"d": 4, "d_x": 6},
-            training={"epochs": 1, "batch": 20, key: value},
+            # the IBM1 run refuses the joint model's keys before their values
+            model={} if baseline else {"d": 4, "d_x": 6},
+            training={key: value} if baseline else {"epochs": 1, "batch": 20, key: value},
         )
         argv = ["train", "--config", str(cfg_path)] + (["--baseline", baseline] if baseline else [])
         code, _, stderr = run(capsys, *argv)
@@ -320,6 +321,35 @@ class TestTrain:
         assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
         assert key in stderr and value in stderr
         assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("baseline,model,training,key,reader", [
+        (None, {}, {"em_iters": "-1"}, "'em_iters' in [training]", "--baseline ibm1"),
+        (None, {"d_s": "-5"}, {}, "'d_s' in [model]", "hierarchical = true"),
+        (None, {"hierarchical": "false", "d_s": "16"}, {}, "'d_s' in [model]",
+         "hierarchical = true"),
+        ("ibm1", {"encoder": "xyz"}, {}, "'encoder' in [model]", "the joint model"),
+        ("ibm1", {"d": "-5"}, {"em_iters": "2"}, "'d' in [model]", "the joint model"),
+        *(("ibm1", {}, {key: value}, f"{key!r} in [training]", "the joint model")
+          for key, value in [("epochs", "1"), ("batch", "20"), ("lr", "0.1"), ("n_neg", "5"),
+                             ("seed", "2"), ("css", "false")]),
+    ])
+    def test_key_the_run_never_reads_exits_2(self, synth_dir, tmp_path, capsys, baseline,
+                                             model, training, key, reader):
+        """A config key that the chosen run ignores is refused by name, with
+        what would read it, before any value is checked or data is read."""
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={"train_l1": synth_dir / "l1.txt", "train_l2": synth_dir / "l2.txt",
+                   "checkpoint": tmp_path / "out.txt", "metrics": tmp_path / "m.tsv"},
+            model=model, training=training,
+        )
+        argv = ["train", "--config", str(cfg_path)] + (["--baseline", baseline] if baseline else [])
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: config key {key} needs {reader}")
+        assert len(stderr.splitlines()) == 1
+        assert not (tmp_path / "out.txt").exists() and not (tmp_path / "m.tsv").exists()
 
     @pytest.mark.parametrize("training, message", [
         ({"epochs": 0, "batch": 0}, "error: batch_size must be >= 1, got 0\n"),
@@ -1064,6 +1094,48 @@ class TestEmbed:
                               str(text), str(out))
         assert code == 0 and f"wrote 0 {mode} embeddings" in stdout
         assert out.read_text() == ""
+
+
+class TestReservedTokens:
+    """A literal ``<null>`` or ``<unk>`` in evaluation text would read as the
+    reserved id; every reader refuses it, naming the file and line."""
+
+    # argv ({bad} is the file whose second line holds the token), its first line, its second
+    CASES = {
+        "align-l1": (["align", "--checkpoint", "{ckpt}", "{bad}", "{text}", "{out}"],
+                     "aa bb", "s01 <null> s03"),
+        "align-l2": (["align", "--checkpoint", "{ckpt}", "{text}", "{bad}", "{out}"],
+                     "aa bb", "<unk> cc"),
+        "align-ibm1": (["align", "--baseline", "ibm1", "--checkpoint", "{table}", "{bad}",
+                        "{text}", "{out}"], "aa bb", "aa <null>"),
+        "embed-type": (["embed", "--checkpoint", "{ckpt}", "--mode", "type", "{bad}", "{out}"],
+                       "aa bb", "<null> bb"),
+        "embed-sentence": (["embed", "--checkpoint", "{ckpt}", "--mode", "sentence", "{bad}",
+                            "{out}"], "aa bb", "bb <unk>"),
+        "wordsim-rows": (["eval", "wordsim", "{bad}"], "aa bb 1 4", "bb <null> 2 3"),
+        "wordsim-corpus": (["eval", "wordsim", "{wordsim}", "--checkpoint", "{ckpt}",
+                            "--corpus", "{bad}"], "aa bb", "cc <null>"),
+        "lexsub-sentence": (["eval", "lexsub", "{bad}", "--checkpoint", "{ckpt}"],
+                            "bb\t1\taa bb\tcc:1", "bb\t1\t<null> bb\tcc:1"),
+        "lexsub-candidate": (["eval", "lexsub", "{bad}", "--per-instance", "{out}"],
+                             "bb\t1\taa bb\tcc:1", "bb\t1\taa bb\tcc:1;<unk>:2"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, case):
+        argv, first, second = self.CASES[case]
+        ckpt, text = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        files = {"ckpt": ckpt, "text": text, "bad": tmp_path / "bad.txt",
+                 "table": tmp_path / "table.txt", "wordsim": tmp_path / "ws.txt",
+                 "out": tmp_path / "out.txt"}
+        files["bad"].write_text(f"{first}\n{second}\n", encoding="utf-8")
+        files["table"].write_text("<null> aa 0.5\naa aa 0.5\nbb bb 1\n", encoding="utf-8")
+        files["wordsim"].write_text("aa bb 1\nbb cc 2\naa cc 3\n", encoding="utf-8")
+        code, stdout, err = run(capsys, *(arg.format(**files) for arg in argv))
+        token = "<null>" if "<null>" in second else "<unk>"
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {files['bad']}:2: reserved token {token!r}\n"
+        assert not files["out"].exists()
 
 
 class TestNumericalFailure:

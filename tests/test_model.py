@@ -322,12 +322,12 @@ class TestCellLogProbs:
         rng = np.random.default_rng(11)
         z, w, b = rng.normal(size=(4, 3)), rng.normal(size=(6, 3)), rng.normal(size=6)
         g, s = (rng.normal(size=(6, 2)), rng.normal(size=(4, 2))) if with_s else (None, None)
-        got = _cell_log_probs(ad.constant(z), self.ZROW, self.IDS, ad.constant(w),
-                              ad.constant(b), css, None if g is None else ad.constant(g),
-                              None if s is None else ad.constant(s))
-        assert got.shape == self.ZROW.shape
-        np.testing.assert_allclose(got.data, self.reference(z, w, b, css, g, s),
-                                   rtol=1e-12, atol=1e-12)
+        picked, norm = _cell_log_probs(ad.constant(z), self.ZROW, self.IDS, ad.constant(w),
+                                       ad.constant(b), css, None if g is None else ad.constant(g),
+                                       None if s is None else ad.constant(s))
+        assert (picked.shape, norm.shape) == (self.ZROW.shape, (len(z),))
+        np.testing.assert_allclose(picked.data - norm.data[self.ZROW],
+                                   self.reference(z, w, b, css, g, s), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("css", [None, SUPPORT], ids=["exact", "css"])
     def test_gradient_with_sentence_block(self, css):
@@ -339,8 +339,8 @@ class TestCellLogProbs:
         weight = ad.constant(rng.normal(size=self.ZROW.shape))
 
         def loss():
-            cells = _cell_log_probs(z, self.ZROW, self.IDS, w, b, css, g, s)
-            return ad.total(ad.mul(cells, weight))
+            picked, norm = _cell_log_probs(z, self.ZROW, self.IDS, w, b, css, g, s)
+            return ad.total(ad.mul(ad.sub(picked, ad.rows(norm, self.ZROW)), weight))
 
         report = gradient_check(loss, store)
         assert report.max_rel_err <= 1e-6, report.per_param

@@ -26,8 +26,16 @@ bit, and its gradients must match within ``TOL``.
 The L1 head's sentence block ``G1`` was once a product of its own added
 to the logits by an ``add`` node; it is now a ``linear`` whose bias is
 the logits. That add form is kept here, and the objective and its
-gradients must equal it bit for bit."""
+gradients must equal it bit for bit.
 
+The L1 head once subtracted its row normalizers through an identity
+``rows`` gather, as the L2 grid still does, and the BiLSTM once built a
+``stack`` + ``reshape`` state table per direction; the L1 head now
+subtracts the normalizers as computed and both directions share one
+table. That graph is kept here too: the objective and the neural IBM1
+likelihood, values and gradients, must equal it bit for bit."""
+
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -38,6 +46,7 @@ from hypothesis import strategies as st
 from alignvae import autodiff as ad
 from alignvae import model as model_mod
 from alignvae.autodiff import ParameterStore, Tape, Tensor
+from alignvae.baselines import NIBMConfig, build_nibm_params, nibm_batch_log_likelihood
 from alignvae.corpus import NULL_ID, SentencePair, Vocabulary, build_css_support
 from alignvae.errors import DomainError
 from alignvae.model import (
@@ -135,6 +144,31 @@ def add_form_head_logits(z, weights, bias, css, s_block=None, s=None):
     if s is not None:
         logits = ad.add(logits, ad.linear(s, s_block))
     return logits
+
+
+def gathered_norm_l1_sum(z, x_ids, params, css, s=None):
+    """``model._l1_sum`` subtracting each row's normalizer through an
+    identity ``rows`` gather, as the L2 grid does."""
+    zrow = np.arange(len(x_ids))
+    picked, norm = model_mod._cell_log_probs(z, zrow, x_ids, params["W1"], params["b1"], css,
+                                             params["G1"] if s is not None else None, s)
+    return ad.total(ad.sub(picked, ad.rows(norm, zrow)))
+
+
+def two_table_encode_birnn(emb, x, params):
+    """``model.encode_birnn`` with a state table per direction, each its own
+    ``stack`` and ``reshape``, the forward one built before the backward scan."""
+    def table(reverse, direction):
+        states = model_mod._lstm_states(emb, x.steps(reverse), params, direction)
+        return ad.reshape(ad.stack(states), (len(states) * x.size, -1))
+
+    pos, fwd = x.positions(), table(False, "fwd")
+    bwd = table(True, "bwd")
+    return ad.add(ad.rows(fwd, pos * x.size + x.seg),
+                  ad.rows(bwd, (x.lengths[x.seg] - 1 - pos) * x.size + x.seg))
+
+
+PARENT_GRAPH = {"_l1_sum": gathered_norm_l1_sum, "encode_birnn": two_table_encode_birnn}
 
 
 def reference_log(x):
@@ -268,9 +302,23 @@ class TestHeadMatchesReference:
         assert merged == reference
 
 
-def elbo_against(name, reference, drawn, css, hierarchical=True, alpha=0.7):
-    """The objective's value and gradients, as arrays by name, with
-    ``model.<name>`` and then with ``reference`` in its place: (model's,
+@contextlib.contextmanager
+def swapped(references):
+    """``model.<name>`` replaced by ``references[name]`` for every name, by
+    hand: hypothesis refuses function fixtures such as ``monkeypatch``."""
+    originals = {name: getattr(model_mod, name) for name in references}
+    for name, reference in references.items():
+        setattr(model_mod, name, reference)
+    try:
+        yield
+    finally:
+        for name, original in originals.items():
+            setattr(model_mod, name, original)
+
+
+def elbo_against(references, drawn, css, hierarchical=True, alpha=0.7):
+    """The objective's value and gradients, as arrays by name, with the
+    model's functions and then with ``swapped(references)``: (model's,
     reference's). ``hierarchical`` picks the bound, ``alpha`` weights the KL."""
     cfg, params, pairs, eps_z, eps_s = drawn
     if not hierarchical:
@@ -285,12 +333,8 @@ def elbo_against(name, reference, drawn, css, hierarchical=True, alpha=0.7):
         return {"elbo": root.data, **tape.backward(root, params)}
 
     ours = run()
-    original = getattr(model_mod, name)  # by hand: hypothesis refuses function fixtures
-    setattr(model_mod, name, reference)
-    try:
+    with swapped(references):
         return ours, run()
-    finally:
-        setattr(model_mod, name, original)
 
 
 class TestHeadLogitsMatchAddReference:
@@ -303,11 +347,51 @@ class TestHeadLogitsMatchAddReference:
         """The hierarchical objective whose L1 head takes its logits as the
         bias of the ``G1`` block's ``linear`` equals it, bit for bit, with
         the block added by its own ``add`` node."""
-        ours, ref = elbo_against("_head_logits", add_form_head_logits,
+        ours, ref = elbo_against({"_head_logits": add_form_head_logits},
                                  data.draw(models(encoders=(encoder,))), css, alpha=alpha)
         assert ours.keys() == ref.keys()
         for name, array in ours.items():
             assert array.tobytes() == ref[name].tobytes(), name
+
+
+class TestGraphMatchesGatheredNormReference:
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("css", [True, False])
+    @pytest.mark.parametrize("encoder", ["bow", "birnn"])
+    @FIXED
+    @given(data=st.data())
+    def test_batch_elbo_values_and_gradients(self, encoder, css, hierarchical, alpha, data):
+        """The objective whose L1 head subtracts its normalizer as computed
+        and whose BiLSTM gathers from one state table equals it, bit for
+        bit, with the gathered normalizer and a table per direction."""
+        ours, ref = elbo_against(PARENT_GRAPH, data.draw(models(encoders=(encoder,))), css,
+                                 hierarchical, alpha)
+        assert ours.keys() == ref.keys()
+        for name, array in ours.items():
+            assert array.tobytes() == ref[name].tobytes(), name
+
+    @pytest.mark.parametrize("css", [True, False])
+    @pytest.mark.parametrize("encoder", ["bow", "birnn"])
+    @FIXED
+    @given(data=st.data())
+    def test_nibm_values_and_gradients(self, encoder, css, data):
+        """The neural IBM1 likelihood over the same encoder, likewise."""
+        _, _, pairs, _, _ = data.draw(models(encoders=(encoder,)))
+        cfg = NIBMConfig(encoder=encoder, d_x=data.draw(st.integers(3, 6)))
+        params = build_nibm_params(cfg, V, V, seed=0)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for _, tensor in params.items():
+            tensor.data = rng.standard_normal(tensor.data.shape)
+        vocab = Vocabulary([f"w{k}" for k in range(V - 2)])
+        support = build_css_support(pairs, vocab, "l2", n_neg=2, seed=3) if css else None
+
+        def objective():
+            return nibm_batch_log_likelihood(pairs, params, cfg, support)
+
+        ours = values_and_grads(objective, params)
+        with swapped(PARENT_GRAPH):
+            assert values_and_grads(objective, params) == ours
 
 
 class TestSegmentMeanMatchesDenseReference:
@@ -316,8 +400,8 @@ class TestSegmentMeanMatchesDenseReference:
     def test_batch_elbo_values_and_gradients(self, drawn, css):
         """The hierarchical objective with ``ad.segment_mean`` against it
         with the dense averaging matmul in the sentence posterior."""
-        assert_close_per_array(*elbo_against("infer_sentence_posterior",
-                                             reference_sentence_posterior, drawn, css))
+        assert_close_per_array(*elbo_against(
+            {"infer_sentence_posterior": reference_sentence_posterior}, drawn, css))
 
 
 class TestOneGatherMatchesTwoGatherReference:
@@ -326,8 +410,8 @@ class TestOneGatherMatchesTwoGatherReference:
     def test_batch_elbo_values_and_gradients(self, drawn, css):
         """The hierarchical objective whose sentence mean pools the encoder's
         rows of E against the one whose sentence posterior gathers E again."""
-        assert_close_per_array(*elbo_against("infer_sentence_posterior",
-                                             two_gather_sentence_posterior, drawn, css))
+        assert_close_per_array(*elbo_against(
+            {"infer_sentence_posterior": two_gather_sentence_posterior}, drawn, css))
 
 
 class TestKLOpMatchesChainReference:
@@ -337,7 +421,7 @@ class TestKLOpMatchesChainReference:
         """The objective with ``ad.gaussian_kl`` against it with the 13-node
         chain in every KL: bow and birnn, flat and hierarchical, CSS and
         exact softmax, at alpha 0.7 so the KL gradients reach the parameters."""
-        ours, chain = elbo_against("gaussian_kl_rows", reference_gaussian_kl_rows,
+        ours, chain = elbo_against({"gaussian_kl_rows": reference_gaussian_kl_rows},
                                    drawn, css, hierarchical)
         assert ours["elbo"].tobytes() == chain["elbo"].tobytes()
         assert_close_per_array(ours, chain)

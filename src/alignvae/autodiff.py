@@ -22,6 +22,15 @@ another parent, is first copied. A node's gradient is released as soon
 as its own backward has run, so a pass holds only the gradients still
 waiting to be consumed.
 
+``backward`` returns dense arrays unless asked with ``row_grads=True``,
+as the optimizer asks. Then the row parts of a parameter wait, in
+arrival order, until a dense part arrives for it: that part first has
+them scattered into a dense table, as above. A parameter that received
+only row parts comes back as one compact :class:`RowGrad` over its
+sorted unique ids, each part added into a [U, ...] zero buffer by the
+same flat ``np.add.at``, so every row's sum has the bytes of the dense
+table's row and no [V, d] table is made.
+
 Tapes nest: operations are recorded on the innermost active tape only.
 Values produced under one tape are treated as constants when used under
 another.
@@ -133,13 +142,17 @@ class Tape:
     def record(self, out: Tensor, parents, bwd, kind: str) -> None:
         self.nodes.append(_Node(out, parents, bwd, kind))
 
-    def backward(self, root: Tensor, params: ParameterStore) -> dict[str, np.ndarray]:
+    def backward(self, root: Tensor, params: ParameterStore,
+                 row_grads: bool = False) -> dict[str, np.ndarray | RowGrad]:
         """Gradients of the scalar ``root`` for every parameter of ``params``.
 
         Returns a dict mapping each name of ``params``, in store order, to
         a gradient array of the parameter's shape; a parameter that
         ``root`` does not depend on, or that was never used on this tape,
-        gets zeros.
+        gets zeros. With ``row_grads``, a parameter whose every gradient
+        part is a :class:`RowGrad` gets one ``RowGrad`` over its sorted
+        unique ids instead, whose rows are those of the dense table; any
+        parameter that also received a dense part gets a dense table.
         """
         if not any(node.tensor is root for node in reversed(self.nodes)):
             raise ContractError("backward root was not computed on this tape")
@@ -151,31 +164,62 @@ class Tape:
         # name alive; nodes recorded after the root never receive a gradient.
         grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
         owned: set[int] = set()  # ids whose gradient a scatter made: private, C order
+        # a parameter's row parts, in arrival order, while no dense part has arrived
+        pending: dict[int, list[RowGrad]] = {}
+        deferred = {id(t) for _, t in params.items()} if row_grads else set()
         for node in reversed(self.nodes):
             g = grads.pop(id(node.tensor), None)  # read by nothing after its own backward
             if g is None:
                 continue
             for p, part in zip(node.parents, node.bwd(g)):
                 acc = grads.get(id(p))
+                if type(part) is RowGrad and acc is None and id(p) in deferred:
+                    pending.setdefault(id(p), []).append(part)
+                    continue
+                if id(p) in pending:  # a dense part: the rows before it go in first
+                    acc = np.zeros(p.data.shape)
+                    for row_part in pending.pop(id(p)):
+                        _scatter(acc, row_part.ids, row_part.values)
+                    owned.add(id(p))
                 if type(part) is RowGrad:
                     if acc is None:
                         acc = np.zeros(p.data.shape)
                     elif id(p) not in owned:
                         acc = acc.copy()  # C order: linear's weight gradient is F-ordered
-                    # one flat add.at over (row, entry) cells: faster than a row-wise one
-                    width = math.prod(acc.shape[1:])
-                    cells = part.ids[:, None] * width + np.arange(width)
-                    np.add.at(acc.reshape(-1), cells.reshape(-1), part.values.reshape(-1))
+                    _scatter(acc, part.ids, part.values)
                     owned.add(id(p))
                 else:
                     acc = part if acc is None else acc + part
                     owned.discard(id(p))
                 grads[id(p)] = acc
-        out: dict[str, np.ndarray] = {}
+        out: dict[str, np.ndarray | RowGrad] = {}
         for name, t in params.items():
             g = grads.get(id(t))
-            out[name] = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=np.float64)
+            if id(t) in pending:
+                out[name] = _compact_rows(pending[id(t)], t.data.shape)
+            else:
+                out[name] = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=np.float64)
         return out
+
+
+def _scatter(acc: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None:
+    """Add ``values[k]`` into row ``ids[k]`` of the C-ordered ``acc``, k in order."""
+    # one flat add.at over (row, entry) cells: faster than a row-wise one
+    width = math.prod(acc.shape[1:])
+    cells = ids[:, None] * width + np.arange(width)
+    np.add.at(acc.reshape(-1), cells.reshape(-1), values.reshape(-1))
+
+
+def _compact_rows(parts: list[RowGrad], shape: tuple) -> RowGrad:
+    """The row parts of one table as one ``RowGrad`` over their sorted unique
+    ids: each part added, in arrival order, into a [U, ...] zero buffer."""
+    ids, slots = np.unique(np.concatenate([part.ids for part in parts]), return_inverse=True)
+    buf = np.zeros((len(ids), *shape[1:]))
+    lo = 0
+    for part in parts:
+        _scatter(buf, slots[lo:lo + len(part.ids)], part.values)
+        lo += len(part.ids)
+    return RowGrad(ids, buf)
 
 
 def _as_tensor(x) -> Tensor:

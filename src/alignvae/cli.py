@@ -125,23 +125,24 @@ def cmd_train(args) -> int:
     for key in ("train_l1", "train_l2"):
         if key not in paths:
             raise AlignvaeError(f"config missing required key {key!r} in [paths]")
-    missing = [key for key in ("val_l1", "val_l2", "gold") if key not in paths]
-    if len(missing) in (1, 2):
-        raise AlignvaeError(
-            f"validation needs val_l1, val_l2 and gold together; [paths] lacks {', '.join(missing)}"
-        )
+    validation = ("val_l1", "val_l2", "gold")
     model_keys, section = cfg["model"], cfg["training"]
     # each key that the chosen run never reads, and what would read it
-    if args.baseline:  # IBM1 reads em_iters and max_vocab only
-        needs = {key: "the joint model, without --baseline" for key in [*model_keys, *section]
-                 if key not in ("em_iters", "max_vocab")}
+    if args.baseline:  # IBM1 reads em_iters and max_vocab only, and no validation set
+        needs = {key: "the joint model, without --baseline"
+                 for key in [*validation, *model_keys, *section] if key not in ("em_iters", "max_vocab")}
     else:
         needs = {"em_iters": "--baseline ibm1"}
         if not model_keys.get("hierarchical"):
             needs["d_s"] = "hierarchical = true"
-    for name, keys in (("model", model_keys), ("training", section)):
+    for name, keys in (("paths", paths), ("model", model_keys), ("training", section)):
         if key := next((k for k in keys if k in needs), None):
             raise AlignvaeError(f"config key {key!r} in [{name}] needs {needs[key]}")
+    missing = [key for key in validation if key not in paths]
+    if len(missing) in (1, 2):
+        raise AlignvaeError(
+            f"validation needs val_l1, val_l2 and gold together; [paths] lacks {', '.join(missing)}"
+        )
     model_cfg = ModelConfig(**model_keys)
     em_iters = {"iterations": section.pop("em_iters")} if "em_iters" in section else {}
     max_vocab = section.pop("max_vocab", None)

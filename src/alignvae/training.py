@@ -68,21 +68,33 @@ class AdamState:
 def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamState:
     """One bias-corrected Adam update, in place on the parameter store.
 
-    Every gradient is checked first, so a non-finite one raises
-    ``TrainingError`` with the parameters and the state untouched. The
-    parameter arrays, ``m`` and ``v`` are then updated in place, block by
-    block of ``_ADAM_BLOCK_ROWS`` leading rows through two reused block
-    buffers, in the same operation order as ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + (1-b2)*(g*g)`` and ``w = w - lr * m_hat / (sqrt(v_hat) +
-    eps)``, with b1, b2 and eps the ``ADAM_*`` constants. Each parameter
-    keeps its array object, so a caller that needs the values from before
+    A gradient is a dense array of its parameter's shape, or a
+    :class:`~alignvae.autodiff.RowGrad` with distinct ids (what
+    ``Tape.backward(..., row_grads=True)`` returns), which stands for the
+    dense table with those rows and zeros elsewhere. Every gradient is
+    checked first (a ``RowGrad`` by its values), so a non-finite one
+    raises ``TrainingError`` with the parameters and the state untouched.
+    The parameter arrays, ``m`` and ``v`` are then updated in place,
+    block by block of ``_ADAM_BLOCK_ROWS`` leading rows through two
+    reused block buffers, in the same operation order as ``m = b1*m +
+    (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and ``w = w - lr * m_hat /
+    (sqrt(v_hat) + eps)``, with b1, b2 and eps the ``ADAM_*`` constants.
+    A ``RowGrad`` of more than half its table's rows is first expanded to
+    its dense table. For one of fewer, the moments are first decayed over
+    every row and its rows then added into theirs; the step pass still
+    runs over every row. So the two forms give the same bytes, except
+    that where the dense update adds ``+0.0`` to an ``m`` of ``-0.0``, an
+    untouched row keeps ``-0.0`` (and a ``w`` of ``-0.0`` then steps to
+    ``+0.0``). Each parameter keeps its array object, so a caller that needs the values from before
     the step must take them with ``params.copy_values()``. An operation
     that overflows float64 (a learning rate near its limit) raises
     ``TrainingError`` naming the parameter before its step is applied;
-    the blocks updated before it keep their new values.
+    the blocks updated before it keep their new values, and so do the
+    moments a ``RowGrad`` decayed.
     """
     for name in params.names():
-        if not np.all(np.isfinite(grads[name])):
+        g = grads[name]
+        if not np.all(np.isfinite(g.values if type(g) is ad.RowGrad else g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
@@ -92,20 +104,36 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
         # views: a 0-d array becomes one row, and each block writes through
-        w, g, m, v = np.atleast_1d(tensor.data, grads[name], state.m[name], state.v[name])
+        w, m, v = np.atleast_1d(tensor.data, state.m[name], state.v[name])
+        g = grads[name]
+        if type(g) is ad.RowGrad and 2 * len(g.ids) > len(w):
+            # most rows touched: the blocked passes beat a scatter of almost every row
+            dense = np.zeros_like(tensor.data)
+            dense[g.ids] = g.values
+            g = dense
         block_shape = (min(len(w), _ADAM_BLOCK_ROWS), *w.shape[1:])
         buf_rows, step_rows = np.empty(block_shape), np.empty(block_shape)
         try:  # the inputs are finite, so only an overflow can make inf or NaN
             with np.errstate(over="raise", invalid="raise"):
+                if type(g) is ad.RowGrad:  # the moments now, the step pass below
+                    m *= ADAM_BETA1
+                    v *= ADAM_BETA2
+                    m[g.ids] += g.values * (1.0 - ADAM_BETA1)
+                    v[g.ids] += (g.values * g.values) * (1.0 - ADAM_BETA2)
+                    g = None
+                else:
+                    g = np.atleast_1d(g)
                 for lo in range(0, len(w), _ADAM_BLOCK_ROWS):
                     rows = slice(lo, lo + _ADAM_BLOCK_ROWS)  # the last block may be shorter
-                    wb, gb, mb, vb = w[rows], g[rows], m[rows], v[rows]
+                    wb, mb, vb = w[rows], m[rows], v[rows]
                     buf, step = buf_rows[: len(wb)], step_rows[: len(wb)]
-                    mb *= ADAM_BETA1
-                    mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
-                    vb *= ADAM_BETA2
-                    np.multiply(gb, gb, out=buf)
-                    vb += np.multiply(buf, 1.0 - ADAM_BETA2, out=buf)
+                    if g is not None:
+                        gb = g[rows]
+                        mb *= ADAM_BETA1
+                        mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
+                        vb *= ADAM_BETA2
+                        np.multiply(gb, gb, out=buf)
+                        vb += np.multiply(buf, 1.0 - ADAM_BETA2, out=buf)
                     np.divide(mb, c1, out=step)
                     step *= state.lr
                     np.divide(vb, c2, out=buf)
@@ -215,7 +243,7 @@ def ascent_step(objective, params: ParameterStore, adam: AdamState) -> float:
             loss = ad.neg(value)
         if not np.isfinite(loss.data):
             raise TrainingError(f"non-finite batch loss: {float(loss.data)}")
-        grads = tape.backward(loss, params=params)
+        grads = tape.backward(loss, params=params, row_grads=True)
     adam_step(params, grads, adam)
     return float(value.data)
 

@@ -3,6 +3,7 @@ import base64
 import numpy as np
 import pytest
 
+from alignvae.autodiff import RowGrad
 from alignvae.corpus import SentencePair
 from alignvae.model import ModelConfig, build_params
 
@@ -21,6 +22,17 @@ def fd_grad(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
         flat[k] = orig
         gflat[k] = (f_plus - f_minus) / (2.0 * h)
     return grad
+
+
+def dense_of(grad, shape) -> np.ndarray:
+    """A gradient as its dense table: a ``RowGrad``, whose ids must be sorted
+    and distinct, has its rows set at its ids and zeros elsewhere."""
+    if type(grad) is not RowGrad:
+        return grad
+    assert np.all(np.diff(grad.ids) > 0), "RowGrad ids are not sorted and distinct"
+    table = np.zeros(shape)
+    table[grad.ids] = grad.values
+    return table
 
 
 def rel_err(a, b) -> float:

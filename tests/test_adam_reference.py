@@ -1,17 +1,19 @@
 """Adam's blocked in-place update against the whole-array version it
 replaced, kept here verbatim as a reference: a seeded training run must
 give the same parameters, bit for bit, when its tables span more than one
-1,024-row block."""
+1,024-row block. Training hands Adam a ``RowGrad`` for a table that only
+gathers read; the reference gets it expanded to the dense table."""
 
 import numpy as np
 import pytest
 
 from alignvae import alignment, training
-from alignvae.autodiff import ParameterStore
+from alignvae.autodiff import ParameterStore, RowGrad
 from alignvae.corpus import load_parallel, synth_corpus, write_corpus
 from alignvae.errors import TrainingError
 from alignvae.model import ModelConfig
 from alignvae.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig
+from conftest import dense_of
 
 
 def reference_adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamState:
@@ -64,15 +66,18 @@ def test_training_matches_the_whole_array_update(wide_corpus, monkeypatch, css):
                               pairs[:40], {sid: gold[sid] for sid in range(1, 41)})
 
     blocked = run()
-    calls = []
+    calls, expanded = [], []
 
-    def counted(*args):
+    def counted(params, grads, state):
         calls.append(1)
-        return reference_adam_step(*args)
+        expanded.extend(name for name, g in grads.items() if type(g) is RowGrad)
+        dense = {name: dense_of(g, params[name].shape) for name, g in grads.items()}
+        return reference_adam_step(params, dense, state)
 
     monkeypatch.setattr(training, "adam_step", counted)
     whole = run()
     assert len(calls) == 8  # two epochs of four batches
+    assert "E" in expanded  # the bow encoder only gathers its embeddings
     assert blocked.update_count == whole.update_count
     assert blocked.best_val_aer == whole.best_val_aer
     for name, a in whole.params.items():

@@ -18,6 +18,7 @@ from alignvae.errors import (
     DomainError,
     ShapeError,
 )
+from conftest import dense_of
 
 
 
@@ -459,7 +460,8 @@ def _add_use_grad(ref, use, table_shape):
 def _sparse_case(table_shape, uses, via_nonleaf, seed):
     """Backward of sum_k total(use_k(base) * coef_k) for one table, and the
     reference: each use's gradient added into the running sum in the order
-    backward visits them (last use first)."""
+    backward visits them (last use first). The ``row_grads`` backward must
+    give the same bytes, as one ``RowGrad`` if only gathers used the table."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     table = store.add("T", rng.standard_normal(table_shape))
@@ -489,6 +491,11 @@ def _sparse_case(table_shape, uses, via_nonleaf, seed):
             term = ad.total(ad.mul(out, ad.constant(coef)))
             loss = term if loss is None else ad.add(loss, term)
     got = tape.backward(loss, params=store)["T"]
+    # the optimizer's form: compact rows if only gathers reached the table
+    rowwise = tape.backward(loss, params=store, row_grads=True)["T"]
+    only_rows = not via_nonleaf and all(kind == "rows" for kind, _ in uses)
+    assert (type(rowwise) is ad.RowGrad) == only_rows
+    assert dense_of(rowwise, table_shape).tobytes() == got.tobytes()
     ref = None
     for use in reversed(filled):
         ref = _add_use_grad(ref, use, table_shape)
@@ -581,6 +588,20 @@ class TestRowSparseGradients:
         assert out.shape == (0, *shape[1:])
         grad = tape.backward(loss, params=store)["T"]
         assert grad.shape == shape and not np.any(grad)
+        rowwise = tape.backward(loss, params=store, row_grads=True)["T"]
+        assert rowwise.ids.size == 0 and rowwise.values.shape == (0, *shape[1:])
+
+    def test_unused_parameter_gets_dense_zeros_with_row_grads(self):
+        store = ParameterStore()
+        used = store.add("T", np.ones((4, 3)))
+        store.add("U", np.ones((4, 3)))
+        with Tape() as tape:
+            loss = ad.total(ad.rows(used, [2, 0, 2]))
+        grads = tape.backward(loss, params=store, row_grads=True)
+        assert type(grads["T"]) is ad.RowGrad
+        np.testing.assert_array_equal(grads["T"].ids, [0, 2])
+        np.testing.assert_array_equal(grads["T"].values, [[1.0] * 3, [2.0] * 3])
+        assert grads["U"].tobytes() == np.zeros((4, 3)).tobytes()
 
     def test_rows_backward_is_row_sparse(self):
         table = ad.constant(np.zeros((1000, 4)))

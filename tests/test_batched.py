@@ -25,6 +25,7 @@ from alignvae.errors import ShapeError
 from alignvae.hiermodel import elbo_s
 from alignvae.model import ModelConfig, Ragged, batch_elbo, build_params, elbo
 from alignvae.training import AdamState, TrainConfig
+from conftest import dense_of
 
 V = 9  # ids 2..8 are words, so short sentences repeat ids often
 
@@ -336,6 +337,27 @@ class TestBatchEqualsSumOfPairs:
         got = tape.backward(loss, params=params)
         for name, g in got.items():
             assert g.tobytes() == ref[name].tobytes(), name
+
+    @pytest.mark.parametrize("encoder", ["bow", "birnn"])
+    @pytest.mark.parametrize("model", ["flat", "hierarchical", "nibm"])
+    @pytest.mark.parametrize("css", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_row_grads_match_dense_tables(self, encoder, model, css, alpha):
+        """The optimizer's backward (``row_grads=True``) hands a table that
+        only gathers reached its rows, compact; expanded, every gradient has
+        the bytes of the default dense one. Under CSS the embeddings and
+        both sampled heads come back as rows."""
+        params, tape, root = batch_graph(encoder, model, css, alpha)
+        with tape:
+            loss = ad.neg(root)
+        dense = tape.backward(loss, params=params)
+        rowwise = tape.backward(loss, params=params, row_grads=True)
+        for name, g in rowwise.items():
+            assert dense_of(g, params[name].shape).tobytes() == dense[name].tobytes(), name
+        compact = {name for name, g in rowwise.items() if type(g) is ad.RowGrad}
+        assert "E" in compact
+        if css:
+            assert compact >= ({"out_W"} if model == "nibm" else {"W1", "W2"})
 
     def test_noise_shape_checked(self):
         cfg = ModelConfig(d=3, d_x=4)

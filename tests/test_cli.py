@@ -332,18 +332,21 @@ class TestTrain:
         *(("ibm1", {}, {key: value}, f"{key!r} in [training]", "the joint model")
           for key, value in [("epochs", "1"), ("batch", "20"), ("lr", "0.1"), ("n_neg", "5"),
                              ("seed", "2"), ("css", "false")]),
+        # IBM1 reads no validation set: each of its paths is refused on its own
+        *(("ibm1", {}, {}, f"{key!r} in [paths]", "the joint model")
+          for key in ("val_l1", "val_l2", "gold")),
     ])
     def test_key_the_run_never_reads_exits_2(self, synth_dir, tmp_path, capsys, baseline,
                                              model, training, key, reader):
         """A config key that the chosen run ignores is refused by name, with
         what would read it, before any value is checked or data is read."""
         cfg_path = tmp_path / "cfg.ini"
-        write_config(
-            cfg_path,
-            paths={"train_l1": synth_dir / "l1.txt", "train_l2": synth_dir / "l2.txt",
-                   "checkpoint": tmp_path / "out.txt", "metrics": tmp_path / "m.tsv"},
-            model=model, training=training,
-        )
+        paths = {"train_l1": synth_dir / "l1.txt", "train_l2": synth_dir / "l2.txt",
+                 "checkpoint": tmp_path / "out.txt", "metrics": tmp_path / "m.tsv"}
+        if key.endswith("in [paths]"):  # a file that fails to parse as gold if read
+            (tmp_path / "bad_gold.txt").write_text("x y z\n", encoding="utf-8")
+            paths[key.split("'")[1]] = tmp_path / "bad_gold.txt"
+        write_config(cfg_path, paths=paths, model=model, training=training)
         argv = ["train", "--config", str(cfg_path)] + (["--baseline", baseline] if baseline else [])
         code, stdout, stderr = run(capsys, *argv)
         assert (code, stdout) == (2, "")

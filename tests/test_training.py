@@ -10,11 +10,12 @@ import pytest
 
 from alignvae import model as model_mod
 from alignvae import training
-from alignvae.autodiff import ParameterStore
+from alignvae.autodiff import ParameterStore, RowGrad
 from alignvae.corpus import load_parallel, synth_corpus, write_corpus, write_text
 from alignvae.errors import CheckpointError, ContractError, NumericalError, TrainingError
 from alignvae.model import ModelConfig, build_params, elbo, glorot_init
 from alignvae.training import (
+    ADAM_BETA1,
     AdamState,
     TrainConfig,
     adam_step,
@@ -24,7 +25,7 @@ from alignvae.training import (
     train,
 )
 from alignvae import alignment
-from conftest import as_version, encode_entry
+from conftest import as_version, dense_of, encode_entry
 
 
 class TestGlorotInit:
@@ -170,6 +171,76 @@ class TestAdamStep:
                       AdamState(lr=lr))
         assert np.all(np.isfinite(store["a"].data)) and store["a"].data[0] != 0.0
         np.testing.assert_array_equal(store["b"].data, [1.0, -1.0])
+
+    def test_row_grad_steps_as_its_dense_table(self):
+        # tables of two full 1,024-row blocks and a tail; the last 300 rows of
+        # each are never touched, and each step touches a different subset,
+        # the second one more than half the rows, which Adam expands first
+        rng = np.random.default_rng(8)
+        shapes = {"wide": (2500, 3), "vec": (2500,)}
+        sparse_store, dense_store = ParameterStore(), ParameterStore()
+        for name, shape in shapes.items():
+            init = rng.standard_normal(shape)
+            sparse_store.add(name, init)
+            dense_store.add(name, init)
+        sparse, dense = AdamState(lr=3e-3), AdamState(lr=3e-3)
+        touched = []
+        for share in (0.3, 0.8, 0.2, 0.3):
+            ids = np.flatnonzero(rng.random(2200) < share)
+            touched.append(ids)
+            row_grads, dense_grads = {}, {}
+            for name, shape in shapes.items():
+                values = rng.standard_normal((len(ids), *shape[1:]))
+                values[rng.random(values.shape) < 0.1] = -0.0
+                row_grads[name] = RowGrad(ids, values)
+                dense_grads[name] = dense_of(row_grads[name], shape)
+            m_before = {name: m.copy() for name, m in sparse.m.items()}
+            w_before = sparse_store.copy_values()
+            adam_step(sparse_store, row_grads, sparse)
+            adam_step(dense_store, dense_grads, dense)
+            for name in shapes:
+                assert sparse_store[name].data.tobytes() == dense_store[name].data.tobytes()
+                assert np.array_equal(sparse.m[name], dense.m[name])
+                assert np.array_equal(sparse.v[name], dense.v[name])
+                if m_before:  # rows touched before but not now decay and still step
+                    idle = np.setdiff1d(np.concatenate(touched[:-1]), ids)
+                    assert idle.size
+                    assert np.array_equal(sparse.m[name][idle], m_before[name][idle] * ADAM_BETA1)
+                    moving = m_before[name][idle] != 0.0  # not only -0.0 gradients so far
+                    assert np.all((sparse_store[name].data[idle] != w_before[name][idle])[moving])
+        for name in shapes:  # rows never touched keep zero moments and do not move
+            assert not np.any(sparse.m[name][2200:]) and not np.any(sparse.v[name][2200:])
+            assert sparse_store[name].data[2200:].tobytes() == dense_store[name].data[2200:].tobytes()
+
+    def test_non_finite_row_grad_changes_nothing(self):
+        store = ParameterStore()
+        store.add("a", np.array([1.0, -2.0]))
+        store.add("b", np.ones((3, 2)))
+        state = AdamState()
+        adam_step(store, {"a": np.array([0.1, -0.2]),
+                          "b": RowGrad(np.array([0, 2]), np.full((2, 2), 0.3))}, state)
+        values = store.copy_values()
+        m = {k: x.copy() for k, x in state.m.items()}
+        v = {k: x.copy() for k, x in state.v.items()}
+        with pytest.raises(TrainingError, match="non-finite gradient for parameter 'b'"):
+            adam_step(store, {"a": np.array([0.4, 0.5]),
+                              "b": RowGrad(np.array([1]), np.array([[np.nan, 0.0]]))}, state)
+        assert state.t == 1
+        for name in ("a", "b"):
+            assert store[name].data.tobytes() == values[name].tobytes()
+            assert state.m[name].tobytes() == m[name].tobytes()
+            assert state.v[name].tobytes() == v[name].tobytes()
+
+    def test_row_grad_overflow_names_the_parameter(self):
+        # 1e160 squared overflows in the scatter into v, before any step of "b"
+        store = ParameterStore()
+        store.add("a", np.zeros(2))
+        store.add("b", np.array([[1.0], [-1.0], [2.0]]))
+        with pytest.raises(TrainingError, match="Adam update of parameter 'b' overflowed"):
+            adam_step(store, {"a": np.array([1e-12, 0.0]),
+                              "b": RowGrad(np.array([1]), np.array([[1e160]]))}, AdamState())
+        assert store["a"].data[0] != 0.0
+        np.testing.assert_array_equal(store["b"].data, [[1.0], [-1.0], [2.0]])
 
     def test_updates_each_parameter_array_in_place(self):
         store = ParameterStore()

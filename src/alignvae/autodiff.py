@@ -12,24 +12,17 @@ values, which keeps evaluation-time code cheap.
 Gradients are dense arrays, except that the backward of :func:`rows`
 returns a :class:`RowGrad`: the gathered ids, repeats and order kept,
 and the upstream gradient row of each, so a gather from a [V, d] table
-costs in proportion to the rows it read, not to V. ``backward`` adds
-each gradient part into its node's gradient as it arrives: a dense part
-as ``acc + part``, and a row part by one flat ``np.add.at``, each
-gathered row added into its table's gradient in the order the gather
-read it. A scatter writes in place only into a buffer that a scatter of
-this pass made; any other buffer, which an op's backward may share with
-another parent, is first copied. A node's gradient is released as soon
-as its own backward has run, so a pass holds only the gradients still
-waiting to be consumed.
-
-``backward`` returns dense arrays unless asked with ``row_grads=True``,
-as the optimizer asks. Then the row parts of a parameter wait, in
-arrival order, until a dense part arrives for it: that part first has
-them scattered into a dense table, as above. A parameter that received
-only row parts comes back as one compact :class:`RowGrad` over its
-sorted unique ids, each part added into a [U, ...] zero buffer by the
-same flat ``np.add.at``, so every row's sum has the bytes of the dense
-table's row and no [V, d] table is made.
+costs in proportion to the rows it read, not to V. ``backward`` keeps
+each tensor's gradient parts in arrival order and adds them up when the
+tensor's own backward is about to run, or, for a parameter, at the end:
+a dense part as ``acc + part``, and a row part by one flat ``np.add.at``
+into a buffer that this sum made (a shared dense part is copied first),
+each gathered row added in the order the gather read it. So a pass holds
+only the parts still waiting to be consumed. With ``row_grads=True``, as
+the optimizer asks, a parameter reached only by gathers that read at most
+half its rows, repeats counted, comes back as one compact
+:class:`RowGrad` over its sorted unique ids, with the bytes of the dense
+table's rows; every other gradient is dense.
 
 Tapes nest: operations are recorded on the innermost active tape only.
 Values produced under one tape are treated as constants when used under
@@ -149,10 +142,10 @@ class Tape:
         Returns a dict mapping each name of ``params``, in store order, to
         a gradient array of the parameter's shape; a parameter that
         ``root`` does not depend on, or that was never used on this tape,
-        gets zeros. With ``row_grads``, a parameter whose every gradient
-        part is a :class:`RowGrad` gets one ``RowGrad`` over its sorted
-        unique ids instead, whose rows are those of the dense table; any
-        parameter that also received a dense part gets a dense table.
+        gets zeros. With ``row_grads``, a parameter reached only by
+        gathers that read at most half its rows, repeats counted, gets one
+        :class:`RowGrad` over its sorted unique ids instead, whose rows
+        are those of the dense table.
         """
         if not any(node.tensor is root for node in reversed(self.nodes)):
             raise ContractError("backward root was not computed on this tape")
@@ -162,44 +155,37 @@ class Tape:
             )
         # Keyed by id(tensor), stable because the nodes keep every tensor they
         # name alive; nodes recorded after the root never receive a gradient.
-        grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
-        owned: set[int] = set()  # ids whose gradient a scatter made: private, C order
-        # a parameter's row parts, in arrival order, while no dense part has arrived
-        pending: dict[int, list[RowGrad]] = {}
-        deferred = {id(t) for _, t in params.items()} if row_grads else set()
+        parts: dict[int, list] = {id(root): [np.ones((), dtype=np.float64)]}
         for node in reversed(self.nodes):
-            g = grads.pop(id(node.tensor), None)  # read by nothing after its own backward
-            if g is None:
+            if id(node.tensor) not in parts:
                 continue
+            # its parts are read by nothing else, so they go before its backward runs
+            g = _sum_parts(parts.pop(id(node.tensor)), node.tensor.data.shape)
             for p, part in zip(node.parents, node.bwd(g)):
-                acc = grads.get(id(p))
-                if type(part) is RowGrad and acc is None and id(p) in deferred:
-                    pending.setdefault(id(p), []).append(part)
-                    continue
-                if id(p) in pending:  # a dense part: the rows before it go in first
-                    acc = np.zeros(p.data.shape)
-                    for row_part in pending.pop(id(p)):
-                        _scatter(acc, row_part.ids, row_part.values)
-                    owned.add(id(p))
-                if type(part) is RowGrad:
-                    if acc is None:
-                        acc = np.zeros(p.data.shape)
-                    elif id(p) not in owned:
-                        acc = acc.copy()  # C order: linear's weight gradient is F-ordered
-                    _scatter(acc, part.ids, part.values)
-                    owned.add(id(p))
-                else:
-                    acc = part if acc is None else acc + part
-                    owned.discard(id(p))
-                grads[id(p)] = acc
-        out: dict[str, np.ndarray | RowGrad] = {}
-        for name, t in params.items():
-            g = grads.get(id(t))
-            if id(t) in pending:
-                out[name] = _compact_rows(pending[id(t)], t.data.shape)
-            else:
-                out[name] = np.zeros_like(t.data) if g is None else np.asarray(g, dtype=np.float64)
-        return out
+                parts.setdefault(id(p), []).append(part)
+        return {name: _sum_parts(parts.get(id(t), []), t.data.shape, row_grads)
+                for name, t in params.items()}
+
+
+def _sum_parts(parts: list, shape: tuple, compact: bool = False) -> np.ndarray | RowGrad:
+    """The sum of one tensor's gradient parts, in arrival order; zeros if none.
+
+    With ``compact``, row parts only, whose ids, repeats counted, number at
+    most half the table's rows, come back as one compact ``RowGrad``.
+    """
+    if (compact and parts and all(type(part) is RowGrad for part in parts)
+            and 2 * sum(len(part.ids) for part in parts) <= shape[0]):
+        return _compact_rows(parts, shape)
+    acc, made = None, False  # made: acc is a buffer this sum made, private and in C order
+    for part in parts:
+        if type(part) is RowGrad:
+            if not made:
+                acc = np.zeros(shape) if acc is None else acc.copy()  # linear's weight gradient is F-ordered
+                made = True
+            _scatter(acc, part.ids, part.values)
+        else:
+            acc, made = (part if acc is None else acc + part), False
+    return np.zeros(shape) if acc is None else np.asarray(acc, dtype=np.float64)
 
 
 def _scatter(acc: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None:

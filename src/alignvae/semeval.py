@@ -196,7 +196,7 @@ def sentence_embeddings(sentences_ids, params, cfg: ModelConfig) -> list[np.ndar
     """Per sentence of the list ``sentences_ids`` (NULL-padded), the mean of
     its in-context posterior locations over tokens, NULL excluded."""
     if any(len(ids) < 2 for ids in sentences_ids):
-        raise ContractError("sentence_embedding: empty sentence")
+        raise ContractError("sentence_embeddings: empty sentence")
     means = []
     for x in model_mod.eval_chunks(sentences_ids):
         u, _ = model_mod.posterior_params_np(x, params, cfg)

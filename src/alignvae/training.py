@@ -69,32 +69,40 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
     """One bias-corrected Adam update, in place on the parameter store.
 
     A gradient is a dense array of its parameter's shape, or a
-    :class:`~alignvae.autodiff.RowGrad` with distinct ids (what
-    ``Tape.backward(..., row_grads=True)`` returns), which stands for the
-    dense table with those rows and zeros elsewhere. Every gradient is
-    checked first (a ``RowGrad`` by its values), so a non-finite one
-    raises ``TrainingError`` with the parameters and the state untouched.
+    :class:`~alignvae.autodiff.RowGrad` with strictly increasing ids in
+    ``[0, rows)`` (what ``Tape.backward(..., row_grads=True)`` returns),
+    which stands for the dense table with those rows and zeros elsewhere;
+    a ``RowGrad`` with any other ids raises ``ContractError`` naming the
+    parameter. Every gradient is checked first (a ``RowGrad`` by its
+    values), so a refused gradient, or a non-finite one (which raises
+    ``TrainingError``), leaves the parameters and the state untouched.
     The parameter arrays, ``m`` and ``v`` are then updated in place,
     block by block of ``_ADAM_BLOCK_ROWS`` leading rows through two
     reused block buffers, in the same operation order as ``m = b1*m +
     (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and ``w = w - lr * m_hat /
     (sqrt(v_hat) + eps)``, with b1, b2 and eps the ``ADAM_*`` constants.
-    A ``RowGrad`` of more than half its table's rows is first expanded to
-    its dense table. For one of fewer, the moments are first decayed over
-    every row and its rows then added into theirs; the step pass still
-    runs over every row. So the two forms give the same bytes, except
-    that where the dense update adds ``+0.0`` to an ``m`` of ``-0.0``, an
-    untouched row keeps ``-0.0`` (and a ``w`` of ``-0.0`` then steps to
-    ``+0.0``). Each parameter keeps its array object, so a caller that needs the values from before
-    the step must take them with ``params.copy_values()``. An operation
-    that overflows float64 (a learning rate near its limit) raises
-    ``TrainingError`` naming the parameter before its step is applied;
-    the blocks updated before it keep their new values, and so do the
-    moments a ``RowGrad`` decayed.
+    For a ``RowGrad`` the moments are first decayed over every row and
+    its rows then added into theirs; the step pass still runs over every
+    row. So the two forms give the same bytes, except that where the
+    dense update adds ``+0.0`` to an ``m`` of ``-0.0``, an untouched row
+    keeps ``-0.0`` (and a ``w`` of ``-0.0`` then steps to ``+0.0``).
+    Each parameter keeps its array object, so a caller that needs the
+    values from before the step must take them with
+    ``params.copy_values()``. An operation that overflows float64 (a
+    learning rate near its limit) raises ``TrainingError`` naming the
+    parameter before its step is applied; the blocks updated before it
+    keep their new values, and so do the moments a ``RowGrad``
+    decayed.
     """
-    for name in params.names():
+    for name, tensor in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g.values if type(g) is ad.RowGrad else g)):
+        if type(g) is ad.RowGrad:
+            ids, n_rows = g.ids, len(np.atleast_1d(tensor.data))
+            if ids.size and (ids[0] < 0 or ids[-1] >= n_rows or np.any(ids[1:] <= ids[:-1])):
+                raise ContractError(f"row gradient for parameter {name!r} needs strictly "
+                                    f"increasing ids in [0, {n_rows})")
+            g = g.values
+        if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
@@ -106,11 +114,6 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
         # views: a 0-d array becomes one row, and each block writes through
         w, m, v = np.atleast_1d(tensor.data, state.m[name], state.v[name])
         g = grads[name]
-        if type(g) is ad.RowGrad and 2 * len(g.ids) > len(w):
-            # most rows touched: the blocked passes beat a scatter of almost every row
-            dense = np.zeros_like(tensor.data)
-            dense[g.ids] = g.values
-            g = dense
         block_shape = (min(len(w), _ADAM_BLOCK_ROWS), *w.shape[1:])
         buf_rows, step_rows = np.empty(block_shape), np.empty(block_shape)
         try:  # the inputs are finite, so only an overflow can make inf or NaN

@@ -461,7 +461,8 @@ def _sparse_case(table_shape, uses, via_nonleaf, seed):
     """Backward of sum_k total(use_k(base) * coef_k) for one table, and the
     reference: each use's gradient added into the running sum in the order
     backward visits them (last use first). The ``row_grads`` backward must
-    give the same bytes, as one ``RowGrad`` if only gathers used the table."""
+    give the same bytes, as one ``RowGrad`` if only gathers used the table
+    and they read at most half its rows, repeats counted."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     table = store.add("T", rng.standard_normal(table_shape))
@@ -491,9 +492,12 @@ def _sparse_case(table_shape, uses, via_nonleaf, seed):
             term = ad.total(ad.mul(out, ad.constant(coef)))
             loss = term if loss is None else ad.add(loss, term)
     got = tape.backward(loss, params=store)["T"]
-    # the optimizer's form: compact rows if only gathers reached the table
+    # the optimizer's form: compact rows if only gathers reached the table,
+    # reading at most half its rows
     rowwise = tape.backward(loss, params=store, row_grads=True)["T"]
-    only_rows = not via_nonleaf and all(kind == "rows" for kind, _ in uses)
+    gathered = sum(len(arg) for kind, arg in uses if kind == "rows")
+    only_rows = (not via_nonleaf and all(kind == "rows" for kind, _ in uses)
+                 and 2 * gathered <= table_shape[0])
     assert (type(rowwise) is ad.RowGrad) == only_rows
     assert dense_of(rowwise, table_shape).tobytes() == got.tobytes()
     ref = None
@@ -522,6 +526,13 @@ class TestRowSparseGradients:
         # linear's F-ordered weight gradient arrives first: the gather must scatter
         # into a C-order copy, whose flat view writes through
         ((4, 5), [("rows", [3, 0, 3]), ("linear", None)]),
+        # the compact form: gathers of at most half the rows, repeats counted
+        ((16, 8), [("rows", [2, 4]), ("rows", [2, 0, 2]), ("rows", [1, 2])]),
+        ((10,), [("rows", [3, 1, 3, 3, 0])]),  # exactly half the rows
+        ((8, 3), [("rows", [5, 1]), ("rows", [6, 1])]),
+        ((8, 3), [("rows", [5, 1]), ("rows", [6, 1, 2])]),  # one id more: dense
+        # repeats count: five ids of two rows over eight rows come back dense
+        ((8, 3), [("rows", [5, 1, 5]), ("rows", [1, 5])]),
     ])
     @pytest.mark.parametrize("via_nonleaf", [False, True])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -542,10 +553,11 @@ class TestRowSparseGradients:
         ),
         via_nonleaf=st.booleans(),
         seed=st.integers(0, 2**16),
+        rows=st.sampled_from([7, 24]),  # 24: few enough gathers stay compact
     )
-    def test_random_uses_match_dense_reference(self, uses, via_nonleaf, seed):
+    def test_random_uses_match_dense_reference(self, uses, via_nonleaf, seed, rows):
         uses = [(k, np.array(a) if a is not None else None) for k, a in uses]
-        got, ref = _sparse_case((7, 2), uses, via_nonleaf, seed)
+        got, ref = _sparse_case((rows, 2), uses, via_nonleaf, seed)
         assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("gather_first", [True, False])
@@ -593,7 +605,7 @@ class TestRowSparseGradients:
 
     def test_unused_parameter_gets_dense_zeros_with_row_grads(self):
         store = ParameterStore()
-        used = store.add("T", np.ones((4, 3)))
+        used = store.add("T", np.ones((6, 3)))  # three gathered ids: compact
         store.add("U", np.ones((4, 3)))
         with Tape() as tape:
             loss = ad.total(ad.rows(used, [2, 0, 2]))

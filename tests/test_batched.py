@@ -6,6 +6,8 @@ pair), which are batches of one themselves, for ragged batches of every
 encoder.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -36,8 +38,8 @@ RAGGED = [
 ]
 
 
-def supports(pairs, seed=0):
-    vocab = Vocabulary([f"w{k}" for k in range(V - 2)])
+def supports(pairs, seed=0, v=V):
+    vocab = Vocabulary([f"w{k}" for k in range(v - 2)])
     batch = list(pairs)
     return (build_css_support(batch, vocab, "l1", n_neg=3, seed=seed),
             build_css_support(batch, vocab, "l2", n_neg=3, seed=seed + 1))
@@ -50,19 +52,19 @@ def noise_for(pairs, cfg, seed):
     return eps_z, eps_s
 
 
-def batch_graph(encoder, model, css=True, alpha=0.7):
+def batch_graph(encoder, model, css=True, alpha=0.7, v=V):
     """The parameters, the tape and the root of one ``RAGGED`` batch graph:
     the ELBO of a flat or hierarchical model, or the NIBM log-likelihood,
-    with sampled supports if ``css``."""
-    css_pair = supports(RAGGED) if css else (None, None)
+    with sampled supports if ``css``, over vocabularies of ``v`` ids."""
+    css_pair = supports(RAGGED, v=v) if css else (None, None)
     if model == "nibm":
         cfg = NIBMConfig(encoder=encoder, d_x=3)
-        params = build_nibm_params(cfg, V, V, seed=4)
+        params = build_nibm_params(cfg, v, v, seed=4)
         with Tape() as tape:
             root = nibm_batch_log_likelihood(RAGGED, params, cfg, css_pair[1])
         return params, tape, root
     cfg = ModelConfig(encoder=encoder, d=3, d_x=4, hierarchical=model == "hierarchical", d_s=2)
-    params = build_params(cfg, V, V, seed=1)
+    params = build_params(cfg, v, v, seed=1)
     eps_z, eps_s = noise_for(RAGGED, cfg, 2)
     with Tape() as tape:
         root = batch_elbo(RAGGED, params, cfg, alpha, np.concatenate(eps_z),
@@ -343,17 +345,25 @@ class TestBatchEqualsSumOfPairs:
     @pytest.mark.parametrize("css", [False, True])
     @pytest.mark.parametrize("alpha", [0.0, 0.7])
     def test_row_grads_match_dense_tables(self, encoder, model, css, alpha):
-        """The optimizer's backward (``row_grads=True``) hands a table that
-        only gathers reached its rows, compact; expanded, every gradient has
-        the bytes of the default dense one. Under CSS the embeddings and
-        both sampled heads come back as rows."""
-        params, tape, root = batch_graph(encoder, model, css, alpha)
+        """The optimizer's backward (``row_grads=True``) hands a table
+        compact exactly when only gathers reached it and they read at most
+        half its rows, repeats counted; expanded, every gradient has the
+        bytes of the default dense one. Over tables of twice the 8 rows
+        the batch gathers from each (its 8 L1 tokens, or a sampled support
+        of 8 ids), the embeddings and, under CSS, both sampled heads come
+        back as rows."""
+        params, tape, root = batch_graph(encoder, model, css, alpha, v=2 * 8)
         with tape:
             loss = ad.neg(root)
         dense = tape.backward(loss, params=params)
         rowwise = tape.backward(loss, params=params, row_grads=True)
         for name, g in rowwise.items():
             assert dense_of(g, params[name].shape).tobytes() == dense[name].tobytes(), name
+            uses = [node for node in tape.nodes if any(p is params[name] for p in node.parents)]
+            gathered = sum(node.tensor.data.size // math.prod(params[name].shape[1:]) for node in uses)
+            by_rule = (bool(uses) and all(node.kind == "rows" for node in uses)
+                       and 2 * gathered <= params[name].shape[0])
+            assert (type(g) is ad.RowGrad) == by_rule, name
         compact = {name for name, g in rowwise.items() if type(g) is ad.RowGrad}
         assert "E" in compact
         if css:

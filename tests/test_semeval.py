@@ -268,7 +268,7 @@ class TestChunkedEmbeddings:
 
     def test_empty_sentence_anywhere_rejected(self, small_model):
         cfg, vocab, params = small_model
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^sentence_embeddings: empty sentence$"):
             sentence_embeddings([encode_sentence(vocab, ["cat"]), (NULL_ID,)], params, cfg)
 
 

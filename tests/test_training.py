@@ -175,7 +175,7 @@ class TestAdamStep:
     def test_row_grad_steps_as_its_dense_table(self):
         # tables of two full 1,024-row blocks and a tail; the last 300 rows of
         # each are never touched, and each step touches a different subset,
-        # the second one more than half the rows, which Adam expands first
+        # the second one more than half the rows, which Adam scatters all the same
         rng = np.random.default_rng(8)
         shapes = {"wide": (2500, 3), "vec": (2500,)}
         sparse_store, dense_store = ParameterStore(), ParameterStore()
@@ -212,7 +212,15 @@ class TestAdamStep:
             assert not np.any(sparse.m[name][2200:]) and not np.any(sparse.v[name][2200:])
             assert sparse_store[name].data[2200:].tobytes() == dense_store[name].data[2200:].tobytes()
 
-    def test_non_finite_row_grad_changes_nothing(self):
+    @pytest.mark.parametrize("ids,value,error,message", [
+        ([1], np.nan, TrainingError, "non-finite gradient for parameter 'b'"),
+        # m[ids] += ... would add a repeated id once and wrap a negative one
+        ([1, 1], 1.0, ContractError, "parameter 'b' needs strictly increasing ids in \\[0, 3\\)"),
+        ([2, 1], 1.0, ContractError, "parameter 'b' needs strictly increasing ids"),
+        ([-1, 0], 1.0, ContractError, "parameter 'b' needs strictly increasing ids"),
+        ([0, 3], 1.0, ContractError, "parameter 'b' needs strictly increasing ids"),
+    ], ids=["non-finite", "repeated", "unsorted", "negative", "past-the-end"])
+    def test_refused_row_grad_changes_nothing(self, ids, value, error, message):
         store = ParameterStore()
         store.add("a", np.array([1.0, -2.0]))
         store.add("b", np.ones((3, 2)))
@@ -222,9 +230,9 @@ class TestAdamStep:
         values = store.copy_values()
         m = {k: x.copy() for k, x in state.m.items()}
         v = {k: x.copy() for k, x in state.v.items()}
-        with pytest.raises(TrainingError, match="non-finite gradient for parameter 'b'"):
+        with pytest.raises(error, match=message):
             adam_step(store, {"a": np.array([0.4, 0.5]),
-                              "b": RowGrad(np.array([1]), np.array([[np.nan, 0.0]]))}, state)
+                              "b": RowGrad(np.array(ids), np.full((len(ids), 2), value))}, state)
         assert state.t == 1
         for name in ("a", "b"):
             assert store[name].data.tobytes() == values[name].tobytes()

@@ -419,9 +419,9 @@ def tanh(x) -> Tensor:
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) is in (0, 1], so neither branch can overflow
+    # exp(-|x|) is in (0, 1], so the divide cannot overflow
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
 def sigmoid(x) -> Tensor:

@@ -1,10 +1,11 @@
 """Alignment baselines: classic IBM1 trained by EM, and its neural variant.
 
 Both operate on the same NULL-padded id sequences as the joint model so
-AER numbers are directly comparable. The neural variant (NIBM) is a
-conditional model of the L2 side only: token representations feed a
-single-hidden-layer tanh MLP whose output head can use the same
-sampled-support normalizer as the main model.
+AER numbers are directly comparable. IBM1 reads a whole pair list from
+padded grids built from ``model.Ragged``, with no loop over pairs. The
+neural variant (NIBM) is a conditional model of the L2 side only: token
+representations feed a single-hidden-layer tanh MLP whose output head
+can use the same sampled-support normalizer as the main model.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .alignment import _decode_pairs, argmax_links
 from .autodiff import ParameterStore, Tensor
 from .corpus import (
     CSSupport,
-    SentencePair,
     Vocabulary,
     build_css_support,
     derive_seed,
@@ -39,44 +39,65 @@ def ibm1_uniform(v_x: int, v_y: int) -> np.ndarray:
     return np.full((v_x, v_y), 1.0 / v_y)
 
 
-def _pair_scores(pair: SentencePair, t: np.ndarray):
-    """The pair's ``np.ix_`` index into ``t`` and t(y_j | x_i) there, [m, n]."""
-    idx = np.ix_(np.asarray(pair.x, dtype=np.intp), np.asarray(pair.y, dtype=np.intp))
-    return idx, t[idx]
+def _layouts(pairs, t: np.ndarray):
+    """Per chunk of ``model.eval_chunks``: a grid [B, m_max, n_max] holding
+    t(y_j | x_i) of pair b at [b, i, j] inside the pair's own [m, n] block,
+    which ``real`` marks, and 0 outside; the real cells' flat indices into
+    ``t`` in C order (pair, i, j); and the pairs' lengths m and n."""
+    for x, y in zip(model_mod.eval_chunks([p.x for p in pairs]),
+                    model_mod.eval_chunks([p.y for p in pairs])):
+        ids, masks = [], []
+        for side in (x, y):
+            masks.append(np.arange(side.lengths.max(initial=0)) < side.lengths[:, None])
+            ids.append(np.zeros(masks[-1].shape, dtype=np.intp))
+            ids[-1][masks[-1]] = side.ids
+        real = masks[0][:, :, None] & masks[1][:, None, :]
+        # x * V_y + y; each ravel checks one side's ids against t's shape
+        cells = (np.ravel_multi_index((ids[0], 0), t.shape)[:, :, None]
+                 + np.ravel_multi_index((0, ids[1]), t.shape)[:, None, :])[real]
+        grid = np.zeros(real.shape)
+        grid[real] = np.take(t, cells)
+        yield grid, real, cells, x.lengths, y.lengths
 
 
 def _e_step(pairs, t: np.ndarray):
-    """Per pair: its index, t(y_j | x_i) / colsum_j and sum_j log(colsum_j / m)."""
-    for pair in pairs:
-        idx, probs = _pair_scores(pair, t)
-        colsum = probs.sum(axis=0)
-        yield idx, probs / colsum, float(np.log(colsum / len(probs)).sum())
+    """The real cells' flat indices into ``t`` and responsibilities
+    t(y_j | x_i) / colsum_j, in order (pair, i, j), and the log-likelihood:
+    the bytes of a loop over the pairs' own [m, n] blocks."""
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]  # no pairs: no cells
+    for grid, real, cells, m, n in _layouts(pairs, t):
+        colsum = (np.arange(grid.shape[2]) >= n[:, None]) * 1.0  # padding 1.0: no 0/0, no log 0
+        for i in range(grid.shape[1]):  # a block's axis-0 sum adds row after row
+            colsum += grid[:, i]
+        for size in set(m[n == 1].tolist()):  # but numpy sums an [m, 1] block pairwise
+            rows = (n == 1) & (m == size)
+            colsum[rows, 0] = grid[rows, :size, 0].sum(axis=1)
+        logs, loglik = np.log(colsum / m[:, None]), np.zeros(len(n))
+        for size in set(n.tolist()):  # and 8 or more terms too: exactly n per pair
+            loglik[n == size] = logs[n == size, :size].sum(axis=1)
+        parts.append((cells, (grid / colsum[:, None])[real], loglik))
+    cells, gamma, loglik = (np.concatenate(part) for part in zip(*parts))
+    return cells, gamma, float(np.cumsum(np.append(0.0, loglik))[-1])  # pair after pair
 
 
 def ibm1_em_step(pairs, t: np.ndarray):
     """One EM sweep: ``(new_table, ibm1_log_likelihood(pairs, t))``.
 
-    E-step: per pair and L2 position, responsibilities over all L1
-    positions (NULL included; the uniform prior cancels); their column
-    sums give the log-likelihood of the input table. M-step: expected
-    counts normalized per L1 row. Rows that collected no mass stay
-    uniform.
+    E-step on the padded grids of ``_layouts``: per L2 position,
+    responsibilities over all L1 positions (NULL included; the uniform
+    prior cancels); their column sums give the log-likelihood of the input
+    table. M-step: expected counts, one ``np.bincount`` in pair order,
+    normalized per L1 row. Rows that collected no mass stay uniform.
     """
-    counts = np.zeros_like(t)
-    loglik = 0.0
-    for idx, gamma, pair_loglik in _e_step(pairs, t):
-        np.add.at(counts, idx, gamma)
-        loglik += pair_loglik
+    cells, gamma, loglik = _e_step(pairs, t)
+    counts = np.bincount(cells, weights=gamma, minlength=t.size).reshape(t.shape)
     totals = counts.sum(axis=1, keepdims=True)
     return np.divide(counts, totals, out=ibm1_uniform(*t.shape), where=totals > 0), loglik
 
 
 def ibm1_log_likelihood(pairs, t: np.ndarray) -> float:
     """Corpus log-likelihood sum_j log sum_i (1/m) t(y_j | x_i)."""
-    total = 0.0
-    for *_, pair_loglik in _e_step(pairs, t):
-        total += pair_loglik
-    return total
+    return _e_step(pairs, t)[2]
 
 
 def ibm1_train(pairs, v_x: int, v_y: int, iterations: int = 10):
@@ -92,9 +113,11 @@ def ibm1_train(pairs, v_x: int, v_y: int, iterations: int = 10):
     return t, trace + [ibm1_log_likelihood(pairs, t)]
 
 
-def ibm1_align(pair: SentencePair, t: np.ndarray) -> set:
-    """Links argmax_i t(y_j | x_i), decoded by ``argmax_links``."""
-    return argmax_links(_pair_scores(pair, t)[1])
+def ibm1_align(pairs, t: np.ndarray) -> list[set]:
+    """Links argmax_i t(y_j | x_i) of every pair in the list ``pairs``, each
+    decoded by ``argmax_links`` from its own block of the padded grid."""
+    return [argmax_links(block[:a, :b]) for grid, _, _, m, n in _layouts(pairs, t)
+            for block, a, b in zip(grid, m.tolist(), n.tolist())]
 
 
 def save_ibm1_table(t: np.ndarray, vocab_x: Vocabulary, vocab_y: Vocabulary,
@@ -183,11 +206,12 @@ def nibm_batch_log_likelihood(pairs, params: ParameterStore, cfg: NIBMConfig,
     )
 
 
-def nibm_align(pair: SentencePair, params: ParameterStore, cfg: NIBMConfig) -> set:
-    """Viterbi links under the exact NIBM head, through the joint model's
-    decode loop (``alignment._decode_pairs``) with ``out_W``/``out_b``."""
-    return _decode_pairs([pair], lambda x: _nibm_repr(x, params, cfg).data,
-                         params["out_W"], params["out_b"])[0]
+def nibm_align(pairs, params: ParameterStore, cfg: NIBMConfig) -> list[set]:
+    """Viterbi links of every pair in the list ``pairs`` under the exact NIBM
+    head, through the joint model's decode loop (``alignment._decode_pairs``)
+    with ``out_W``/``out_b``."""
+    return _decode_pairs(pairs, lambda x: _nibm_repr(x, params, cfg).data,
+                         params["out_W"], params["out_b"])
 
 
 def train_nibm(pairs, vocab1: Vocabulary, vocab2: Vocabulary, cfg: NIBMConfig,

@@ -185,21 +185,18 @@ def cmd_train(args) -> int:
 
 def cmd_align(args) -> int:
     l1, l2 = corpus.read_parallel(args.l1, args.l2)
-    links_by_sid = {}
     if args.baseline == "ibm1":
         table, rows, cols = baselines.load_ibm1_table(args.checkpoint)
-        for sid, (a, b) in enumerate(zip(l1, l2), start=1):
-            pair = corpus.SentencePair(
-                x=tuple(rows.get(tok, 0) for tok in (NULL_TOKEN, *a)),
-                y=tuple(cols.get(tok, 0) for tok in b),
-            )
-            links_by_sid[sid] = baselines.ibm1_align(pair, table)
+        pairs = [corpus.SentencePair(x=tuple(rows.get(tok, 0) for tok in (NULL_TOKEN, *a)),
+                                     y=tuple(cols.get(tok, 0) for tok in b))
+                 for a, b in zip(l1, l2)]
+        links = baselines.ibm1_align(pairs, table)
     else:
         ckpt, params, vocab1, vocab2 = _load_model(args.checkpoint)
         pairs = [corpus.SentencePair(x=(NULL_ID, *vocab1.encode(a)), y=vocab2.encode(b))
                  for a, b in zip(l1, l2)]
         links = alignment.align_pairs(pairs, params, ckpt.model_cfg)
-        links_by_sid = dict(enumerate(links, start=1))
+    links_by_sid = dict(enumerate(links, start=1))
     corpus.write_links(links_by_sid, args.out)
     print(f"wrote alignments for {len(links_by_sid)} sentences to {args.out}")
     return 0

@@ -450,7 +450,7 @@ def elbo(pair: SentencePair, params: ParameterStore, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 # evaluation-time helpers (no tape)
 
-EVAL_CHUNK = 512  # sentences per Ragged batch when evaluation encodes a corpus
+EVAL_CHUNK = 512  # sentences per Ragged batch of evaluation, and pairs per IBM1 grid
 
 
 def eval_chunks(seqs):

@@ -229,7 +229,7 @@ def test_ibm1_em(synth_data):
         for s, t in synth.mapping.items()
     )
     assert recovered >= 0.95 * len(synth.mapping)
-    preds = {sid: baselines.ibm1_align(p, table) for sid, p in enumerate(held_pairs, start=1)}
+    preds = dict(enumerate(baselines.ibm1_align(held_pairs, table), start=1))
     aer_value, _ = alignment.corpus_aer(preds, held_gold)
     assert aer_value <= 0.05
     elapsed = time.monotonic() - start

@@ -79,6 +79,15 @@ class TestNonlinearities:
         assert ad.tanh(ad.constant(0.0)).item() == 0.0
         assert ad.sigmoid(ad.constant(0.0)).item() == 0.5
 
+    def test_sigmoid_one_divide_is_the_two_branch_form(self):
+        # where(x >= 0, 1, t) / (1 + t) does per element what the two branches did
+        special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300])
+        rng = np.random.default_rng(5)
+        for x in (special, rng.standard_normal((100, 384)), 40.0 * rng.standard_normal((100, 384))):
+            t = np.exp(-np.abs(x))
+            two_branch = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+            assert ad._sigmoid_values(x).tobytes() == two_branch.tobytes()
+
     def test_softplus_no_overflow(self):
         # ln(1 + e^1000) = 1000 + ln(1 + e^-1000), which is 1000.0 at double precision
         assert ad.softplus(ad.constant(1000.0)).item() == 1000.0

@@ -159,14 +159,14 @@ class TestIbm1Align:
         t = np.full((len(v1), len(v2)), 1e-9)
         for s_tok, t_tok in synth.mapping.items():
             t[v1.id(s_tok), v2.id(t_tok)] = 1.0
-        preds = {sid: ibm1_align(p, t) for sid, p in enumerate(pairs, start=1)}
+        preds = dict(enumerate(ibm1_align(pairs, t), start=1))
         score, _ = alignment.corpus_aer(preds, gold)
         assert score == 0.0
 
     def test_uniform_table_ties_to_position_one(self):
         t = ibm1_uniform(5, 5)
         pair = SentencePair((0, 2, 3), (2, 4))
-        assert ibm1_align(pair, t) == {(1, 1), (2, 1)}
+        assert ibm1_align([pair], t)[0] == {(1, 1), (2, 1)}
 
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(4)
@@ -177,7 +177,7 @@ class TestIbm1Align:
                 (0, *rng.integers(2, 6, size=3).tolist()),
                 tuple(rng.integers(2, 6, size=4).tolist()),
             )
-            links = ibm1_align(pair, t)
+            links = ibm1_align([pair], t)[0]
             for j, y in enumerate(pair.y, start=1):
                 scores = [t[x, y] for x in pair.x]
                 best, best_i = -1.0, 0
@@ -222,7 +222,7 @@ class TestIbm1TableExport:
         for raw1, raw2, pair in zip(synth.l1_lines, synth.l2_lines, pairs):
             tokens = SentencePair(tuple(rows[tok] for tok in ("<null>", *raw1)),
                                   tuple(cols[tok] for tok in raw2))
-            assert ibm1_align(tokens, table) == ibm1_align(pair, t)
+            assert ibm1_align([tokens], table)[0] == ibm1_align([pair], t)[0]
 
     def test_unlisted_tokens_score_zero(self, tmp_path):
         path = tmp_path / "table.txt"
@@ -233,7 +233,7 @@ class TestIbm1TableExport:
         # the unlisted L1 word at position 1 loses to "a"; the unlisted L2
         # word scores 0 everywhere, a tie that goes to position 1
         pair = SentencePair((rows["<null>"], 0, rows["a"]), (cols["x"], 0, cols["y"]))
-        assert ibm1_align(pair, table) == {(2, 1), (3, 2)}
+        assert ibm1_align([pair], table)[0] == {(2, 1), (3, 2)}
 
     @pytest.mark.parametrize("prob", ["nan", "-0.5", "inf"])
     def test_unscorable_probability_rejected(self, tmp_path, prob):
@@ -306,7 +306,7 @@ class TestNibm:
         gold = alignment.parse_gold(tmp_path / "gold")
         cfg = NIBMConfig(encoder="bow", d_x=16)
         params = train_nibm(pairs, v1, v2, cfg, epochs=8, batch_size=50, seed=1)
-        preds = {sid: nibm_align(p, params, cfg) for sid, p in enumerate(pairs, start=1)}
+        preds = dict(enumerate(nibm_align(pairs, params, cfg), start=1))
         score, _ = alignment.corpus_aer(preds, gold)
         assert score <= 0.5  # far below the ~0.83 random baseline
 
@@ -321,14 +321,14 @@ class TestNibm:
             reps = _nibm_repr(model_mod.Ragged([x]), params, cfg).data
             log_probs = model_mod.l2_head_log_probs(reps, params["out_W"], params["out_b"])
             expected = alignment.argmax_links(log_probs[:, list(y)])
-            assert nibm_align(SentencePair(x, y), params, cfg) == expected
+            assert nibm_align([SentencePair(x, y)], params, cfg)[0] == expected
 
     def test_align_overflowing_head_raises_numerical_error(self):
         cfg = NIBMConfig(encoder="bow", d_x=4)
         params = build_nibm_params(cfg, 7, 7, seed=2)
         params["out_b"].data[:2] = [1.7e308, -1.7e308]
         with pytest.raises(NumericalError):
-            nibm_align(SentencePair((0, 2, 3), (1, 4)), params, cfg)
+            nibm_align([SentencePair((0, 2, 3), (1, 4))], params, cfg)
 
     def test_negative_epochs_refused_as_training_does(self, tmp_path):
         synth = synth_corpus(seed=6, v1=6, v2=6, n_pairs=60, len_range=(2, 4), shuffle_l2=False)

@@ -131,9 +131,9 @@ def parse_gold(path) -> dict:
             raise GoldFormatError(
                 f"{path}:{lineno}: non-integer position in {line!r}"
             ) from None
-        if j < 1 or i < 1:
+        if sid < 1 or j < 1 or i < 1:
             raise GoldFormatError(
-                f"{path}:{lineno}: positions are 1-based, got {line!r}"
+                f"{path}:{lineno}: sentence ids and positions are 1-based, got {line!r}"
             )
         flag = parts[3].upper() if len(parts) == 4 else "S"
         if flag not in ("S", "P"):

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import alignment, baselines, corpus, semeval, training
 from .corpus import NULL_ID, NULL_TOKEN
-from .errors import AlignvaeError, DataError, NumericalError
+from .errors import AlignvaeError, DataError, GoldFormatError, NumericalError
 from .model import ModelConfig
 
 _CONFIG_SCHEMA = {
@@ -160,6 +160,13 @@ def cmd_train(args) -> int:
             paths["val_l1"], paths["val_l2"], max_len=None, vocabs=(vocab1, vocab2)
         )
         val_gold = alignment.parse_gold(paths["gold"])
+        for sid, gold in sorted(val_gold.items()):  # a link that no prediction can make
+            n, m = (val_pairs[sid - 1].n, val_pairs[sid - 1].m) if sid <= len(val_pairs) else (0, 1)
+            for j, i in sorted(gold.possible):
+                if j > n or i > m - 1:
+                    where = (f"past the {len(val_pairs)} validation pairs" if sid > len(val_pairs)
+                             else f"outside its validation pair of {n} L2 and {m - 1} L1 tokens")
+                    raise GoldFormatError(f"{paths['gold']}: sentence {sid} link {j} {i} is {where}")
         if not val_gold:  # parse_gold keeps only sentences with links
             args.notes.append("warning: empty validation gold; "
                               "model selection falls back to final epoch")

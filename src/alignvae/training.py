@@ -76,23 +76,22 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
     parameter. Every gradient is checked first (a ``RowGrad`` by its
     values), so a refused gradient, or a non-finite one (which raises
     ``TrainingError``), leaves the parameters and the state untouched.
-    The parameter arrays, ``m`` and ``v`` are then updated in place,
-    block by block of ``_ADAM_BLOCK_ROWS`` leading rows through two
-    reused block buffers, in the same operation order as ``m = b1*m +
-    (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and ``w = w - lr * m_hat /
-    (sqrt(v_hat) + eps)``, with b1, b2 and eps the ``ADAM_*`` constants.
-    For a ``RowGrad`` the moments are first decayed over every row and
-    its rows then added into theirs; the step pass still runs over every
-    row. So the two forms give the same bytes, except that where the
-    dense update adds ``+0.0`` to an ``m`` of ``-0.0``, an untouched row
-    keeps ``-0.0`` (and a ``w`` of ``-0.0`` then steps to ``+0.0``).
-    Each parameter keeps its array object, so a caller that needs the
-    values from before the step must take them with
-    ``params.copy_values()``. An operation that overflows float64 (a
-    learning rate near its limit) raises ``TrainingError`` naming the
-    parameter before its step is applied; the blocks updated before it
-    keep their new values, and so do the moments a ``RowGrad``
-    decayed.
+    Then each parameter is updated in place by one rule for both forms:
+    ``m`` and ``v`` decay by b1 and b2 over every row, ``(1-b1)*g`` and
+    ``(1-b2)*(g*g)`` are added into the gradient's own rows (every row of
+    a dense one), and ``w = w - lr * m_hat / (sqrt(v_hat) + eps)`` steps
+    every row in blocks of ``_ADAM_BLOCK_ROWS`` leading rows through two
+    reused block buffers; b1, b2 and eps are the ``ADAM_*`` constants.
+    So the two forms give the same bytes, except that where the dense
+    update adds ``+0.0`` to an ``m`` of ``-0.0``, an untouched row keeps
+    ``-0.0`` (and a ``w`` of ``-0.0`` then steps to ``+0.0``). Each
+    parameter keeps its array object, so a caller that needs the values
+    from before the step must take them with ``params.copy_values()``.
+    An overflow of float64 raises ``TrainingError`` naming the parameter;
+    the parameters before it keep their new values. One in a gradient's
+    square leaves that parameter's values untouched (its moments may
+    have moved); one in the step (a learning rate near its limit) leaves
+    the blocks before it stepped.
     """
     for name, tensor in params.items():
         g = grads[name]
@@ -111,32 +110,22 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
-        # views: a 0-d array becomes one row, and each block writes through
+        # views: a 0-d array becomes one row, and each update writes through
         w, m, v = np.atleast_1d(tensor.data, state.m[name], state.v[name])
         g = grads[name]
+        rows, g = (g.ids, g.values) if type(g) is ad.RowGrad else (slice(None), np.atleast_1d(g))
         block_shape = (min(len(w), _ADAM_BLOCK_ROWS), *w.shape[1:])
         buf_rows, step_rows = np.empty(block_shape), np.empty(block_shape)
         try:  # the inputs are finite, so only an overflow can make inf or NaN
             with np.errstate(over="raise", invalid="raise"):
-                if type(g) is ad.RowGrad:  # the moments now, the step pass below
-                    m *= ADAM_BETA1
-                    v *= ADAM_BETA2
-                    m[g.ids] += g.values * (1.0 - ADAM_BETA1)
-                    v[g.ids] += (g.values * g.values) * (1.0 - ADAM_BETA2)
-                    g = None
-                else:
-                    g = np.atleast_1d(g)
+                m *= ADAM_BETA1
+                v *= ADAM_BETA2
+                m[rows] += g * (1.0 - ADAM_BETA1)
+                v[rows] += (g * g) * (1.0 - ADAM_BETA2)
                 for lo in range(0, len(w), _ADAM_BLOCK_ROWS):
-                    rows = slice(lo, lo + _ADAM_BLOCK_ROWS)  # the last block may be shorter
-                    wb, mb, vb = w[rows], m[rows], v[rows]
+                    block = slice(lo, lo + _ADAM_BLOCK_ROWS)  # the last block may be shorter
+                    wb, mb, vb = w[block], m[block], v[block]
                     buf, step = buf_rows[: len(wb)], step_rows[: len(wb)]
-                    if g is not None:
-                        gb = g[rows]
-                        mb *= ADAM_BETA1
-                        mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
-                        vb *= ADAM_BETA2
-                        np.multiply(gb, gb, out=buf)
-                        vb += np.multiply(buf, 1.0 - ADAM_BETA2, out=buf)
                     np.divide(mb, c1, out=step)
                     step *= state.lr
                     np.divide(vb, c2, out=buf)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,13 @@ class TestParseGold:
         path = tmp_path / "g.txt"
         path.write_text("1 x 1\n")
         with pytest.raises(GoldFormatError, match=r":1:"):
+            parse_gold(path)
+
+    @pytest.mark.parametrize("line", ["0 1 1 S", "-2 1 1 S", "1 0 1 S", "1 1 0 S"])
+    def test_ids_and_positions_below_1_report_position(self, tmp_path, line):
+        path = tmp_path / "g.txt"
+        path.write_text(f"1 1 1 S\n{line}\n")
+        with pytest.raises(GoldFormatError, match=rf"^{re.escape(str(path))}:2: .*1-based"):
             parse_gold(path)
 
     def test_unknown_flag(self, tmp_path):

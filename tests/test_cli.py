@@ -213,6 +213,33 @@ class TestTrain:
         assert all((key in lacking) == (key not in given) for key in files)
         assert not (tmp_path / "ckpt.json").exists()
 
+    @pytest.mark.parametrize("case", ["sentence", "l2_position", "l1_position"])
+    def test_validation_gold_outside_the_validation_set_exits_2(self, synth_dir, tmp_path,
+                                                               capsys, case):
+        l1 = (synth_dir / "l1.txt").read_text().splitlines()
+        l2 = (synth_dir / "l2.txt").read_text().splitlines()
+        n, m1 = len(l2[2].split()), len(l1[2].split())
+        sid, j, i = {"sentence": (len(l1) + 1, 1, 1), "l2_position": (3, n + 1, 1),
+                     "l1_position": (3, 1, m1 + 1)}[case]
+        gold = tmp_path / "gold.txt"
+        gold.write_text((synth_dir / "gold.txt").read_text() + f"{sid} {j} {i} S\n")
+        cfg_path = tmp_path / "cfg.ini"
+        write_config(
+            cfg_path,
+            paths={
+                "train_l1": synth_dir / "l1.txt", "train_l2": synth_dir / "l2.txt",
+                "val_l1": synth_dir / "l1.txt", "val_l2": synth_dir / "l2.txt", "gold": gold,
+                "checkpoint": tmp_path / "ckpt.json", "metrics": tmp_path / "metrics.tsv",
+            },
+            model={"d": 3, "d_x": 4},
+            training={"epochs": 1, "batch": 30, "seed": 1},
+        )
+        code, stdout, stderr = run(capsys, "train", "--config", str(cfg_path))
+        assert code == 2 and stdout == ""
+        assert stderr.startswith(f"error: {gold}: sentence {sid} link {j} {i} is ")
+        assert len(stderr.splitlines()) == 1
+        assert not (tmp_path / "ckpt.json").exists() and not (tmp_path / "metrics.tsv").exists()
+
     def test_unknown_config_key_exits_2(self, synth_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
         cfg_path.write_text(
@@ -838,6 +865,15 @@ class TestEval:
         gold = tmp_path / "gold.txt"
         gold.write_text("1 1 1 S\n1 0 1\n")
         code, stdout, err = run(capsys, "eval", "aer", str(gold), str(gold))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {gold}:2: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("sid", ["0", "-2"])
+    def test_aer_sentence_id_below_1_exits_2(self, tmp_path, capsys, sid):
+        pred, gold = tmp_path / "pred.txt", tmp_path / "gold.txt"
+        pred.write_text("1 1 1\n")
+        gold.write_text(f"1 1 1 S\n{sid} 1 1 S\n")
+        code, stdout, err = run(capsys, "eval", "aer", str(pred), str(gold))
         assert code == 2 and stdout == ""
         assert err.startswith(f"error: {gold}:2: ") and len(err.splitlines()) == 1
 

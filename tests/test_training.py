@@ -250,6 +250,29 @@ class TestAdamStep:
         assert store["a"].data[0] != 0.0
         np.testing.assert_array_equal(store["b"].data, [[1.0], [-1.0], [2.0]])
 
+    @pytest.mark.parametrize("row_grad", [False, True], ids=["dense", "row"])
+    def test_overflowing_square_in_last_block_leaves_the_parameter_unchanged(self, row_grad):
+        # every moment is updated before the first block steps
+        rng = np.random.default_rng(7)
+        store = ParameterStore()
+        store.add("a", rng.standard_normal((2500, 2)))
+        values = store.copy_values()
+        g = rng.standard_normal((2500, 2))
+        g[2499, 1] = 1e160  # finite, but its square is not
+        grad = RowGrad(np.arange(2500), g) if row_grad else g
+        with pytest.raises(TrainingError, match="Adam update of parameter 'a' overflowed"):
+            adam_step(store, {"a": grad}, AdamState())
+        assert store["a"].data.tobytes() == values["a"].tobytes()
+
+    def test_overflowing_step_in_last_block_leaves_earlier_blocks_stepped(self):
+        store = ParameterStore()
+        store.add("a", np.zeros((2500, 2)))
+        g = np.full((2500, 2), 1e-12)
+        g[2499, 1] = 10.0  # lr * m_hat overflows in the tail block only
+        with pytest.raises(TrainingError, match="Adam update of parameter 'a' overflowed"):
+            adam_step(store, {"a": g}, AdamState(lr=1e308))
+        assert np.all(store["a"].data[:2048] < 0.0) and np.all(store["a"].data[2048:] == 0.0)
+
     def test_updates_each_parameter_array_in_place(self):
         store = ParameterStore()
         store.add("w", np.ones((1500, 2)))

@@ -73,7 +73,7 @@ def parse_lexsub(path) -> list[LexSubInstance]:
                 raise DataError(f"{path}:{lineno}: bad candidate {chunk!r}")
             candidates.append((tok, _parse_number(float, weight, path, lineno)))
         position = _parse_number(int, pos, path, lineno)
-        refuse_reserved([*sentence.split(), *(tok for tok, _ in candidates)], path, lineno)
+        refuse_reserved([target, *sentence.split(), *(tok for tok, _ in candidates)], path, lineno)
         try:
             instances.append(LexSubInstance(sentence.split(), position, candidates))
         except DataError as e:

@@ -70,18 +70,20 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
 
     A gradient is a dense array of its parameter's shape, or a
     :class:`~alignvae.autodiff.RowGrad` with strictly increasing ids in
-    ``[0, rows)`` (what ``Tape.backward(..., row_grads=True)`` returns),
-    which stands for the dense table with those rows and zeros elsewhere;
-    a ``RowGrad`` with any other ids raises ``ContractError`` naming the
-    parameter. Every gradient is checked first (a ``RowGrad`` by its
-    values), so a refused gradient, or a non-finite one (which raises
-    ``TrainingError``), leaves the parameters and the state untouched.
+    ``[0, rows)`` and values of shape ``[len(ids), *shape[1:]]`` (what
+    ``Tape.backward(..., row_grads=True)`` returns), which stands for the
+    dense table with those rows and zeros elsewhere; a gradient of any
+    other shape or a ``RowGrad`` with any other ids raises
+    ``ContractError`` naming the parameter. Every gradient is checked
+    first (a ``RowGrad`` by its values), so a refused gradient, or a
+    non-finite one (which raises ``TrainingError``), leaves the
+    parameters and the state untouched.
     Then each parameter is updated in place by one rule for both forms:
     ``m`` and ``v`` decay by b1 and b2 over every row, ``(1-b1)*g`` and
     ``(1-b2)*(g*g)`` are added into the gradient's own rows (every row of
     a dense one), and ``w = w - lr * m_hat / (sqrt(v_hat) + eps)`` steps
-    every row in blocks of ``_ADAM_BLOCK_ROWS`` leading rows through two
-    reused block buffers; b1, b2 and eps are the ``ADAM_*`` constants.
+    every row, one expression per block of ``_ADAM_BLOCK_ROWS`` leading
+    rows; b1, b2 and eps are the ``ADAM_*`` constants.
     So the two forms give the same bytes, except that where the dense
     update adds ``+0.0`` to an ``m`` of ``-0.0``, an untouched row keeps
     ``-0.0`` (and a ``w`` of ``-0.0`` then steps to ``+0.0``). Each
@@ -93,29 +95,32 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
     have moved); one in the step (a learning rate near its limit) leaves
     the blocks before it stepped.
     """
+    updates = []  # (rows, values) per parameter: a RowGrad's ids, or every row
     for name, tensor in params.items():
-        g = grads[name]
+        g, shape = grads[name], np.shape(tensor.data)
         if type(g) is ad.RowGrad:
             ids, n_rows = g.ids, len(np.atleast_1d(tensor.data))
             if ids.size and (ids[0] < 0 or ids[-1] >= n_rows or np.any(ids[1:] <= ids[:-1])):
                 raise ContractError(f"row gradient for parameter {name!r} needs strictly "
                                     f"increasing ids in [0, {n_rows})")
-            g = g.values
+            rows, g, shape = ids, g.values, (len(ids), *shape[1:])
+        else:
+            rows, g = slice(None), np.asarray(g)  # a Python float as its 0-d array
+        if np.shape(g) != shape:
+            raise ContractError(f"gradient for parameter {name!r} has shape {np.shape(g)}, "
+                                f"needs {shape}")
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        updates.append((rows, g))
     state.t += 1
     c1 = 1.0 - ADAM_BETA1**state.t
     c2 = 1.0 - ADAM_BETA2**state.t
-    for name, tensor in params.items():
+    for (name, tensor), (rows, g) in zip(params.items(), updates):
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
         # views: a 0-d array becomes one row, and each update writes through
         w, m, v = np.atleast_1d(tensor.data, state.m[name], state.v[name])
-        g = grads[name]
-        rows, g = (g.ids, g.values) if type(g) is ad.RowGrad else (slice(None), np.atleast_1d(g))
-        block_shape = (min(len(w), _ADAM_BLOCK_ROWS), *w.shape[1:])
-        buf_rows, step_rows = np.empty(block_shape), np.empty(block_shape)
         try:  # the inputs are finite, so only an overflow can make inf or NaN
             with np.errstate(over="raise", invalid="raise"):
                 m *= ADAM_BETA1
@@ -123,16 +128,8 @@ def adam_step(params: ParameterStore, grads: dict, state: AdamState) -> AdamStat
                 m[rows] += g * (1.0 - ADAM_BETA1)
                 v[rows] += (g * g) * (1.0 - ADAM_BETA2)
                 for lo in range(0, len(w), _ADAM_BLOCK_ROWS):
-                    block = slice(lo, lo + _ADAM_BLOCK_ROWS)  # the last block may be shorter
-                    wb, mb, vb = w[block], m[block], v[block]
-                    buf, step = buf_rows[: len(wb)], step_rows[: len(wb)]
-                    np.divide(mb, c1, out=step)
-                    step *= state.lr
-                    np.divide(vb, c2, out=buf)
-                    np.sqrt(buf, out=buf)
-                    buf += ADAM_EPS
-                    step /= buf
-                    wb -= step
+                    b = slice(lo, lo + _ADAM_BLOCK_ROWS)  # the last block may be shorter
+                    w[b] -= m[b] / c1 * state.lr / (np.sqrt(v[b] / c2) + ADAM_EPS)
         except FloatingPointError:
             raise TrainingError(f"Adam update of parameter {name!r} overflowed: training diverged") from None
     return state

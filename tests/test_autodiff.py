@@ -225,6 +225,20 @@ class TestBackward:
         grads = tape.backward(y, params=store)
         assert grads["x"] == pytest.approx(6.0, abs=1e-12)
 
+    def test_nested_tape_records_on_the_innermost_only(self):
+        # the product made under the inner tape reaches the outer sum as a constant
+        store = ParameterStore()
+        p = store.add("p", 1.5)
+        with Tape() as outer:
+            a = ad.mul(p, 2.0)
+            with Tape() as inner:
+                b = ad.mul(p, 3.0)
+            loss = ad.total(ad.add(a, b))
+        assert [node.kind for node in outer.nodes] == ["mul", "add", "total"]
+        assert [node.kind for node in inner.nodes] == ["mul"]
+        assert outer.backward(loss, params=store)["p"] == 2.0
+        assert inner.backward(b, params=store)["p"] == 3.0
+
     def test_cross_entropy_identity(self):
         # loss = logsumexp(v) - v[j] has gradient softmax(v) - onehot(j)
         rng = np.random.default_rng(6)

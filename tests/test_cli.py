@@ -1158,6 +1158,8 @@ class TestReservedTokens:
                             "bb\t1\taa bb\tcc:1", "bb\t1\t<null> bb\tcc:1"),
         "lexsub-candidate": (["eval", "lexsub", "{bad}", "--per-instance", "{out}"],
                              "bb\t1\taa bb\tcc:1", "bb\t1\taa bb\tcc:1;<unk>:2"),
+        "lexsub-target": (["eval", "lexsub", "{bad}", "--per-instance", "{out}"],
+                          "bb\t1\taa bb\tcc:1", "<null>\t1\taa bb\tcc:1"),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import os
+import re
 import threading
 from dataclasses import asdict
 
@@ -113,9 +114,11 @@ class TestAdamStep:
 
     def test_bit_identical_to_reference_formula(self):
         # (2500, 3) and (2500,) run as two full 1,024-row blocks and a ragged
-        # tail of 452; the 0-d scalar as a single one-row block
+        # tail of 452; the 0-d scalar as a single one-row block; (1024, 2) as
+        # one block ending at the table's end, (1025, 2) as one and a one-row tail
         rng = np.random.default_rng(4)
-        shapes = {"w": (5, 3), "s": (), "wide": (2500, 3), "vec": (2500,)}
+        shapes = {"w": (5, 3), "s": (), "wide": (2500, 3), "vec": (2500,),
+                  "block": (1024, 2), "tail": (1025, 2)}
         store = ParameterStore()
         for name, shape in shapes.items():
             store.add(name, rng.standard_normal(shape))
@@ -219,7 +222,14 @@ class TestAdamStep:
         ([2, 1], 1.0, ContractError, "parameter 'b' needs strictly increasing ids"),
         ([-1, 0], 1.0, ContractError, "parameter 'b' needs strictly increasing ids"),
         ([0, 3], 1.0, ContractError, "parameter 'b' needs strictly increasing ids"),
-    ], ids=["non-finite", "repeated", "unsorted", "negative", "past-the-end"])
+        # values of another shape would broadcast onto the rows, or fail after "a" stepped
+        ([0, 2], np.ones((2, 1)), ContractError,
+         "parameter 'b' has shape \\(2, 1\\), needs \\(2, 2\\)"),
+        ([0, 2], np.ones(2), ContractError, "parameter 'b' has shape \\(2,\\), needs \\(2, 2\\)"),
+        ([0, 2], np.ones((1, 2)), ContractError, "parameter 'b' has shape \\(1, 2\\)"),
+        ([0, 2], np.ones((2, 5)), ContractError, "parameter 'b' has shape \\(2, 5\\)"),
+    ], ids=["non-finite", "repeated", "unsorted", "negative", "past-the-end",
+            "one-column", "flat", "one-row", "too-wide"])
     def test_refused_row_grad_changes_nothing(self, ids, value, error, message):
         store = ParameterStore()
         store.add("a", np.array([1.0, -2.0]))
@@ -232,12 +242,28 @@ class TestAdamStep:
         v = {k: x.copy() for k, x in state.v.items()}
         with pytest.raises(error, match=message):
             adam_step(store, {"a": np.array([0.4, 0.5]),
-                              "b": RowGrad(np.array(ids), np.full((len(ids), 2), value))}, state)
+                              "b": RowGrad(np.array(ids), value if np.ndim(value)
+                                           else np.full((len(ids), 2), value))}, state)
         assert state.t == 1
         for name in ("a", "b"):
             assert store[name].data.tobytes() == values[name].tobytes()
             assert state.m[name].tobytes() == m[name].tobytes()
             assert state.v[name].tobytes() == v[name].tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 1), (1, 3, 2)],
+                             ids=["0-d", "one-row", "one-column", "extra-axis"])
+    def test_refused_dense_grad_changes_nothing(self, shape):
+        # every shape but the last would broadcast onto the whole table
+        store = ParameterStore()
+        store.add("a", np.array([1.0, -2.0]))
+        store.add("b", np.ones((3, 2)))
+        state = AdamState()
+        with pytest.raises(ContractError, match=f"parameter 'b' has shape {re.escape(str(shape))}, "
+                                                "needs \\(3, 2\\)"):
+            adam_step(store, {"a": np.array([0.4, 0.5]), "b": np.full(shape, 0.3)}, state)
+        assert state.t == 0 and not state.m and not state.v
+        np.testing.assert_array_equal(store["a"].data, [1.0, -2.0])
+        np.testing.assert_array_equal(store["b"].data, np.ones((3, 2)))
 
     def test_row_grad_overflow_names_the_parameter(self):
         # 1e160 squared overflows in the scatter into v, before any step of "b"

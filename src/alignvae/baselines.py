@@ -1,11 +1,11 @@
 """Alignment baselines: classic IBM1 trained by EM, and its neural variant.
 
-Both operate on the same NULL-padded id sequences as the joint model so
-AER numbers are directly comparable. IBM1 reads a whole pair list from
-padded grids built from ``model.Ragged``, with no loop over pairs. The
-neural variant (NIBM) is a conditional model of the L2 side only: token
-representations feed a single-hidden-layer tanh MLP whose output head
-can use the same sampled-support normalizer as the main model.
+Both operate on the same NULL-padded id sequences as the joint model so AER
+numbers are directly comparable. IBM1 reads a pair list from padded grids with
+no loop over pairs, and builds their table-independent layout once per list.
+The neural variant (NIBM) is a conditional model of the L2 side only: token
+representations feed a single-hidden-layer tanh MLP whose output head can use
+the same sampled-support normalizer as the main model.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ def ibm1_uniform(v_x: int, v_y: int) -> np.ndarray:
     return np.full((v_x, v_y), 1.0 / v_y)
 
 
-def _layouts(pairs, t: np.ndarray):
-    """Per chunk of ``model.eval_chunks``: a grid [B, m_max, n_max] holding
-    t(y_j | x_i) of pair b at [b, i, j] inside the pair's own [m, n] block,
-    which ``real`` marks, and 0 outside; the real cells' flat indices into
-    ``t`` in C order (pair, i, j); and the pairs' lengths m and n."""
+def ibm1_layout(pairs, shape):
+    """What IBM1's padded grids take from the list ``pairs`` alone, built once
+    per list: ``(shape, chunks)`` with, per chunk of ``model.eval_chunks``, the
+    mask ``real`` [B, m_max, n_max] of pair b's own [m, n] block, the real cells'
+    flat indices into a table of ``shape`` in C order (pair, i, j), and m and n."""
+    chunks = []
     for x, y in zip(model_mod.eval_chunks([p.x for p in pairs]),
                     model_mod.eval_chunks([p.y for p in pairs])):
         ids, masks = [], []
@@ -52,20 +53,23 @@ def _layouts(pairs, t: np.ndarray):
             ids.append(np.zeros(masks[-1].shape, dtype=np.intp))
             ids[-1][masks[-1]] = side.ids
         real = masks[0][:, :, None] & masks[1][:, None, :]
-        # x * V_y + y; each ravel checks one side's ids against t's shape
-        cells = (np.ravel_multi_index((ids[0], 0), t.shape)[:, :, None]
-                 + np.ravel_multi_index((0, ids[1]), t.shape)[:, None, :])[real]
-        grid = np.zeros(real.shape)
-        grid[real] = np.take(t, cells)
-        yield grid, real, cells, x.lengths, y.lengths
+        # x * V_y + y; each ravel checks one side's ids against the shape
+        cells = (np.ravel_multi_index((ids[0], 0), shape)[:, :, None]
+                 + np.ravel_multi_index((0, ids[1]), shape)[:, None, :])[real]
+        chunks.append((real, cells, x.lengths, y.lengths))
+    return tuple(shape), chunks
 
 
-def _e_step(pairs, t: np.ndarray):
+def _e_step(layout, t: np.ndarray):
     """The real cells' flat indices into ``t`` and responsibilities
     t(y_j | x_i) / colsum_j, in order (pair, i, j), and the log-likelihood:
     the bytes of a loop over the pairs' own [m, n] blocks."""
+    if t.shape != layout[0]:  # the flat cell indices hold for that shape only
+        raise ContractError(f"IBM1 table of shape {t.shape} for a layout of shape {layout[0]}")
     parts = [(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))]  # no pairs: no cells
-    for grid, real, cells, m, n in _layouts(pairs, t):
+    for real, cells, m, n in layout[1]:
+        grid = np.zeros(real.shape)  # t(y_j | x_i) at [b, i, j] of pair b's block, else 0
+        grid[real] = np.take(t, cells)
         colsum = (np.arange(grid.shape[2]) >= n[:, None]) * 1.0  # padding 1.0: no 0/0, no log 0
         for i in range(grid.shape[1]):  # a block's axis-0 sum adds row after row
             colsum += grid[:, i]
@@ -80,44 +84,45 @@ def _e_step(pairs, t: np.ndarray):
     return cells, gamma, float(np.cumsum(np.append(0.0, loglik))[-1])  # pair after pair
 
 
-def ibm1_em_step(pairs, t: np.ndarray):
-    """One EM sweep: ``(new_table, ibm1_log_likelihood(pairs, t))``.
+def ibm1_em_step(layout, t: np.ndarray):
+    """One EM sweep: ``(new_table, ibm1_log_likelihood(layout, t))``.
 
-    E-step on the padded grids of ``_layouts``: per L2 position,
+    E-step on the padded grids of an ``ibm1_layout``: per L2 position,
     responsibilities over all L1 positions (NULL included; the uniform
     prior cancels); their column sums give the log-likelihood of the input
     table. M-step: expected counts, one ``np.bincount`` in pair order,
     normalized per L1 row. Rows that collected no mass stay uniform.
     """
-    cells, gamma, loglik = _e_step(pairs, t)
+    cells, gamma, loglik = _e_step(layout, t)
     counts = np.bincount(cells, weights=gamma, minlength=t.size).reshape(t.shape)
     totals = counts.sum(axis=1, keepdims=True)
     return np.divide(counts, totals, out=ibm1_uniform(*t.shape), where=totals > 0), loglik
 
 
-def ibm1_log_likelihood(pairs, t: np.ndarray) -> float:
+def ibm1_log_likelihood(layout, t: np.ndarray) -> float:
     """Corpus log-likelihood sum_j log sum_i (1/m) t(y_j | x_i)."""
-    return _e_step(pairs, t)[2]
+    return _e_step(layout, t)[2]
 
 
 def ibm1_train(pairs, v_x: int, v_y: int, iterations: int = 10):
-    """EM from the uniform table; returns (table, log-liks of the table
-    after 0..iterations sweeps): one E-step pass per sweep, one final pass."""
+    """EM from the uniform table over one ``ibm1_layout``; returns (table, log-liks
+    of the table after 0..iterations sweeps): one E-step per sweep, one final pass."""
     if iterations < 0:
         raise ContractError(f"IBM1 iterations (em_iters) must be >= 0, got {iterations}")
-    t = ibm1_uniform(v_x, v_y)
+    t, layout = ibm1_uniform(v_x, v_y), ibm1_layout(pairs, (v_x, v_y))
     trace = []
     for _ in range(iterations):
-        t, loglik = ibm1_em_step(pairs, t)
+        t, loglik = ibm1_em_step(layout, t)
         trace.append(loglik)
-    return t, trace + [ibm1_log_likelihood(pairs, t)]
+    return t, trace + [ibm1_log_likelihood(layout, t)]
 
 
 def ibm1_align(pairs, t: np.ndarray) -> list[set]:
-    """Links argmax_i t(y_j | x_i) of every pair in the list ``pairs``, each
-    decoded by ``argmax_links`` from its own block of the padded grid."""
-    return [argmax_links(block[:a, :b]) for grid, _, _, m, n in _layouts(pairs, t)
-            for block, a, b in zip(grid, m.tolist(), n.tolist())]
+    """Links argmax_i t(y_j | x_i) of every pair in the list ``pairs``, each decoded
+    by ``argmax_links`` from its own [m, n] block: its m * n consecutive cells."""
+    return [argmax_links(block.reshape(a, b)) for _, cells, m, n in ibm1_layout(pairs, t.shape)[1]
+            for block, a, b in zip(np.split(np.take(t, cells), np.cumsum(m * n)[:-1]),
+                                   m.tolist(), n.tolist())]
 
 
 def save_ibm1_table(t: np.ndarray, vocab_x: Vocabulary, vocab_y: Vocabulary,

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from alignvae import autodiff as ad
+from alignvae import baselines
 from alignvae.autodiff import gradient_check
 from alignvae.baselines import (
     NIBMConfig,
     build_nibm_params,
     ibm1_align,
     ibm1_em_step,
+    ibm1_layout,
     ibm1_log_likelihood,
     ibm1_train,
     ibm1_uniform,
@@ -60,7 +62,8 @@ class TestIbm1Em:
         # one pair ([NULL, a], [b]): all probability mass lands on the
         # only observed L2 word for both L1 rows after one sweep
         pairs = [SentencePair((0, 2), (2,))]
-        t, loglik = ibm1_em_step(pairs, ibm1_uniform(3, 3))
+        t = ibm1_uniform(3, 3)
+        t, loglik = ibm1_em_step(ibm1_layout(pairs, t.shape), t)
         assert loglik == pytest.approx(math.log(1 / 3), rel=1e-15)
         assert t[2, 2] == pytest.approx(1.0, abs=1e-12)
         assert t[0, 2] == pytest.approx(1.0, abs=1e-12)
@@ -117,7 +120,7 @@ class TestIbm1Em:
         ]
         t = ibm1_uniform(5, 5)
         for _ in range(5):
-            t, _ = ibm1_em_step(pairs, t)
+            t, _ = ibm1_em_step(ibm1_layout(pairs, t.shape), t)
             np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-9)
 
     def test_trace_entry_k_is_log_likelihood_of_table_k(self):
@@ -132,9 +135,9 @@ class TestIbm1Em:
         assert len(trace) == 7
         t = ibm1_uniform(len(vocab1), len(vocab2))
         for k in range(7):
-            assert trace[k] == ibm1_log_likelihood(pairs, t)  # bit for bit
+            assert trace[k] == ibm1_log_likelihood(ibm1_layout(pairs, t.shape), t)  # bit for bit
             if k < 6:
-                t_next, loglik = ibm1_em_step(pairs, t)
+                t_next, loglik = ibm1_em_step(ibm1_layout(pairs, t.shape), t)
                 assert loglik == trace[k]
                 t = t_next
         assert final.tobytes() == t.tobytes()
@@ -143,11 +146,44 @@ class TestIbm1Em:
         pairs = [SentencePair((0, 2), (2, 3))]
         t, trace = ibm1_train(pairs, 4, 4, iterations=0)
         assert t.tobytes() == ibm1_uniform(4, 4).tobytes()
-        assert trace == [ibm1_log_likelihood(pairs, t)]
+        assert trace == [ibm1_log_likelihood(ibm1_layout(pairs, t.shape), t)]
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ContractError, match="em_iters"):
             ibm1_train([SentencePair((0, 2), (2,))], 3, 3, iterations=-3)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_train_builds_one_layout_and_calls_em_step_k_times(self, monkeypatch, k):
+        # the bench's traced span baselines.ibm1_em_step wraps the module
+        # attribute, so ibm1_train must call each sweep through it
+        calls = defaultdict(list)  # name -> (args, result) per call
+
+        def counted(name):
+            inner = getattr(baselines, name)
+
+            def wrapper(*args):
+                calls[name].append((args, inner(*args)))
+                return calls[name][-1][1]
+            return wrapper
+
+        for name in ("ibm1_layout", "ibm1_em_step"):
+            monkeypatch.setattr(baselines, name, counted(name))
+        pairs = [SentencePair((0, 2, 3), (2, 1)), SentencePair((0, 1), (3,))]
+        ibm1_train(pairs, 4, 4, iterations=k)
+        assert len(calls["ibm1_layout"]) == 1
+        assert len(calls["ibm1_em_step"]) == k
+        layout = calls["ibm1_layout"][0][1]
+        assert all(args[0] is layout for args, _ in calls["ibm1_em_step"])
+
+    def test_table_of_another_shape_refused(self):
+        pairs = [SentencePair((0, 2), (1, 2))]
+        layout = ibm1_layout(pairs, (4, 3))
+        for t in (ibm1_uniform(3, 4), ibm1_uniform(4, 5), ibm1_uniform(12, 1)):
+            with pytest.raises(ContractError, match=r"\(4, 3\)") as err:
+                ibm1_em_step(layout, t)
+            assert str(t.shape) in str(err.value)
+            with pytest.raises(ContractError, match=r"\(4, 3\)"):
+                ibm1_log_likelihood(layout, t)
 
 
 class TestIbm1Align:

@@ -7,7 +7,8 @@ The corpora cover what makes bytes differ: tokens repeated on both sides
 (so the order in which the expected counts are scattered matters), L2
 sides of 1 to 20 tokens (numpy sums 8 or more terms pairwise, and the one
 column of an [m, 1] block pairwise as well), empty L2 sides, an empty
-pair list, more pairs than one 512-pair chunk, and non-uniform tables.
+pair list, more pairs than one 512-pair chunk (one layout serving every
+sweep), and non-uniform tables.
 pytest turns any RuntimeWarning into an error, so the padding may raise
 none."""
 
@@ -15,7 +16,13 @@ import numpy as np
 import pytest
 
 from alignvae.alignment import argmax_links
-from alignvae.baselines import ibm1_align, ibm1_em_step, ibm1_log_likelihood, ibm1_uniform
+from alignvae.baselines import (
+    ibm1_align,
+    ibm1_em_step,
+    ibm1_layout,
+    ibm1_log_likelihood,
+    ibm1_uniform,
+)
 from alignvae.corpus import SentencePair
 from alignvae.model import EVAL_CHUNK
 
@@ -65,10 +72,10 @@ def random_table(rng, v_x: int, v_y: int) -> np.ndarray:
 def assert_sweeps_match(pairs, t: np.ndarray, sweeps: int = 3):
     for _ in range(sweeps):
         want, want_ll = reference_em_step(pairs, t)
-        got, got_ll = ibm1_em_step(pairs, t)
+        got, got_ll = ibm1_em_step(ibm1_layout(pairs, t.shape), t)
         assert got.tobytes() == want.tobytes()
         assert got_ll == want_ll
-        assert ibm1_log_likelihood(pairs, t) == want_ll
+        assert ibm1_log_likelihood(ibm1_layout(pairs, t.shape), t) == want_ll
         assert ibm1_align(pairs, t) == [argmax_links(_pair_scores(p, t)[1]) for p in pairs]
         t = want
 
@@ -99,7 +106,7 @@ def test_empty_l2_sides_and_an_empty_pair_list_match():
     assert_sweeps_match(empty, t)
     assert_sweeps_match([empty[0], *random_corpus(rng, 10, 6, 5), empty[1]], t)
     assert_sweeps_match([], t)
-    table, loglik = ibm1_em_step([], t)
+    table, loglik = ibm1_em_step(ibm1_layout([], t.shape), t)
     assert table.tobytes() == ibm1_uniform(6, 5).tobytes() and loglik == 0.0
 
 
@@ -109,8 +116,26 @@ def test_more_pairs_than_one_chunk_match():
     assert_sweeps_match(pairs, random_table(rng, 9, 7), sweeps=2)
 
 
+def test_one_layout_reused_for_every_sweep_matches():
+    # the layout holds no table values: one layout of three chunks serves
+    # every sweep, and after each one the table, the log-likelihood and
+    # the links are the per-pair loop's
+    rng = np.random.default_rng(9)
+    pairs = random_corpus(rng, 2 * EVAL_CHUNK + 37, 9, 7, max_m=12, max_n=12)
+    t = random_table(rng, 9, 7)
+    layout = ibm1_layout(pairs, t.shape)
+    assert len(layout[1]) == 3
+    for _ in range(5):
+        want, want_ll = reference_em_step(pairs, t)
+        got, got_ll = ibm1_em_step(layout, t)
+        assert got.tobytes() == want.tobytes()
+        assert got_ll == want_ll
+        assert ibm1_log_likelihood(layout, t) == want_ll
+        assert ibm1_align(pairs, got) == [argmax_links(_pair_scores(p, want)[1]) for p in pairs]
+        t = got
+
+
 def test_out_of_range_ids_are_refused():
-    t = ibm1_uniform(4, 3)
     for pair in (SentencePair((0, 4), (1,)), SentencePair((0, 1), (3,))):
         with pytest.raises(ValueError):
-            ibm1_em_step([pair], t)
+            ibm1_layout([pair], (4, 3))

@@ -22,7 +22,8 @@ only the parts still waiting to be consumed. With ``row_grads=True``, as
 the optimizer asks, a parameter reached only by gathers that read at most
 half its rows, repeats counted, comes back as one compact
 :class:`RowGrad` over its sorted unique ids, with the bytes of the dense
-table's rows; every other gradient is dense.
+table's rows: the same loop sums its parts into a [U, ...] buffer, each
+id read as its slot among the U unique ids; every other gradient is dense.
 
 Tapes nest: operations are recorded on the innermost active tape only.
 Values produced under one tape are treated as constants when used under
@@ -175,7 +176,10 @@ def _sum_parts(parts: list, shape: tuple, compact: bool = False) -> np.ndarray |
     """
     if (compact and parts and all(type(part) is RowGrad for part in parts)
             and 2 * sum(len(part.ids) for part in parts) <= shape[0]):
-        return _compact_rows(parts, shape)
+        ids, slots = np.unique(np.concatenate([part.ids for part in parts]), return_inverse=True)
+        cuts = np.cumsum([len(part.ids) for part in parts[:-1]])
+        slotted = [RowGrad(s, part.values) for s, part in zip(np.split(slots, cuts), parts)]
+        return RowGrad(ids, _sum_parts(slotted, (len(ids), *shape[1:])))
     acc, made = None, False  # made: acc is a buffer this sum made, private and in C order
     for part in parts:
         if type(part) is RowGrad:
@@ -194,18 +198,6 @@ def _scatter(acc: np.ndarray, ids: np.ndarray, values: np.ndarray) -> None:
     width = math.prod(acc.shape[1:])
     cells = ids[:, None] * width + np.arange(width)
     np.add.at(acc.reshape(-1), cells.reshape(-1), values.reshape(-1))
-
-
-def _compact_rows(parts: list[RowGrad], shape: tuple) -> RowGrad:
-    """The row parts of one table as one ``RowGrad`` over their sorted unique
-    ids: each part added, in arrival order, into a [U, ...] zero buffer."""
-    ids, slots = np.unique(np.concatenate([part.ids for part in parts]), return_inverse=True)
-    buf = np.zeros((len(ids), *shape[1:]))
-    lo = 0
-    for part in parts:
-        _scatter(buf, slots[lo:lo + len(part.ids)], part.values)
-        lo += len(part.ids)
-    return RowGrad(ids, buf)
 
 
 def _as_tensor(x) -> Tensor:

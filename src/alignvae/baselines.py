@@ -220,18 +220,18 @@ def nibm_align(pairs, params: ParameterStore, cfg: NIBMConfig) -> list[set]:
 
 
 def train_nibm(pairs, vocab1: Vocabulary, vocab2: Vocabulary, cfg: NIBMConfig,
-               epochs: int = 5, batch_size: int = 100, lr: float = 1e-3,
-               n_neg: int = 1000, seed: int = 1, css: bool = True) -> ParameterStore:
+               epochs: int = 5, **train) -> ParameterStore:
     """Adam on the negative conditional log-likelihood through ``training.fit``,
     with no latent variable and no KL; sub-seeds ``nibm-shuffle:{epoch}``
-    and ``nibm-css:{update}``."""
-    train_cfg = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr, n_neg=n_neg,
-                            seed=seed, css=css)
+    and ``nibm-css:{update}``. ``train`` holds any other ``TrainConfig``
+    field, defaulting as there."""
+    train_cfg = TrainConfig(epochs=epochs, **train)
+    n_neg, seed = train_cfg.n_neg, train_cfg.seed
     params = build_nibm_params(cfg, len(vocab1), len(vocab2), seed)
 
     def step(batch, n, adam):
         support = (build_css_support(batch, vocab2, "l2", n_neg, derive_seed(seed, f"nibm-css:{n}"))
-                   if css else None)
+                   if train_cfg.css else None)
         return ascent_step(lambda: nibm_batch_log_likelihood(batch, params, cfg, support),
                            params, adam)
 

@@ -250,11 +250,11 @@ def _eval_lexsub(args) -> int:
 def _eval_wordsim(args) -> int:
     if args.corpus and not args.checkpoint:
         raise AlignvaeError("--corpus needs --checkpoint")
+    if args.checkpoint and not args.corpus:
+        raise AlignvaeError("wordsim with a checkpoint needs --corpus (L1 text)")
     rows = semeval.parse_wordsim(args.data)
     if args.checkpoint:
         ckpt, params, vocab1, _ = _load_model(args.checkpoint)
-        if not args.corpus:
-            raise AlignvaeError("wordsim with a checkpoint needs --corpus (L1 text)")
         unknown = {tok for row in rows for tok in row[:2] if tok not in vocab1}
         if unknown:
             kept = [row for row in rows if not unknown.intersection(row[:2])]

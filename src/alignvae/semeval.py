@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import model as model_mod
 from .corpus import NULL_ID, Vocabulary, read_text, refuse_reserved
 from .errors import ContractError, DataError, DomainError, MetricError, NumericalError
@@ -38,6 +39,8 @@ class LexSubInstance:
                 f"target position {self.target_position} outside sentence "
                 f"of {len(self.sentence)} tokens"
             )
+        if any(w < 0 for _, w in self.candidates):
+            raise DataError("negative gold weight")
         if not any(w > 0 for _, w in self.candidates):
             raise DataError("instance has no candidate with positive gold weight")
 
@@ -176,18 +179,13 @@ def type_embeddings_for_corpus(sentences_ids, params, cfg: ModelConfig) -> dict[
     """
     tids = np.fromiter(itertools.chain.from_iterable(ids[1:] for ids in sentences_ids),
                        dtype=np.intp)
-    keys, first, slot = np.unique(tids, return_index=True, return_inverse=True)
-    d = cfg.d
-    sums = np.full(len(keys) * d, -0.0)  # -0.0 + a == a bit for bit, sign included
-    lo = 0
+    keys, first, counts = np.unique(tids, return_index=True, return_counts=True)
+    sums = np.full((len(keys), cfg.d), -0.0)  # -0.0 + a == a bit for bit, sign included
     for x in model_mod.eval_chunks(sentences_ids):
         u, _ = model_mod.posterior_params_np(x, params, cfg)
         real = x.positions() > 0
-        hi = lo + np.count_nonzero(real)
-        # a flat add.at is a few times faster than a [k, d] one; both add in corpus order
-        np.add.at(sums, (slot[lo:hi, None] * d + np.arange(d)).ravel(), u[real].ravel())
-        lo = hi
-    means = sums.reshape(-1, d) / np.bincount(slot)[:, None]
+        ad._scatter(sums, np.searchsorted(keys, x.ids[real]), u[real])
+    means = sums / counts[:, None]
     order = np.argsort(first)
     return dict(zip(keys[order].tolist(), means[order]))
 

@@ -973,6 +973,27 @@ class TestEval:
         assert code == 2 and stdout == ""
         assert err == f"error: {data}: no lexical-substitution instances\n"
 
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_negative_lexsub_weight_exits_2_with_position(self, tmp_path, capsys, with_model):
+        data, out = tmp_path / "lst.tsv", tmp_path / "gap.tsv"
+        data.write_text("s03\t1\ts01 s03 s07\ts05:1;s08:-0.5\n", encoding="utf-8")
+        argv = ["eval", "lexsub", str(data), "--per-instance", str(out)]
+        if with_model:
+            ckpt, _ = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+            argv += ["--checkpoint", str(ckpt)]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {data}:1: negative gold weight\n"
+        assert not out.exists()
+
+    def test_wordsim_checkpoint_without_corpus_exits_2_before_reading(self, tmp_path, capsys):
+        data = tmp_path / "ws.txt"
+        data.write_text("aa bb 1\nbb cc 2\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "eval", "wordsim", str(data),
+                                "--checkpoint", str(tmp_path / "nosuch.json"))
+        assert (code, stdout) == (2, "")
+        assert err == "error: wordsim with a checkpoint needs --corpus (L1 text)\n"
+
     def test_wordsim_reversed_scores(self, tmp_path, capsys):
         data = tmp_path / "ws.txt"
         data.write_text("a b 1 4\nc d 2 3\ne f 3 2\ng h 4 1\n")

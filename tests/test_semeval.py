@@ -261,6 +261,25 @@ class TestChunkedEmbeddings:
         assert len(got) == len(corpus_ids)
         np.testing.assert_allclose(np.array(got), np.array(means), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("encoder,hierarchical", [
+        ("bow", False), ("birnn", False), ("bow", True), ("birnn", True)])
+    def test_type_table_bytes_from_chunk_rows(self, corpus_ids, encoder, hierarchical):
+        """Each type's vector is its chunks' own rows, NULL excluded, added in
+        corpus order onto -0.0 and divided by its count, byte for byte."""
+        cfg = ModelConfig(encoder=encoder, d=3, d_x=4, hierarchical=hierarchical, d_s=2)
+        params = build_params(cfg, 7, 7, seed=5)
+        sums, counts = {}, {}
+        for x in model_mod.eval_chunks(corpus_ids):
+            u, _ = posterior_params_np(x, params, cfg)
+            real = x.positions() > 0
+            for tid, row in zip(x.ids[real].tolist(), u[real]):
+                sums[tid] = sums.get(tid, -0.0) + row
+                counts[tid] = counts.get(tid, 0) + 1
+        table = type_embeddings_for_corpus(corpus_ids, params, cfg)
+        assert list(table) == list(sums)
+        for tid, vec in table.items():
+            assert vec.tobytes() == (sums[tid] / counts[tid]).tobytes()
+
     def test_no_sentences(self, small_model):
         cfg, _, params = small_model
         assert type_embeddings_for_corpus([], params, cfg) == {}

@@ -133,8 +133,9 @@ class CSSupport:
 
 
 def read_text(path) -> str:
-    """The contents of a UTF-8 text file, newlines translated to ``\\n``."""
-    with open(path, encoding="utf-8") as fh:
+    """The contents of a UTF-8 text file, newlines translated to ``\\n``; a
+    byte-order mark at the start of the file is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError:

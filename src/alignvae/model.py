@@ -469,8 +469,8 @@ def posterior_params_np(x: Ragged, params: ParameterStore, cfg: ModelConfig):
     sentence's posterior mean (the location of ``infer_sentence_posterior``,
     pooled by the same ``ad.segment_mean`` off the tape). Weights too large
     for float64 raise ``NumericalError`` instead of a warning."""
-    # numpy, not the tape-free autodiff heads: on hier-v30 dims those took a
-    # one-sentence call from 53 to 95 us and align and embed ~30% slower
+    # numpy, not the graph's heads off the tape: at hier-v30 dims those took a
+    # one-sentence call from 52 to 69 us, align 11% and embed 18% slower
     with np.errstate(all="ignore"):
         emb = params["E"].data[x.ids]
         h = encode(ad.constant(emb), x, params, cfg).data

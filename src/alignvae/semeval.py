@@ -128,7 +128,11 @@ def rank_candidates(instances, vocab: Vocabulary, params, cfg: ModelConfig,
         # one call for every candidate of every instance, its target's row repeated
         tgt, cands = (u[target], s[target]), (u[cand], s[cand])
         (q_u, q_s), (p_u, p_s) = (tgt, cands) if reverse_kl else (cands, tgt)
-        scores = iter(model_mod.gaussian_kl_rows(q_u, q_s, p_u, p_s).data)
+        with np.errstate(all="ignore"):
+            kl = model_mod.gaussian_kl_rows(q_u, q_s, p_u, p_s).data
+        if not np.isfinite(kl).all():
+            raise NumericalError("non-finite KL score: the posteriors overflow float64")
+        scores = iter(kl)
     else:
         scores = iter([cosine(u[c], u[t]) for c, t in zip(cand, target)])
     sign = 1.0 if metric == "kl" else -1.0  # best first: KL ascending, cosine descending
@@ -213,13 +217,19 @@ def sentence_embedding(ids, params, cfg: ModelConfig) -> np.ndarray:
 
 
 def cosine(a, b) -> float:
+    """A zero vector raises ``DomainError``; norms or a quotient beyond
+    float64's range raise ``NumericalError``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    with np.errstate(all="ignore"):
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        norms = na * nb
+        value = np.dot(a, b) / norms
     if na == 0.0 or nb == 0.0:
         raise DomainError("cosine undefined for a zero vector")
-    return float(np.dot(a, b) / (na * nb))
+    if not np.isfinite([norms, value]).all():
+        raise NumericalError("non-finite cosine: the vectors overflow float64")
+    return float(value)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

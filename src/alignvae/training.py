@@ -168,30 +168,10 @@ class Checkpoint:
     best_epoch: int | None = None
 
     def build_store(self) -> ParameterStore:
-        """The stored values as a parameter store.
-
-        The checkpoint must hold exactly the parameters its config
-        declares, each with the declared shape; otherwise
-        ``CheckpointError``.
-        """
-        shapes = model_mod.param_shapes(
-            self.model_cfg, len(self.vocab_l1), len(self.vocab_l2)
-        )
-        missing = [name for name in shapes if name not in self.params]
-        extra = [name for name in self.params if name not in shapes]
-        if missing or extra:
-            raise CheckpointError(
-                f"checkpoint parameters do not match the config: "
-                f"missing {missing}, unexpected {extra}"
-            )
+        """A store holding a copy of each array of ``params``, in order; the
+        names and shapes were checked against the config at load."""
         store = ParameterStore()
-        for name, shape in shapes.items():
-            value = self.params[name]
-            if np.shape(value) != shape:
-                raise CheckpointError(
-                    f"parameter {name!r}: stored shape {np.shape(value)} "
-                    f"!= declared shape {shape}"
-                )
+        for name, value in self.params.items():
             store.add(name, value)
         return store
 
@@ -373,22 +353,22 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     write_text(path, pieces())
 
 
-def _decode_param(name, entry, version: int) -> np.ndarray:
-    """One stored parameter as a new float64 array.
+def _decode_param(name, entry, declared: tuple[int, ...], version: int) -> np.ndarray:
+    """One stored parameter of the ``declared`` shape as a new float64 array.
 
     A version-1 entry is ``{"shape", "data"}`` with ``data`` a flat list of
     JSON numbers; a version-2 entry is ``{"shape", "b64"}`` with exactly
-    ``8 * prod(shape)`` base64-coded little-endian float64 bytes. Anything
-    else, or a value that is not finite, raises ``CheckpointError`` naming
-    the parameter.
+    ``8 * prod(shape)`` base64-coded little-endian float64 bytes. ``shape``
+    must be the declared shape as a list of ints. Anything else, or a value
+    that is not finite, raises ``CheckpointError`` naming the parameter.
     """
     key = "data" if version == 1 else "b64"
     try:
         if not isinstance(entry, dict) or entry.keys() != {"shape", key}:
             raise ValueError(f"expected an object with the keys 'shape' and {key!r}")
         shape, value = entry["shape"], entry[key]
-        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-            raise ValueError("shape is not a list of non-negative ints")
+        if type(shape) is not list or not all(type(n) is int for n in shape) or tuple(shape) != declared:
+            raise ValueError(f"shape {shape!r} is not the declared {list(declared)}")
         size = math.prod(shape)
         if version == 1:
             # exact types, as for the config: JSON true and "1.5" are not numbers
@@ -446,7 +426,10 @@ def _read_document(path) -> str:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint document written by ``save_checkpoint``, of this
-    version or of version 1 (every parameter as a list of numbers)."""
+    version or of version 1 (every parameter as a list of numbers). The names
+    must be those the config declares, checked before any payload is decoded
+    (a config that declares no model is refused), and each shape the declared
+    one; they come in declared order. Any defect raises ``CheckpointError``."""
     try:
         doc = json.loads(_read_document(path))
     except (json.JSONDecodeError, RecursionError) as e:
@@ -489,8 +472,17 @@ def load_checkpoint(path) -> Checkpoint:
                 f"checkpoint field {key!r} is not a list of distinct strings "
                 f"starting {NULL_TOKEN!r}, {UNK_TOKEN!r}"
             )
-    if not isinstance(doc["params"], dict):
+    try:
+        shapes = model_mod.param_shapes(cfg, len(doc["vocab_l1"]), len(doc["vocab_l2"]))
+    except ContractError as e:
+        raise CheckpointError(f"checkpoint config {config} declares no model: {e}") from None
+    entries = doc["params"]
+    if not isinstance(entries, dict):
         raise CheckpointError("checkpoint field 'params' is not a mapping")
+    missing, extra = [n for n in shapes if n not in entries], [n for n in entries if n not in shapes]
+    if missing or extra:
+        raise CheckpointError(f"checkpoint parameters do not match the config: "
+                              f"missing {missing}, unexpected {extra}")
     # optional fields: exact JSON types as for the config, counts not negative
     for key, kinds, what in (("update_count", (int,), "an int >= 0"),
                              ("best_val_aer", (float, type(None)), "a float or null"),
@@ -499,8 +491,8 @@ def load_checkpoint(path) -> Checkpoint:
         if key in doc and (type(value) not in kinds or (type(value) is int and value < 0)):
             raise CheckpointError(f"checkpoint field {key!r} is not {what}: {value!r}")
     # each entry is dropped once decoded, so its text is freed before the next
-    entries = doc["params"]
-    params = {name: _decode_param(name, entries.pop(name), version) for name in list(entries)}
+    params = {name: _decode_param(name, entries.pop(name), shape, version)
+              for name, shape in shapes.items()}
     return Checkpoint(
         model_cfg=cfg,
         vocab_l1=doc["vocab_l1"],

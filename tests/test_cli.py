@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from alignvae import alignment, corpus, semeval, training
+from alignvae import alignment, cli, corpus, semeval, training
 from alignvae import model as model_mod
 from alignvae.cli import main
 from alignvae.corpus import load_parallel, synth_corpus, write_corpus
@@ -262,6 +262,12 @@ class TestTrain:
         code, _, stderr = run(capsys, "train", "--config", str(cfg_path))
         assert code == 2
         assert stderr.startswith("error: malformed config") and len(stderr.splitlines()) == 1
+
+    def test_config_with_byte_order_mark_parses_as_without(self, tmp_path):
+        text = "[paths]\ntrain_l1 = a.txt\ntrain_l2 = b.txt\n[model]\nd = 4\n"
+        (tmp_path / "plain.ini").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.ini").write_text(text, encoding="utf-8-sig")
+        assert cli._parse_config(tmp_path / "bom.ini") == cli._parse_config(tmp_path / "plain.ini")
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.ini"
@@ -1225,6 +1231,30 @@ class TestNumericalFailure:
         assert code == 3
         assert err == "error: non-finite posterior: the model's weights overflow float64\n"
         assert not files["out"].exists()
+
+    @pytest.mark.parametrize("command,what", [
+        (["eval", "lexsub", "{lexsub}", "{ckpt}", "--metric", "kl"], "KL score"),
+        (["eval", "lexsub", "{lexsub}", "{ckpt}", "--metric", "kl", "--reverse-kl"], "KL score"),
+        (["eval", "lexsub", "{lexsub}", "{ckpt}", "--metric", "cosine"], "cosine"),
+        (["eval", "wordsim", "{wordsim}", "{ckpt}", "--corpus", "{text}"], "cosine"),
+    ], ids=["kl", "reverse-kl", "cosine", "wordsim"])
+    def test_overflowing_score_exits_3(self, tmp_path, capsys, command, what):
+        """Finite posteriors whose KL or cosine overflows float64: exit 3 with
+        one line and no per-instance file, not a ranking read from inf or NaN."""
+        ckpt_path, text = make_checkpoint(tmp_path, capsys, ["aa bb", "bb cc"])
+        ckpt = training.load_checkpoint(ckpt_path)
+        ckpt.params["M1"] *= 1e155  # every location is near 1e155; its square is not finite
+        training.save_checkpoint(ckpt, ckpt_path)
+        files = {"ckpt": f"--checkpoint={ckpt_path}", "text": text,
+                 "lexsub": tmp_path / "ls.txt", "wordsim": tmp_path / "ws.txt"}
+        files["lexsub"].write_text("bb\t1\taa bb\tcc:1;aa:0\n")
+        files["wordsim"].write_text("aa bb 1\naa cc 2\nbb cc 3\n")
+        out = tmp_path / "out.txt"
+        per_instance = ["--per-instance", str(out)] if command[1] == "lexsub" else []
+        code, _, err = run(capsys, *(arg.format(**files) for arg in command), *per_instance)
+        assert code == 3
+        assert err.startswith(f"error: non-finite {what}: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--metric", "kl"], ["--metric", "kl", "--reverse-kl"],
                                        ["--metric", "cosine"]], ids=["kl", "reverse-kl", "cosine"])

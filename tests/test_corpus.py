@@ -79,6 +79,16 @@ class TestLoadParallel:
         assert a[2].index == b[2].index
         assert a[0] == b[0]
 
+    def test_leading_byte_order_mark_is_not_a_token(self, tmp_path):
+        synth = synth_corpus(seed=3, v1=8, v2=9, n_pairs=40, len_range=(2, 6), shuffle_l2=True)
+        write_corpus(synth, tmp_path / "l1.txt", tmp_path / "l2.txt", tmp_path / "g.txt")
+        for name in ("l1.txt", "l2.txt"):
+            (tmp_path / f"bom-{name}").write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+        plain = load_parallel(tmp_path / "l1.txt", tmp_path / "l2.txt")
+        bom = load_parallel(tmp_path / "bom-l1.txt", tmp_path / "bom-l2.txt")
+        assert bom[1].tokens == plain[1].tokens and bom[2].tokens == plain[2].tokens
+        assert bom[0] == plain[0]
+
     def test_null_only_at_position_zero(self, tmp_path):
         synth = synth_corpus(seed=4, v1=10, v2=10, n_pairs=50, len_range=(1, 7), shuffle_l2=True)
         write_corpus(synth, tmp_path / "l1.txt", tmp_path / "l2.txt", tmp_path / "g.txt")
@@ -100,6 +110,12 @@ class TestReadSentences:
         path = tmp_path_factory.mktemp("sentences") / "l1.txt"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="")
         assert read_sentences(path) == [line.split() for line in lines]
+
+    def test_byte_order_mark_dropped_only_at_the_start(self, tmp_path):
+        (tmp_path / "l1.txt").write_bytes("\ufeffs01 s02\n\ufeffs03\n".encode("utf-8"))
+        (tmp_path / "plain.txt").write_text("s01 s02\n\ufeffs03\n", encoding="utf-8")
+        assert read_sentences(tmp_path / "l1.txt") == read_sentences(tmp_path / "plain.txt")
+        assert read_sentences(tmp_path / "l1.txt") == [["s01", "s02"], ["\ufeffs03"]]
 
     def test_last_line_needs_no_newline(self, tmp_path):
         (tmp_path / "l1.txt").write_text("a b\u2028c\nd e", encoding="utf-8")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from alignvae.corpus import NULL_ID, UNK_TOKEN, Vocabulary
-from alignvae.errors import ContractError, DataError, DomainError, MetricError
+from alignvae.errors import ContractError, DataError, DomainError, MetricError, NumericalError
 from alignvae.hiermodel import kl_diag_gaussian
 from alignvae import model as model_mod
 from alignvae.model import ModelConfig, Ragged, build_params, posterior_params_np
@@ -305,6 +305,13 @@ class TestCosine:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             cosine([0.0, 0.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("a,b", [([1e155, 1e155], [1.0, 2.0]),  # a norm overflows
+                                     ([1e200], [1e200])],  # the product of the norms does
+                             ids=["norm", "norm-product"])
+    def test_overflowing_norms_raise_numerical_error(self, a, b):
+        with pytest.raises(NumericalError, match="^non-finite cosine: "):
+            cosine(a, b)
 
     def test_positive_rescaling_invariance(self):
         rng = np.random.default_rng(2)

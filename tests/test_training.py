@@ -26,6 +26,7 @@ from alignvae.training import (
     train,
 )
 from alignvae import alignment
+from alignvae.cli import main
 from conftest import as_version, dense_of, encode_entry
 
 
@@ -536,6 +537,50 @@ class TestCheckpointIO:
         path = self.rewrite(tiny_corpus, edit)
         with pytest.raises(CheckpointError, match="'M1'"):
             load_checkpoint(path).build_store()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["params"].pop("W2"), "missing \\['W2'\\], unexpected \\[\\]"),
+        (lambda doc: doc["params"].update(G1=encode_entry([0.0, 1.0], [2], 2)),
+         "missing \\[\\], unexpected \\['G1'\\]"),
+        (lambda doc: doc["params"]["M1"].update(shape=[4, 3]),
+         "malformed parameter 'M1': shape \\[4, 3\\] is not the declared \\[3, 4\\]"),
+    ], ids=["missing", "unexpected", "misshaped"])
+    def test_load_alone_holds_parameters_to_the_config(self, tiny_corpus, edit, message):
+        path = self.rewrite(tiny_corpus, edit)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    def test_parameter_set_checked_before_any_payload_is_decoded(self, tiny_corpus,
+                                                                 monkeypatch, version):
+        def edit(doc):
+            as_version(doc, version)
+            doc["params"].pop("W2")
+
+        path = self.rewrite(tiny_corpus, edit)
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("a payload was decoded")
+
+        monkeypatch.setattr(training, "_decode_param", no_decode)
+        with pytest.raises(CheckpointError, match="missing \\['W2'\\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,why", [
+        ("d", 0, "d and d_s must be >= 1"), ("encoder", "lstm", "unknown encoder 'lstm'"),
+    ], ids=["d0", "lstm"])
+    def test_config_that_declares_no_model_rejected(self, tiny_corpus, capsys, key, value, why):
+        path = self.rewrite(tiny_corpus, lambda doc: doc["config"].update({key: value}))
+        with pytest.raises(CheckpointError, match=f"checkpoint config .*{value!r}.* declares "
+                                                  f"no model: {why}"):
+            load_checkpoint(path)
+        text = path.parent / "text.txt"
+        text.write_text("s01 s02\n", encoding="utf-8")
+        code = main(["align", "--checkpoint", str(path), str(text), str(text),
+                     str(path.parent / "out.txt")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: checkpoint config ") and err.count("\n") == 1
+        assert not (path.parent / "out.txt").exists()
 
     def test_non_object_parameter_entry_rejected(self, tiny_corpus):
         path = self.rewrite(tiny_corpus, lambda doc: doc["params"].update(E=5))
